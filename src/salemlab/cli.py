@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,17 @@ class SpecParseError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above zero."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return x
 
 
 def parse_bits(text: str) -> BitSequence:
@@ -229,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("reduce", help="drive the reduction maps (fp, phi, pi03)")
     r.add_argument("--map", choices=("fp", "phi", "pi03"), required=True)
-    r.add_argument("--p", type=float, default=0.5)
+    r.add_argument("--p", type=_positive_float, default=0.5)
     r.add_argument("--x", help="bit sequence for fp")
     r.add_argument("--rows", help="semicolon-separated rows for phi/pi03")
     r.add_argument("--stage", type=int, default=4)
@@ -240,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--stage", type=int, default=8)
     p.add_argument("--fit-lo", dest="fit_lo", type=int, default=1)
-    p.add_argument("--xi-max", dest="xi_max", type=float, default=2.0**16)
+    p.add_argument("--xi-max", dest="xi_max", type=_positive_float, default=2.0**16)
     p.add_argument("--bands", type=int, default=10)
     p.add_argument("--samples", type=int, default=128)
     p.add_argument("--seed", type=int, required=True)
@@ -251,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="Fourier transform sweep CSV")
     s.add_argument("spec")
     s.add_argument("--stage", type=int, default=8)
-    s.add_argument("--xi-max", dest="xi_max", type=float, default=2.0**16)
+    s.add_argument("--xi-max", dest="xi_max", type=_positive_float, default=2.0**16)
     s.add_argument("--samples", type=int, default=128)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--out", default="sweep.csv")
@@ -263,8 +275,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        dim.thread_count()
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    except ValueError as e:
+        print(f"error: SALEMLAB_THREADS: {e}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (SpecParseError, GeometryError, cons.ConstructionError, MeasureError) as e:

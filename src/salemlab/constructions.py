@@ -100,7 +100,12 @@ class Scheme:
         return StageReport.of(k, self.stage(k))
 
     def reports(self, lo: int, hi: int) -> list[StageReport]:
-        return [self.stage_report(k) for k in range(lo, hi + 1)]
+        """Stage reports lo..hi, each built once per scheme and kept by stage."""
+        memo: dict[int, StageReport] = vars(self).setdefault("_report_memo", {})
+        for k in range(lo, hi + 1):
+            if k not in memo:
+                memo[k] = self.stage_report(k)
+        return [memo[k] for k in range(lo, hi + 1)]
 
     def decay_measure(self, k: int):
         """Measure used for Fourier-decay readings at stage k."""
@@ -190,16 +195,20 @@ class GeneralizedCantorScheme(Scheme):
         s.declared_fdim = 0.0
         return s
 
+    def _ensure_lengths(self, k: int) -> None:
+        while len(self._lengths) <= k:
+            j = len(self._lengths)
+            self._lengths.append(min(self._sched(j), self._lengths[j - 1] / 2))
+
     def _ensure(self, k: int) -> None:
+        self._ensure_lengths(k)
         while len(self._stages) <= k:
             j = len(self._stages)
-            parent_len = self._lengths[j - 1]
-            ell = min(self._sched(j), parent_len / 2)
+            ell = self._lengths[j]
             nxt = []
             for a, b in self._stages[j - 1]:
                 nxt.append((a, a + ell))
                 nxt.append((b - ell, b))
-            self._lengths.append(ell)
             self._stages.append(nxt)
 
     def stage(self, k: int) -> IntervalUnion:
@@ -209,10 +218,9 @@ class GeneralizedCantorScheme(Scheme):
     def decay_measure(self, k: int):
         from . import measures
 
-        self._ensure(max(k, 24))
-        contractions = tuple(
-            self._lengths[j] / self._lengths[j - 1] for j in range(1, len(self._lengths))
-        )
+        n = max(k, 24)
+        self._ensure_lengths(n)
+        contractions = tuple(self._lengths[j] / self._lengths[j - 1] for j in range(1, n + 1))
         offsets = tuple((Fraction(0), 1 - c) for c in contractions)
         return measures.SelfSimilarProductMeasure(
             branching=2, offsets=offsets, contractions=contractions

@@ -164,7 +164,9 @@ def default_frostman_centers(mu: PiecewiseUniformMeasure, cap: int = 128) -> lis
         if b > a:
             pts.append((a + b) / 2)
             pts.append(b)
-    pts = sorted(set(pts))
+    # disjoint pieces already give strictly increasing points
+    if any(b >= a2 for (_, b, _), (a2, _, _) in zip(mu.pieces, mu.pieces[1:])):
+        pts = sorted(set(pts))
     if len(pts) > cap:
         step = (len(pts) - 1) / (cap - 1)
         pts = [pts[round(i * step)] for i in range(cap)]
@@ -219,6 +221,11 @@ def _band_sup(mu: Measure, lo: float, hi: float, samples: int, seed: int) -> flo
     return best
 
 
+def thread_count() -> int:
+    """Band-sweep pool size from SALEMLAB_THREADS: default 1, values below 1 mean 1."""
+    return max(1, int(os.environ.get("SALEMLAB_THREADS", "1")))
+
+
 def fourier_decay_fit(
     mu: Measure,
     xi_max: float = 2.0**16,
@@ -242,7 +249,7 @@ def fourier_decay_fit(
     j_hi = math.floor(math.log2(xi_max))
     if j_hi - bands < 1:
         raise FitError("xi_max too small for the requested band count")
-    threads = max(1, int(os.environ.get("SALEMLAB_THREADS", "1")))
+    threads = thread_count()
     js = list(range(j_hi - bands, j_hi))
 
     def one(j: int) -> tuple[float, float]:

@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,7 +66,7 @@ class PiecewiseUniformMeasure:
         if abs(total - 1.0) > 1e-12:
             raise MeasureError(f"weights sum to {total}, not 1")
         self.pieces = tuple(norm)
-        self._lefts = [a for a, _, _ in norm]
+        self._lengths: list[float] | None = None  # see resonant_frequencies
         cum = [0.0]
         for _, _, w in norm:
             cum.append(cum[-1] + w)
@@ -115,14 +116,7 @@ class PiecewiseUniformMeasure:
         if len(self.pieces) == 1:
             w = self.pieces[0][2]
             return w * np.abs(np.sinc(xis * float(self._halves[0]) / np.pi))
-        out = np.zeros(len(xis), dtype=complex)
-        for start in range(0, len(self._weights), 512):
-            sl = slice(start, start + 512)
-            arg = np.outer(xis, self._centers[sl])
-            t = np.outer(xis, self._halves[sl])
-            sinc = np.sinc(t / np.pi)
-            out += (self._weights[sl] * sinc * np.exp(-1j * arg)).sum(axis=1)
-        return np.abs(out)
+        return np.abs(self.fourier_eval_many(xis))
 
     def sample(self, xi: float) -> FourierSample:
         return FourierSample(xi, self.fourier_eval(xi))
@@ -133,14 +127,15 @@ class PiecewiseUniformMeasure:
         Only the most heavily weighted lengths are probed; for measures with
         thousands of distinct lengths the generic lattice carries the sweep.
         """
-        by_len: dict[float, float] = {}
-        for a, b, w in self.pieces:
-            if b > a:
-                key = float(b - a)
-                by_len[key] = by_len.get(key, 0.0) + w
-        lengths = sorted(by_len, key=by_len.get, reverse=True)[:8]
+        if self._lengths is None:
+            by_len: dict[float, float] = {}
+            for a, b, w in self.pieces:
+                if b > a:
+                    key = float(b - a)
+                    by_len[key] = by_len.get(key, 0.0) + w
+            self._lengths = sorted(by_len, key=by_len.get, reverse=True)[:8]
         out: list[float] = []
-        for L in lengths:
+        for L in self._lengths:
             k = max(0, int(lo * L / _TWO_PI) - 1)
             added = 0
             while added < cap:
@@ -155,37 +150,54 @@ class PiecewiseUniformMeasure:
 
     # -- mass ----------------------------------------------------------------
 
-    def _piece_overlap(self, k: int, lo: Fraction, hi: Fraction) -> float:
-        a, b, w = self.pieces[k]
-        if b < lo or a > hi:
+    @cached_property
+    def _int_ends(self) -> tuple[int, list[int], list[int]]:
+        """Common denominator D and the left and right endpoint numerators over D."""
+        ends = [e for a, b, _ in self.pieces for e in (a, b)]
+        D = math.lcm(*(e.denominator for e in ends))
+        nums = [e.numerator * (D // e.denominator) for e in ends]
+        return D, nums[0::2], nums[1::2]
+
+    def _piece_overlap(self, k: int, cl: int, fh: int, lo: Fraction, hi: Fraction) -> float:
+        """Mass of piece k inside [lo, hi]; cl = ceil(lo*D) and fh = floor(hi*D)."""
+        D, lefts, rights = self._int_ends
+        A, B, w = lefts[k], rights[k], self.pieces[k][2]
+        if B < cl or A > fh:
             return 0.0
-        if a == b:
+        if A == B:
             return w
-        overlap = min(b, hi) - max(a, lo)
-        if overlap <= 0:
-            return 0.0
-        return float(Fraction(w) * overlap / (b - a))
+        # overlap * D = min(B, hi*D) - max(A, lo*D) = p1/q1 - p2/q2 = on / (q1*q2)
+        p1, q1 = (B, 1) if B <= fh else (hi.numerator * D, hi.denominator)
+        p2, q2 = (A, 1) if A >= cl else (lo.numerator * D, lo.denominator)
+        on = p1 * q2 - p2 * q1  # >= 0 here; 0 when the ball only touches the piece
+        wn, wd = w.as_integer_ratio()
+        return (wn * on) / (wd * q1 * q2 * (B - A))
 
     def ball_mass(self, x, r) -> float:
         """Exact mass of the closed ball [x-r, x+r] via rational overlaps.
 
         Interior pieces are fully covered, so only the two boundary pieces
         need fractional-overlap arithmetic; the bulk comes from prefix sums.
+        Endpoints are ints over one common denominator and each boundary
+        mass is one correctly rounded int division, so floats stay exact.
         """
         fx, fr = as_fraction(x), as_fraction(r)
         if fr <= 0:
             raise MeasureError("radius must be positive")
         lo, hi = fx - fr, fx + fr
-        i = bisect.bisect_left(self._lefts, lo)
-        if i > 0 and self.pieces[i - 1][1] >= lo:
+        D, lefts, rights = self._int_ends
+        cl = -(-lo.numerator * D // lo.denominator)
+        fh = hi.numerator * D // hi.denominator
+        i = bisect.bisect_left(lefts, cl)
+        if i > 0 and rights[i - 1] >= cl:
             i -= 1
-        j = bisect.bisect_right(self._lefts, hi) - 1
+        j = bisect.bisect_right(lefts, fh) - 1
         if j < i:
             return 0.0
         if j == i:
-            return self._piece_overlap(i, lo, hi)
+            return self._piece_overlap(i, cl, fh, lo, hi)
         bulk = self._cumw[j] - self._cumw[i + 1]
-        return bulk + self._piece_overlap(i, lo, hi) + self._piece_overlap(j, lo, hi)
+        return bulk + self._piece_overlap(i, cl, fh, lo, hi) + self._piece_overlap(j, cl, fh, lo, hi)
 
     def affine_pushforward(self, a, t) -> "PiecewiseUniformMeasure":
         fa, ft = as_fraction(a), as_fraction(t)
@@ -261,23 +273,25 @@ class SelfSimilarProductMeasure:
         self.shift = as_fraction(shift)
         if self.scale == 0:
             raise MeasureError("affine scale must be nonzero")
+        # float views for the transform loops, converted once
+        self._cf = [float(c) for c in self.contractions]
+        self._of = [[float(o) for o in off] for off in self.offsets]
+        self._sf, self._tf = float(self.scale), float(self.shift)
 
     def _stage_scales(self, depth: int) -> list[float]:
         """|parent length| ahead of stages 1..depth."""
-        out = [abs(float(self.scale))]
+        out = [abs(self._sf)]
         for j in range(1, depth):
-            c = self.contractions[(j - 1) % len(self.contractions)]
-            out.append(out[-1] * float(c))
+            out.append(out[-1] * self._cf[(j - 1) % len(self._cf)])
         return out
 
     def auto_depth(self, xi: float) -> int:
         """Depth rule: truncate once the residual scale resolves xi to 1e-3."""
-        s = abs(float(self.scale))
+        s = abs(self._sf)
         depth = 0
         target = 1e-3 / max(abs(xi), 1.0)
         while depth < 200 and (depth < 8 or s >= target):
-            c = self.contractions[depth % len(self.contractions)]
-            s *= float(c)
+            s *= self._cf[depth % len(self._cf)]
             depth += 1
         return depth
 
@@ -289,12 +303,12 @@ class SelfSimilarProductMeasure:
             raise MeasureError("depth must be >= 1")
         sgn = 1.0 if self.scale > 0 else -1.0
         scales = self._stage_scales(depth)
-        acc = cmath.exp(-1j * xi * float(self.shift))
+        acc = cmath.exp(-1j * xi * self._tf)
         inv_b = 1.0 / self.branching
         for j in range(1, depth + 1):
             s = scales[j - 1] * sgn
-            off = self.offsets[(j - 1) % len(self.offsets)]
-            acc *= inv_b * sum(cmath.exp(-1j * xi * float(o) * s) for o in off)
+            off = self._of[(j - 1) % len(self._of)]
+            acc *= inv_b * sum(cmath.exp(-1j * xi * o * s) for o in off)
         return acc
 
     def fourier_modulus(self, xi: float, depth: int | None = None) -> float:
@@ -312,7 +326,7 @@ class SelfSimilarProductMeasure:
         these points would overstate the decay.
         """
         out: set[float] = set()
-        s = abs(float(self.scale))
+        s = abs(self._sf)
         k = 0
         while True:
             base = math.pi / s
@@ -324,8 +338,7 @@ class SelfSimilarProductMeasure:
                     out.add(xi)
             if base > hi * mmax:
                 break
-            c = self.contractions[k % len(self.contractions)]
-            s *= float(c)
+            s *= self._cf[k % len(self._cf)]
             k += 1
             if k > 400:
                 break

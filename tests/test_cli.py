@@ -162,3 +162,16 @@ class TestExitCodes:
              "--xi-max", "64", "--bands", "10", "--out", str(tmp_path / "x")]
         )
         assert code == 3
+
+    def test_malformed_thread_count_is_exit_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SALEMLAB_THREADS", "abc")
+        code = run(["report", "cantor:3", "--stage", "3", "--seed", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "SALEMLAB_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2", "abc"])
+    def test_float_flag_not_finite_positive_is_exit_two(self, value, tmp_path):
+        out = str(tmp_path / "x")
+        assert run(["report", "cantor:3", "--stage", "3", "--seed", "1", "--xi-max", value, "--out", out]) == 2
+        assert run(["sweep", "cantor:3", "--stage", "3", "--seed", "1", "--xi-max", value, "--out", out]) == 2
+        assert run(["reduce", "--map", "fp", "--p", value, "--out", out]) == 2

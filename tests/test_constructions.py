@@ -78,6 +78,21 @@ class TestCantor:
             cantor_stage(2, 1)
 
 
+class TestGeneralizedCantor:
+    def test_decay_measure_reads_the_schedule_without_building_stages(self):
+        sch = GeneralizedCantorScheme.for_dimension(0.5)
+        mu = sch.decay_measure(8)
+        assert len(sch._stages) <= 9
+        assert mu.contractions == (F(1, 4),) * 24
+
+    def test_contractions_match_the_stage_lengths(self):
+        sch = GeneralizedCantorScheme.for_dimension(0.7)
+        mu = sch.decay_measure(30)
+        assert len(mu.contractions) == 30
+        lengths = [sch.stage(j).pieces[0][1] - sch.stage(j).pieces[0][0] for j in range(9)]
+        assert mu.contractions[:8] == tuple(b / a for a, b in zip(lengths, lengths[1:]))
+
+
 class TestJarnik:
     def test_block_one_alpha_zero_matches_enumeration(self):
         got = jarnik_stage(0.0, 1)
