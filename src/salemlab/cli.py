@@ -41,6 +41,14 @@ def _positive_float(text: str) -> float:
     return x
 
 
+def _finite(text: str) -> float:
+    """A spec number: any finite float."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise SpecParseError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def parse_bits(text: str) -> BitSequence:
     try:
         return BitSequence.from_string(text)
@@ -72,27 +80,27 @@ def parse_scheme(spec: str) -> cons.Scheme:
         if kind == "gcantor":
             if len(parts) != 2:
                 raise SpecParseError("usage: gcantor:<p>")
-            return cons.GeneralizedCantorScheme.for_dimension(float(parts[1]))
+            return cons.GeneralizedCantorScheme.for_dimension(_finite(parts[1]))
         if kind == "interval":
             return cons.IntervalScheme()
         if kind == "jarnik":
             if len(parts) != 2:
                 raise SpecParseError("usage: jarnik:<alpha>")
-            return cons.JarnikScheme(float(parts[1]))
+            return cons.JarnikScheme(_finite(parts[1]))
         if kind == "salpha":
             if len(parts) != 2:
                 raise SpecParseError("usage: salpha:<alpha>")
-            return cons.SAlphaScheme(float(parts[1]))
+            return cons.SAlphaScheme(_finite(parts[1]))
         if kind == "fp":
             if len(parts) != 3 or not parts[2].startswith("x="):
                 raise SpecParseError("usage: fp:<p>:x=<bits>")
-            return cons.FpScheme(float(parts[1]), parse_bits(parts[2][2:]))
+            return cons.FpScheme(_finite(parts[1]), parse_bits(parts[2][2:]))
         if kind in ("pi03", "salemgap"):
             if len(parts) != 3 or not parts[2].startswith("rows="):
                 raise SpecParseError(f"usage: {kind}:<p>:rows=<bits;bits;...>")
             mat = parse_rows(parts[2][5:])
             cls = cons.Pi03Scheme if kind == "pi03" else cons.SalemGapScheme
-            return cls(float(parts[1]), mat)
+            return cls(_finite(parts[1]), mat)
         if kind == "weihrauch":
             if len(parts) != 2 or not parts[1].startswith("xs="):
                 raise SpecParseError("usage: weihrauch:xs=<bits;bits;...>")
@@ -128,9 +136,16 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_union(path: str) -> IntervalUnion:
+    """Load a set file; an unreadable or malformed file is an input error."""
+    try:
+        return IntervalUnion.from_json(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise SpecParseError(f"bad set file {path!r}: {e}") from None
+
+
 def cmd_metric(args: argparse.Namespace) -> int:
-    A = IntervalUnion.from_json(Path(args.file_a).read_text())
-    B = IntervalUnion.from_json(Path(args.file_b).read_text())
+    A, B = _read_union(args.file_a), _read_union(args.file_b)
     d = hausdorff_metric(A, B)
     if args.format == "json":
         print(json.dumps({"value": float(d), "exact": format_fraction(d.value) if d.exact else None}))

@@ -16,6 +16,7 @@ calibrated refinement is what the stage ladder exposes to the estimators.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -743,33 +744,32 @@ def weihrauch_encode(
 def radial_lift(A: IntervalUnion, d: int = 2, resolution=Fraction(1, 16)) -> BoxUnion:
     """Grid-box cover of {x : |x| in A} at the given cell side.
 
-    Cells are tested exactly: a cell meets the radial set iff the interval
-    of norms it spans overlaps some radius piece, compared through squared
-    rationals.
+    Cells are tested exactly.  A cell spans the squared norms res²·[L, H],
+    where L and H are integer sums of squared grid indices, so it meets the
+    radius piece [a, b] (clipped to [0, inf)) iff L <= floor(b²/res²) and
+    H >= ceil(a²/res²).  Both threshold lists are nondecreasing along the
+    pieces, so the first piece with L <= floor(b²/res²) decides.
     """
     if d != 2:
         raise ConstructionError("radial lift is implemented for d = 2")
     res = as_fraction(resolution)
     if res <= 0:
         raise ConstructionError("resolution must be positive")
-    radii_sq = [(a * a, b * b) for a, b in A.pieces]
-    if not radii_sq:
-        return BoxUnion(2, [])
+    res2 = res * res
+    kept = [(max(a, 0), b) for a, b in A.pieces if b >= 0]
+    floors = [math.floor(b * b / res2) for _, b in kept]
+    ceils = [math.ceil(a * a / res2) for a, _ in kept]
     n = math.ceil(1 / res)
-    boxes = []
+    cols = []  # per grid column: its side, squared grid index of its end nearer 0 and farther
     for i in range(-n, n):
-        x0, x1 = i * res, (i + 1) * res
-        minx = Fraction(0) if x0 <= 0 <= x1 else min(abs(x0), abs(x1))
-        maxx = max(abs(x0), abs(x1))
-        minx2, maxx2 = minx * minx, maxx * maxx
-        for j in range(-n, n):
-            y0, y1 = j * res, (j + 1) * res
-            miny = Fraction(0) if y0 <= 0 <= y1 else min(abs(y0), abs(y1))
-            maxy = max(abs(y0), abs(y1))
-            lo2 = minx2 + miny * miny
-            hi2 = maxx2 + maxy * maxy
-            if any(lo2 <= b2 and hi2 >= a2 for a2, b2 in radii_sq):
-                boxes.append(((x0, x1), (y0, y1)))
+        m = i if i >= 0 else -i - 1
+        cols.append(((i * res, (i + 1) * res), m * m, (m + 1) * (m + 1)))
+    boxes = []
+    for x, lx, hx in cols:
+        for y, ly, hy in cols:
+            k = bisect_left(floors, lx + ly)
+            if k < len(floors) and hx + hy >= ceils[k]:
+                boxes.append((x, y))
     return BoxUnion(2, boxes, absorb=False)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -68,7 +69,7 @@ class IntervalUnion:
     that the empty set has a well-defined "far apart" distance surrogate.
     """
 
-    __slots__ = ("space", "pieces")
+    __slots__ = ("space", "pieces", "_lefts")
 
     def __init__(
         self,
@@ -159,19 +160,18 @@ class IntervalUnion:
     def total_length(self) -> Fraction:
         return sum((b - a for a, b in self.pieces), ZERO)
 
+    def _left_ends(self) -> list[Fraction]:
+        """Left endpoints in order, built on first use for the bisecting queries."""
+        try:
+            return self._lefts
+        except AttributeError:
+            object.__setattr__(self, "_lefts", [a for a, _ in self.pieces])
+            return self._lefts
+
     def contains_point(self, x: RationalLike) -> bool:
         fx = as_fraction(x)
-        lo, hi = 0, len(self.pieces) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            a, b = self.pieces[mid]
-            if fx < a:
-                hi = mid - 1
-            elif fx > b:
-                lo = mid + 1
-            else:
-                return True
-        return False
+        i = bisect_right(self._left_ends(), fx)  # pieces[:i] start at or before x
+        return i > 0 and fx <= self.pieces[i - 1][1]
 
     def subset_of(self, other: "IntervalUnion") -> bool:
         """Exact containment: every piece of self lies in a piece of other."""
@@ -187,21 +187,18 @@ class IntervalUnion:
         return True
 
     def point_distance(self, x: RationalLike) -> Fraction:
-        """Exact d(x, self); raises on the empty set."""
+        """Exact d(x, self) from the pieces on either side of x; raises on the empty set."""
         if self.is_empty:
             raise GeometryError("distance to the empty set is undefined")
         fx = as_fraction(x)
-        best: Fraction | None = None
-        for a, b in self.pieces:
-            if a <= fx <= b:
-                return ZERO
-            d = a - fx if fx < a else fx - b
-            if best is None or d < best:
-                best = d
-            if fx < a:
-                break  # pieces sorted; later ones are farther
-        assert best is not None
-        return best
+        lefts = self._left_ends()
+        i = bisect_right(lefts, fx)
+        if i == 0:
+            return lefts[0] - fx
+        b = self.pieces[i - 1][1]
+        if fx <= b:
+            return ZERO
+        return fx - b if i == len(lefts) else min(fx - b, lefts[i] - fx)
 
     # -- transformations ---------------------------------------------------
 
@@ -243,11 +240,15 @@ class IntervalUnion:
 
     @classmethod
     def from_json(cls, text: str) -> "IntervalUnion":
-        obj = json.loads(text)
-        return cls(
-            [(Fraction(a), Fraction(b)) for a, b in obj["pieces"]],
-            space=(Fraction(obj["space"][0]), Fraction(obj["space"][1])),
-        )
+        """Inverse of `to_json`; a malformed document raises GeometryError."""
+        try:
+            obj = json.loads(text)
+            pieces = [(Fraction(a), Fraction(b)) for a, b in obj["pieces"]]
+            lo, hi = obj["space"]
+            space = (Fraction(lo), Fraction(hi))
+        except (ValueError, TypeError, KeyError, ArithmeticError, RecursionError) as e:
+            raise GeometryError(f"malformed interval-union JSON: {e!r}") from None
+        return cls(pieces, space=space)
 
 
 class BoxUnion:
@@ -279,7 +280,7 @@ class BoxUnion:
                     raise GeometryError("box side reversed")
                 cube.append((fa, fb))
             norm.append(tuple(cube))
-        norm = sorted(set(norm))
+        norm = sorted(dict.fromkeys(norm))  # keeps first-seen order, so sorted input sorts in one pass
         if absorb and len(norm) > 1:
             norm = _absorb_contained(norm)
         object.__setattr__(self, "dimension", dimension)
@@ -560,14 +561,18 @@ def simplex_partition_1d(A: IntervalUnion, grid: RationalLike) -> list[IntervalU
         raise GeometryError("grid step must be positive")
     if A.is_empty:
         return []
-    lo = A.pieces[0][0]
-    hi = A.pieces[-1][1]
-    n0 = lo // g
+    pieces = A.pieces
+    rights = [b for _, b in pieces]
     out: list[IntervalUnion] = []
-    n = n0
-    while n * g <= hi:
-        cell = A.intersect_interval(n * g, (n + 1) * g)
-        if not cell.is_empty and not (out and cell.subset_of(out[-1])):
+    bounds = [n * g for n in range(pieces[0][0] // g, rights[-1] // g + 2)]
+    for c0, c1 in zip(bounds, bounds[1:]):
+        k = bisect_left(rights, c0)  # first piece ending at or past the cell start
+        cut = []
+        while k < len(pieces) and pieces[k][0] <= c1:
+            a, b = pieces[k]
+            cut.append((max(a, c0), min(b, c1)))
+            k += 1
+        cell = IntervalUnion(cut, space=A.space)
+        if cut and not (out and cell.subset_of(out[-1])):
             out.append(cell)
-        n += 1
     return out

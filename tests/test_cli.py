@@ -75,6 +75,22 @@ class TestMetricCommand:
         assert obj["exact"] == "1/6"
         assert obj["value"] == pytest.approx(1 / 6)
 
+    @pytest.mark.parametrize("name,text", [
+        ("missing.json", None),
+        ("text.json", "not json"),
+        ("nopieces.json", '{"space": ["0/1", "1/1"]}'),
+        ("onepoint.json", '{"space": ["0/1", "1/1"], "pieces": [["1/3"]]}'),
+        ("reversed.json", '{"space": ["0/1", "1/1"], "pieces": [["2/3", "1/3"]]}'),
+    ])
+    def test_bad_set_file_is_exit_two(self, name, text, tmp_path, capsys):
+        good = self.write(tmp_path / "full.json", IntervalUnion.full())
+        bad = tmp_path / name
+        if text is not None:
+            bad.write_text(text)
+        assert run(["metric", good, str(bad)]) == 2
+        assert run(["metric", str(bad), good]) == 2
+        assert "bad set file" in capsys.readouterr().err
+
 
 class TestReduceCommand:
     def test_phi_rows(self, capsys):
@@ -168,6 +184,13 @@ class TestExitCodes:
         code = run(["report", "cantor:3", "--stage", "3", "--seed", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "SALEMLAB_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("spec", ["jarnik:{}", "salpha:{}", "gcantor:{}", "fp:{}:x=1",
+                                      "pi03:{}:rows=1;0", "salemgap:{}:rows=1;0"])
+    def test_non_finite_spec_number_is_exit_two(self, spec, value, tmp_path, capsys):
+        assert run(["build", spec.format(value), "--stage", "2", "--out", str(tmp_path / "x")]) == 2
+        assert "expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2", "abc"])
     def test_float_flag_not_finite_positive_is_exit_two(self, value, tmp_path):

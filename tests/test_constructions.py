@@ -405,3 +405,11 @@ class TestRadialLift:
     def test_requires_dimension_two(self):
         with pytest.raises(ConstructionError):
             radial_lift(IntervalUnion.full(), 3, F(1, 4))
+
+    def test_radius_pieces_below_zero_are_clipped(self):
+        # norms are nonnegative: radii in [-1/2, 1/4] cover the disc of radius 1/4,
+        # the cells with lx^2 + ly^2 <= 16 in units of 1/16 (17 per quadrant)
+        disc = radial_lift(IntervalUnion([(F(-1, 2), F(1, 4))], space=(-1, 1)), 2, F(1, 16))
+        assert len(disc) == 68
+        assert disc.pieces == radial_lift(IntervalUnion([(0, F(1, 4))]), 2, F(1, 16)).pieces
+        assert radial_lift(IntervalUnion([(F(-1, 2), F(-1, 4))], space=(-1, 1)), 2, F(1, 16)).is_empty

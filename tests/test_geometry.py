@@ -88,6 +88,19 @@ class TestIntervalUnion:
         assert obj["pieces"] == [["1/3", "2/3"]]
         assert obj["space"] == ["0/1", "1/1"]
 
+    @pytest.mark.parametrize("text", [
+        "not json", "[]", '{"space": ["0", "1"]}', '{"pieces": []}',
+        '{"space": ["0", "1"], "pieces": [["1/3"]]}',
+        '{"space": ["0", "1"], "pieces": [["1/3", "x"]]}',
+        '{"space": ["0", "1"], "pieces": [["1/0", "1"]]}',
+        '{"space": ["0", "1"], "pieces": [[Infinity, 1]]}',
+        '{"space": ["0", "1"], "pieces": [[null, 1]]}',
+        '{"space": ["0"], "pieces": []}',
+    ])
+    def test_malformed_json_raises_geometry_error(self, text):
+        with pytest.raises(GeometryError):
+            IntervalUnion.from_json(text)
+
 
 class TestHausdorffMetric:
     def test_both_empty(self):

@@ -1,4 +1,5 @@
-"""Property tests: integer ball masses and the stage-report memo."""
+"""Property tests: integer ball masses, the stage-report memo and the exact
+geometry queries (point distance, Hausdorff metric, radial lift, grid partition)."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salemlab.cli import parse_scheme
+from salemlab.constructions import radial_lift
+from salemlab.geometry import IntervalUnion, hausdorff_metric, simplex_partition_1d
 from salemlab.measures import PiecewiseUniformMeasure
 
 
@@ -128,3 +131,172 @@ def test_memoised_reports_equal_fresh_scheme_reports(case):
     scheme = parse_scheme(spec)
     for lo, hi in calls:
         assert scheme.reports(lo, hi) == [fresh_report(spec, k) for k in range(lo, hi + 1)]
+
+
+# -- exact geometry queries ------------------------------------------------
+#
+# The references below are the per-query scans the bisecting kernels
+# replaced; the kernels must agree with them exactly.
+
+
+def reference_point_distance(U: IntervalUnion, x: F) -> F:
+    """d(x, U) by scanning the pieces from the first one."""
+    best = None
+    for a, b in U.pieces:
+        if a <= x <= b:
+            return F(0)
+        d = a - x if x < a else x - b
+        if best is None or d < best:
+            best = d
+        if x < a:
+            break
+    return best
+
+
+def reference_hausdorff(A: IntervalUnion, B: IntervalUnion) -> F:
+    if A.is_empty and B.is_empty:
+        return F(0)
+    if A.is_empty or B.is_empty:
+        return A.space[1] - A.space[0]
+
+    def one_sided(src, dst):
+        candidates = [e for piece in src.pieces for e in piece]
+        for (_, b1), (a2, _) in zip(dst.pieces, dst.pieces[1:]):
+            if src.contains_point((b1 + a2) / 2):
+                candidates.append((b1 + a2) / 2)
+        return max(reference_point_distance(dst, x) for x in candidates)
+
+    return max(one_sided(A, B), one_sided(B, A))
+
+
+def reference_radial_cover(A: IntervalUnion, res: F) -> set:
+    """Cells of [-n res, n res]^2 whose norm range meets a radius piece, by any()."""
+    radii_sq = [(a * a, b * b) for a, b in A.pieces]
+    n = math.ceil(1 / res)
+    cells = set()
+    for i in range(-n, n):
+        x0, x1 = i * res, (i + 1) * res
+        minx = F(0) if x0 <= 0 <= x1 else min(abs(x0), abs(x1))
+        maxx = max(abs(x0), abs(x1))
+        for j in range(-n, n):
+            y0, y1 = j * res, (j + 1) * res
+            miny = F(0) if y0 <= 0 <= y1 else min(abs(y0), abs(y1))
+            maxy = max(abs(y0), abs(y1))
+            lo2, hi2 = minx * minx + miny * miny, maxx * maxx + maxy * maxy
+            if any(lo2 <= b2 and hi2 >= a2 for a2, b2 in radii_sq):
+                cells.add(((x0, x1), (y0, y1)))
+    return cells
+
+
+def reference_partition(A: IntervalUnion, g: F) -> list[IntervalUnion]:
+    """Grid partition by intersecting the whole union with every cell."""
+    if A.is_empty:
+        return []
+    out = []
+    n = A.pieces[0][0] // g
+    while n * g <= A.pieces[-1][1]:
+        cell = A.intersect_interval(n * g, (n + 1) * g)
+        if not cell.is_empty and not (out and cell.subset_of(out[-1])):
+            out.append(cell)
+        n += 1
+    return out
+
+
+unit_rationals = st.builds(lambda n, d: F(n % (d + 1), d), st.integers(0, 2**400), denominators)
+
+
+def near(points: list[F]) -> st.SearchStrategy[F]:
+    """The points themselves, or points a tiny step to either side, kept in [0, 1]."""
+    step = st.builds(lambda p, s, m: min(max(p + F(s, m), F(0)), F(1)),
+                     st.sampled_from(points), st.sampled_from([-1, 1]), st.integers(2, 2**90))
+    return st.one_of(st.sampled_from(points), step)
+
+
+@st.composite
+def unions(draw, points=unit_rationals, min_size=0):
+    """A union in [0, 1] with atoms among its pieces and gaps of any width."""
+    ends = sorted(set(draw(st.lists(points, min_size=min_size, max_size=12))))
+    pieces, k = [], 0
+    while k < len(ends):
+        if k + 1 < len(ends) and draw(st.booleans()):
+            pieces.append((ends[k], ends[k + 1]))
+            k += 2
+        else:
+            pieces.append((ends[k], ends[k]))
+            k += 1
+    return IntervalUnion(pieces)
+
+
+def landmarks(*sets: IntervalUnion) -> list[F]:
+    """Endpoints and gap midpoints: where the distance function has breakpoints."""
+    out = [F(0), F(1)]
+    for U in sets:
+        out += [e for piece in U.pieces for e in piece]
+        out += [(b1 + a2) / 2 for (_, b1), (a2, _) in zip(U.pieces, U.pieces[1:])]
+    return out
+
+
+@st.composite
+def related_unions(draw, count: int):
+    """Unions whose endpoints often sit on or next to the earlier ones' breakpoints."""
+    out = [draw(unions())]
+    while len(out) < count:
+        out.append(draw(unions(st.one_of(unit_rationals, near(landmarks(*out))))))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_point_distance_and_containment_equal_scan(data):
+    U = data.draw(unions(min_size=1))
+    x = data.draw(st.one_of(rationals, near(landmarks(U))))
+    assert U.point_distance(x) == reference_point_distance(U, x)
+    assert U.contains_point(x) == (reference_point_distance(U, x) == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(related_unions(2))
+def test_hausdorff_metric_equals_reference(pair):
+    A, B = pair
+    d = hausdorff_metric(A, B)
+    assert d.exact and d.value == reference_hausdorff(A, B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(related_unions(3))
+def test_hausdorff_metric_axioms(triple):
+    A, B, C = triple
+    dab = hausdorff_metric(A, B).value
+    assert dab == hausdorff_metric(B, A).value
+    assert hausdorff_metric(A, A).value == 0
+    assert (dab == 0) == (A == B)
+    assert hausdorff_metric(A, C).value <= dab + hausdorff_metric(B, C).value
+
+
+@st.composite
+def radial_cases(draw):
+    res = draw(st.sampled_from([F(1, 2), F(1, 3), F(1, 4), F(2, 7), F(1, 8), F(3, 16), F(1, 16)]))
+    # grid multiples k*res are norms that cells reach exactly (k = 5: the 3-4-5 corner)
+    grid = [k * res for k in range(math.ceil(1 / res) + 1) if k * res <= 1]
+    return draw(unions(st.one_of(unit_rationals, near(grid)))), res
+
+
+@settings(max_examples=100, deadline=None)
+@given(radial_cases())
+def test_radial_lift_equals_any_rule(case):
+    A, res = case
+    assert set(radial_lift(A, 2, res).pieces) == reference_radial_cover(A, res)
+
+
+grids = st.one_of(
+    st.builds(lambda q: F(1, q), st.integers(1, 40)),
+    st.builds(F, st.integers(1, 2**80), st.integers(1, 2**80)).filter(lambda g: g >= F(1, 64)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unions(), grids)
+def test_simplex_partition_equals_reference(A, g):
+    parts = simplex_partition_1d(A, g)
+    assert parts == reference_partition(A, g)
+    assert IntervalUnion.from_intervals(p for part in parts for p in part.pieces) == A
