@@ -41,6 +41,18 @@ def _positive_float(text: str) -> float:
     return x
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        n = int(text)  # argparse reports a ValueError as an invalid integer value
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return n
+
+    return integer
+
+
 def _finite(text: str) -> float:
     """A spec number: any finite float."""
     x = float(text)
@@ -183,7 +195,7 @@ _REPORT_COLUMNS = [
 def cmd_report(args: argparse.Namespace) -> int:
     scheme = parse_scheme(args.spec)
     cfg = config_hash(args, ["spec", "stage", "xi_max", "bands", "samples", "seed", "fit_lo"])
-    rep = dim.salem_report(
+    rep, mu = dim.salem_report_with_measure(
         scheme, args.stage, xi_max=args.xi_max, bands=args.bands,
         samples_per_band=args.samples, seed=args.seed, fit_lo=args.fit_lo,
     )
@@ -201,7 +213,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             w = csv.writer(fh)
             w.writerow(_REPORT_COLUMNS)
             w.writerow(row)
-    _write_sweep(out.parent / (out.stem + "_sweep.csv"), scheme, args, cfg)
+    _write_sweep(out.parent / (out.stem + "_sweep.csv"), mu, args, cfg)
     print(
         f"{rep.scheme} stage {rep.stage}: hdim_est={_fmt(rep.hdim_est)} "
         f"fourier_dim={_fmt(rep.fourier_dim)} defect={_fmt(rep.salem_defect)}"
@@ -209,8 +221,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_sweep(path: Path, scheme: cons.Scheme, args: argparse.Namespace, cfg: str) -> None:
-    mu = scheme.decay_measure(args.stage)
+def _write_sweep(path: Path, mu, args: argparse.Namespace, cfg: str) -> None:
+    """Transform of the decay measure mu on a log grid up to --xi-max."""
     n = max(args.samples * 4, 256)
     xis = [args.xi_max ** (i / n) for i in range(1, n + 1)]
     if hasattr(mu, "fourier_eval_many"):
@@ -230,7 +242,7 @@ def _write_sweep(path: Path, scheme: cons.Scheme, args: argparse.Namespace, cfg:
 def cmd_sweep(args: argparse.Namespace) -> int:
     scheme = parse_scheme(args.spec)
     cfg = config_hash(args, ["spec", "stage", "xi_max", "samples", "seed"])
-    _write_sweep(Path(args.out), scheme, args, cfg)
+    _write_sweep(Path(args.out), scheme.decay_measure(args.stage), args, cfg)
     print(f"wrote {args.out}")
     return 0
 
@@ -244,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="build a stage set and its stage report CSV")
     b.add_argument("spec")
-    b.add_argument("--stage", type=int, default=4)
+    b.add_argument("--stage", type=_int_at_least(0), default=4)
     b.add_argument("--out", default="stage")
     b.set_defaults(fn=cmd_build)
 
@@ -259,17 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--p", type=_positive_float, default=0.5)
     r.add_argument("--x", help="bit sequence for fp")
     r.add_argument("--rows", help="semicolon-separated rows for phi/pi03")
-    r.add_argument("--stage", type=int, default=4)
+    r.add_argument("--stage", type=_int_at_least(0), default=4)
     r.add_argument("--out", default="reduced")
     r.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("report", help="full dimension report for a scheme")
     p.add_argument("spec")
-    p.add_argument("--stage", type=int, default=8)
-    p.add_argument("--fit-lo", dest="fit_lo", type=int, default=1)
+    p.add_argument("--stage", type=_int_at_least(0), default=8)
+    p.add_argument("--fit-lo", dest="fit_lo", type=_int_at_least(0), default=1)
     p.add_argument("--xi-max", dest="xi_max", type=_positive_float, default=2.0**16)
-    p.add_argument("--bands", type=int, default=10)
-    p.add_argument("--samples", type=int, default=128)
+    p.add_argument("--bands", type=_int_at_least(4), default=10)
+    p.add_argument("--samples", type=_int_at_least(64), default=128)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="report")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -277,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="Fourier transform sweep CSV")
     s.add_argument("spec")
-    s.add_argument("--stage", type=int, default=8)
+    s.add_argument("--stage", type=_int_at_least(0), default=8)
     s.add_argument("--xi-max", dest="xi_max", type=_positive_float, default=2.0**16)
-    s.add_argument("--samples", type=int, default=128)
+    s.add_argument("--samples", type=_int_at_least(1), default=128)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--out", default="sweep.csv")
     s.set_defaults(fn=cmd_sweep)
@@ -290,6 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.command == "report" and args.stage - args.fit_lo < 1:
+            ap.error("report fits a ladder of at least two stages: --stage must exceed --fit-lo")
         dim.thread_count()
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0

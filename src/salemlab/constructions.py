@@ -97,22 +97,30 @@ class Scheme:
     def stage(self, k: int) -> IntervalUnion:
         raise NotImplementedError
 
-    def stage_report(self, k: int) -> StageReport:
-        return StageReport.of(k, self.stage(k))
+    def report_of(self, k: int, union: IntervalUnion) -> StageReport:
+        """Statistics of `union`, the already built stage k."""
+        return StageReport.of(k, union)
 
-    def reports(self, lo: int, hi: int) -> list[StageReport]:
-        """Stage reports lo..hi, each built once per scheme and kept by stage."""
+    def stage_report(self, k: int) -> StageReport:
+        return self.report_of(k, self.stage(k))
+
+    def reports(self, lo: int, hi: int, top: IntervalUnion | None = None) -> list[StageReport]:
+        """Stage reports lo..hi, each built once per scheme and kept by stage.
+
+        `top`, when given, is stage hi already built by the caller.
+        """
         memo: dict[int, StageReport] = vars(self).setdefault("_report_memo", {})
         for k in range(lo, hi + 1):
             if k not in memo:
-                memo[k] = self.stage_report(k)
+                memo[k] = self.report_of(k, top if k == hi and top is not None else self.stage(k))
         return [memo[k] for k in range(lo, hi + 1)]
 
-    def decay_measure(self, k: int):
-        """Measure used for Fourier-decay readings at stage k."""
+    def decay_measure(self, k: int, natural=None):
+        """Measure used for Fourier-decay readings at stage k: by default the
+        natural measure of stage k, or `natural` if the caller already built it."""
         from . import measures
 
-        return measures.natural_measure(self.stage(k))
+        return natural if natural is not None else measures.natural_measure(self.stage(k))
 
     def block_ladders(self, k: int) -> list[list[StageReport]] | None:
         """Per-block stage ladders for sup-rule dimension prediction.
@@ -162,7 +170,7 @@ class CantorScheme(Scheme):
     def stage(self, k: int) -> IntervalUnion:
         return cantor_stage(self.n, k)
 
-    def decay_measure(self, k: int):
+    def decay_measure(self, k: int, natural=None):
         from . import measures
 
         return measures.SelfSimilarProductMeasure(
@@ -216,7 +224,7 @@ class GeneralizedCantorScheme(Scheme):
         self._ensure(k)
         return IntervalUnion.from_intervals(self._stages[k])
 
-    def decay_measure(self, k: int):
+    def decay_measure(self, k: int, natural=None):
         from . import measures
 
         n = max(k, 24)
@@ -243,10 +251,10 @@ class IntervalScheme(Scheme):
     def stage(self, k: int) -> IntervalUnion:
         return IntervalUnion.full()
 
-    def stage_report(self, k: int) -> StageReport:
+    def report_of(self, k: int, union: IntervalUnion) -> StageReport:
         from .geometry import simplex_partition_1d
 
-        cells = simplex_partition_1d(self.stage(k), Fraction(1, 2**k))
+        cells = simplex_partition_1d(union, Fraction(1, 2**k))
         return StageReport(k, len(cells), Fraction(1, 2**k), Fraction(1, 2**k))
 
 
@@ -573,8 +581,8 @@ class Pi03Scheme(Scheme):
             pieces.extend(self.block_union(m, k).pieces)
         return IntervalUnion.from_intervals(pieces)
 
-    def stage_report(self, k: int) -> StageReport:
-        return _tower_report(k, self.stage(k))
+    def report_of(self, k: int, union: IntervalUnion) -> StageReport:
+        return _tower_report(k, union)
 
     def block_ladders(self, k: int) -> list[list[StageReport]]:
         out = []
@@ -636,8 +644,8 @@ class SalemGapScheme(Scheme):
             pieces.extend(self.block(n).stage(k).map_onto(block_interval(n)).pieces)
         return IntervalUnion.from_intervals(pieces)
 
-    def stage_report(self, k: int) -> StageReport:
-        return _tower_report(k, self.stage(k))
+    def report_of(self, k: int, union: IntervalUnion) -> StageReport:
+        return _tower_report(k, union)
 
     def block_ladders(self, k: int) -> list[list[StageReport]]:
         out = [self._head.reports(1, k)]

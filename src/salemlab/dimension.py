@@ -2,23 +2,24 @@
 
 Band evaluations are independent and may run on a thread pool capped by
 SALEMLAB_THREADS; results are assembled by band index, so identical
-parameters and seed give identical output regardless of pool size.
+parameters and seed give identical output regardless of pool size.  numpy
+and the thread pool are imported where a band sweep runs.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .constructions import Scheme, StageReport
 from .geometry import IntervalUnion
 from .measures import Measure, PiecewiseUniformMeasure, natural_measure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _GOLDEN = 0.6180339887498949
 
@@ -138,14 +139,13 @@ def frostman_fit(
 
     The exponent is clamped into [0, ambient_dim].
     """
-    radii = [Fraction(r) if not isinstance(r, Fraction) else r for r in radii]
-    if len(set(radii)) < 4:
+    radii = sorted({Fraction(r) if not isinstance(r, Fraction) else r for r in radii})
+    if len(radii) < 4:
         raise FitError("need at least four distinct radii")
+    if radii[0] <= 0:
+        raise FitError("radii must be positive")
     xs, ys = [], []
-    for r in sorted(set(radii)):
-        if r <= 0:
-            raise FitError("radii must be positive")
-        sup = max(mu.ball_mass(c, r) for c in centers)
+    for r, sup in zip(radii, mu.max_ball_masses(centers, radii)):
         if sup <= 0.0:
             continue
         xs.append(math.log(float(r)))
@@ -193,12 +193,14 @@ def default_frostman_radii(mu: PiecewiseUniformMeasure, min_scales: int = 6) -> 
     return radii
 
 
-def _band_samples(lo: float, hi: float, count: int, seed: int) -> np.ndarray:
+def _band_samples(lo: float, hi: float, count: int, seed: int) -> "np.ndarray":
     """Logarithmic lattice with seeded low-discrepancy jitter.
 
     The jitter keeps the lattice incommensurate with self-similar frequency
     ladders that a bare geometric grid could alias against.
     """
+    import numpy as np
+
     u0 = (seed * _GOLDEN) % 1.0
     i = np.arange(count)
     jitter = (u0 + i * _GOLDEN) % 1.0
@@ -210,6 +212,8 @@ def _band_sup(mu: Measure, lo: float, hi: float, samples: int, seed: int) -> flo
     xis = _band_samples(lo, hi, samples, seed)
     resonant = mu.resonant_frequencies(lo, hi)
     if hasattr(mu, "fourier_modulus_many"):
+        import numpy as np
+
         if resonant:
             xis = np.concatenate([xis, np.array(resonant)])
         return float(np.max(mu.fourier_modulus_many(xis)))
@@ -258,6 +262,8 @@ def fourier_decay_fit(
         return math.log(math.sqrt(lo * hi)), math.log(max(sup, 1e-300))
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pts = list(pool.map(one, js))
     else:
@@ -285,7 +291,25 @@ def salem_report(
     schemes, the natural stage measure otherwise, where the reading is a
     diagnostic rather than a certified value).
     """
-    reports = scheme.reports(fit_lo, stage)
+    return salem_report_with_measure(scheme, stage, xi_max, bands, samples_per_band, seed, fit_lo)[0]
+
+
+def salem_report_with_measure(
+    scheme: Scheme,
+    stage: int,
+    xi_max: float = 2.0**16,
+    bands: int = 10,
+    samples_per_band: int = 128,
+    seed: int = 0,
+    fit_lo: int = 1,
+) -> tuple[DimensionReport, Measure]:
+    """`salem_report` and the decay measure its Fourier fit used.
+
+    The stage set and its natural measure are built once per call and kept
+    nowhere after it: the scheme holds no stage sets between reports.
+    """
+    stage_set = scheme.stage(stage)
+    reports = scheme.reports(fit_lo, stage, stage_set)
     box = box_count_fit(reports)
     ladders = scheme.block_ladders(stage)
     if ladders:
@@ -296,10 +320,9 @@ def salem_report(
         hdim = countable_union_sup(block_fits, True)
     else:
         hdim = box.exponent
-    stage_set = scheme.stage(stage)
     mu_nat = natural_measure(stage_set)
     fro = frostman_fit(mu_nat, default_frostman_centers(mu_nat), default_frostman_radii(mu_nat))
-    mu_dec = scheme.decay_measure(stage)
+    mu_dec = scheme.decay_measure(stage, mu_nat)
     fou = fourier_decay_fit(mu_dec, xi_max, bands, samples_per_band, seed)
     fdim = clamp_dimension(fou.exponent, 1)
     last = reports[-1]
@@ -318,7 +341,7 @@ def salem_report(
         fourier_fit=fou,
         declared_hdim=scheme.declared_hdim,
         declared_fdim=scheme.declared_fdim,
-    )
+    ), mu_dec
 
 
 def countable_union_sup(reports: Sequence, blocks_almost_disjoint: bool) -> float:

@@ -2,7 +2,9 @@
 
 Geometry stays rational, weights are floats.  Scalar transform values are
 accumulated with math.fsum so they do not depend on piece order; vector
-sweeps run through numpy with a fixed accumulation order.
+sweeps run through numpy with a fixed accumulation order.  numpy is
+imported by the sweeps only, so ball masses and the CLI's non-transform
+commands do not pay for it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .geometry import IntervalUnion, as_fraction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 
@@ -71,10 +74,17 @@ class PiecewiseUniformMeasure:
         for _, _, w in norm:
             cum.append(cum[-1] + w)
         self._cumw = cum
-        # numpy views for vectorized sweeps
-        self._centers = np.array([float((a + b) / 2) for a, b, _ in norm])
-        self._halves = np.array([float((b - a) / 2) for a, b, _ in norm])
-        self._weights = np.array([w for _, _, w in norm])
+
+    @cached_property
+    def _arrays(self) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """Centers, half-lengths and weights as numpy arrays, for vectorized sweeps."""
+        import numpy as np
+
+        return (
+            np.array([float((a + b) / 2) for a, b, _ in self.pieces]),
+            np.array([float((b - a) / 2) for a, b, _ in self.pieces]),
+            np.array([w for _, _, w in self.pieces]),
+        )
 
     def __repr__(self) -> str:
         return f"PiecewiseUniformMeasure({len(self.pieces)} pieces)"
@@ -97,25 +107,30 @@ class PiecewiseUniformMeasure:
         # single piece: the phase factor is unimodular, so the modulus is
         # exactly w * |sinc|; this keeps atoms at modulus w without rounding
         if len(self.pieces) == 1:
-            _, _, w = self.pieces[0]
-            return w * abs(_sinc(xi * float(self._halves[0])))
+            a, b, w = self.pieces[0]
+            return w * abs(_sinc(xi * float((b - a) / 2)))
         return abs(self.fourier_eval(xi))
 
-    def fourier_eval_many(self, xis: np.ndarray) -> np.ndarray:
+    def fourier_eval_many(self, xis: "np.ndarray") -> "np.ndarray":
         """Vectorized transform values with a fixed accumulation order."""
+        import numpy as np
+
+        centers, halves, weights = self._arrays
         out = np.zeros(len(xis), dtype=complex)
-        for start in range(0, len(self._weights), 512):
+        for start in range(0, len(weights), 512):
             sl = slice(start, start + 512)
-            arg = np.outer(xis, self._centers[sl])
-            t = np.outer(xis, self._halves[sl])
+            arg = np.outer(xis, centers[sl])
+            t = np.outer(xis, halves[sl])
             sinc = np.sinc(t / np.pi)
-            out += (self._weights[sl] * sinc * np.exp(-1j * arg)).sum(axis=1)
+            out += (weights[sl] * sinc * np.exp(-1j * arg)).sum(axis=1)
         return out
 
-    def fourier_modulus_many(self, xis: np.ndarray) -> np.ndarray:
+    def fourier_modulus_many(self, xis: "np.ndarray") -> "np.ndarray":
+        import numpy as np
+
         if len(self.pieces) == 1:
-            w = self.pieces[0][2]
-            return w * np.abs(np.sinc(xis * float(self._halves[0]) / np.pi))
+            a, b, w = self.pieces[0]
+            return w * np.abs(np.sinc(xis * float((b - a) / 2) / np.pi))
         return np.abs(self.fourier_eval_many(xis))
 
     def sample(self, xi: float) -> FourierSample:
@@ -158,46 +173,69 @@ class PiecewiseUniformMeasure:
         nums = [e.numerator * (D // e.denominator) for e in ends]
         return D, nums[0::2], nums[1::2]
 
-    def _piece_overlap(self, k: int, cl: int, fh: int, lo: Fraction, hi: Fraction) -> float:
-        """Mass of piece k inside [lo, hi]; cl = ceil(lo*D) and fh = floor(hi*D)."""
-        D, lefts, rights = self._int_ends
-        A, B, w = lefts[k], rights[k], self.pieces[k][2]
-        if B < cl or A > fh:
-            return 0.0
-        if A == B:
-            return w
-        # overlap * D = min(B, hi*D) - max(A, lo*D) = p1/q1 - p2/q2 = on / (q1*q2)
-        p1, q1 = (B, 1) if B <= fh else (hi.numerator * D, hi.denominator)
-        p2, q2 = (A, 1) if A >= cl else (lo.numerator * D, lo.denominator)
-        on = p1 * q2 - p2 * q1  # >= 0 here; 0 when the ball only touches the piece
-        wn, wd = w.as_integer_ratio()
-        return (wn * on) / (wd * q1 * q2 * (B - A))
+    def _mass_between(self, lefts: list[int], rights: list[int], ln: int, hn: int, e: int) -> float:
+        """Mass of [ln/e, hn/e], with ln, hn, e ints in the unit of the endpoint numerators.
 
-    def ball_mass(self, x, r) -> float:
-        """Exact mass of the closed ball [x-r, x+r] via rational overlaps.
-
-        Interior pieces are fully covered, so only the two boundary pieces
-        need fractional-overlap arithmetic; the bulk comes from prefix sums.
-        Endpoints are ints over one common denominator and each boundary
-        mass is one correctly rounded int division, so floats stay exact.
+        Interior pieces are fully covered and come from prefix sums; each of
+        the two boundary pieces adds w * overlap / length as one ratio of
+        ints divided once, which Python rounds correctly.
         """
-        fx, fr = as_fraction(x), as_fraction(r)
-        if fr <= 0:
-            raise MeasureError("radius must be positive")
-        lo, hi = fx - fr, fx + fr
-        D, lefts, rights = self._int_ends
-        cl = -(-lo.numerator * D // lo.denominator)
-        fh = hi.numerator * D // hi.denominator
+        cl, fh = -(-ln // e), hn // e
         i = bisect.bisect_left(lefts, cl)
         if i > 0 and rights[i - 1] >= cl:
             i -= 1
         j = bisect.bisect_right(lefts, fh) - 1
         if j < i:
             return 0.0
-        if j == i:
-            return self._piece_overlap(i, cl, fh, lo, hi)
-        bulk = self._cumw[j] - self._cumw[i + 1]
-        return bulk + self._piece_overlap(i, cl, fh, lo, hi) + self._piece_overlap(j, cl, fh, lo, hi)
+        mass, ends = (self._cumw[j] - self._cumw[i + 1], (i, j)) if j > i else (0.0, (i,))
+        for k in ends:
+            A, B, w = lefts[k], rights[k], self.pieces[k][2]
+            if B < cl or A > fh:
+                continue
+            if A == B:
+                mass += w
+                continue
+            on = min(B * e, hn) - max(A * e, ln)  # overlap * e; 0 when the ball only touches the piece
+            wn, wd = w.as_integer_ratio()
+            mass += (wn * on) / (wd * e * (B - A))
+        return mass
+
+    def ball_mass(self, x, r) -> float:
+        """Exact mass of the closed ball [x-r, x+r] via rational overlaps.
+
+        The ball's ends are ints over e = lcm(den x, den r), scaled by the
+        common endpoint denominator D, so every comparison is an int one and
+        the float is that of the exact rational mass.
+        """
+        fx, fr = as_fraction(x), as_fraction(r)
+        if fr <= 0:
+            raise MeasureError("radius must be positive")
+        D, lefts, rights = self._int_ends
+        e = math.lcm(fx.denominator, fr.denominator)
+        xn, rn = fx.numerator * (e // fx.denominator), fr.numerator * (e // fr.denominator)
+        return self._mass_between(lefts, rights, (xn - rn) * D, (xn + rn) * D, e)
+
+    def max_ball_masses(self, centers: Sequence, radii: Sequence) -> list[float]:
+        """max(ball_mass(c, r) for c in centers) for each r in radii, the same floats.
+
+        Endpoints, centers and radii are rescaled once to ints over
+        E = lcm(D, their denominators), so each query is two bisects and a
+        few int operations.
+        """
+        cs = [as_fraction(c) for c in centers]
+        rs = [as_fraction(r) for r in radii]
+        if any(r <= 0 for r in rs):
+            raise MeasureError("radius must be positive")
+        D, lefts, rights = self._int_ends
+        E = math.lcm(D, *(q.denominator for q in cs + rs))
+        s = E // D
+        lefts, rights = [a * s for a in lefts], [b * s for b in rights]
+        cn = [c.numerator * (E // c.denominator) for c in cs]
+        out = []
+        for r in rs:
+            rn = r.numerator * (E // r.denominator)
+            out.append(max(self._mass_between(lefts, rights, c - rn, c + rn, 1) for c in cn))
+        return out
 
     def affine_pushforward(self, a, t) -> "PiecewiseUniformMeasure":
         fa, ft = as_fraction(a), as_fraction(t)

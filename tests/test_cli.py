@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +202,28 @@ class TestExitCodes:
         assert run(["report", "cantor:3", "--stage", "3", "--seed", "1", "--xi-max", value, "--out", out]) == 2
         assert run(["sweep", "cantor:3", "--stage", "3", "--seed", "1", "--xi-max", value, "--out", out]) == 2
         assert run(["reduce", "--map", "fp", "--p", value, "--out", out]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "cantor:3", "--stage", "-1"],
+        ["reduce", "--map", "fp", "--stage", "-1"],
+        ["sweep", "cantor:3", "--stage", "-1", "--seed", "1"],
+        ["report", "cantor:3", "--stage", "-1", "--seed", "1"],
+        ["report", "cantor:3", "--stage", "3", "--fit-lo", "-1", "--seed", "1"],
+        ["report", "cantor:3", "--stage", "3", "--fit-lo", "3", "--seed", "1"],
+        ["report", "cantor:3", "--stage", "3", "--bands", "3", "--seed", "1"],
+        ["report", "cantor:3", "--stage", "3", "--samples", "63", "--seed", "1"],
+        ["sweep", "cantor:3", "--stage", "3", "--samples", "0", "--seed", "1"],
+        ["sweep", "cantor:3", "--stage", "3", "--samples", "-5", "--seed", "1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_integer_flag_out_of_range_is_exit_two(self, argv, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, salemlab.cli; print('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

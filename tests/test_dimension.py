@@ -1,14 +1,17 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from salemlab import cli, dimension, measures
 from salemlab.bitseq import BitSequence
 from salemlab.constructions import (
     CantorScheme,
     FpScheme,
     IntervalScheme,
     JarnikScheme,
+    Scheme,
     StageReport,
     cantor_stage,
 )
@@ -239,3 +242,82 @@ class TestTowerReports:
         for m, got in enumerate(fits, start=1):
             assert abs(got - sch.q_m(m)) < 0.01
         assert countable_union_sup(fits, True) == pytest.approx(max(fits))
+
+
+# one spec of every kind in the README table, at a small top stage
+SPEC_TOPS = {
+    "cantor:3": 4,
+    "gcantor:0.5": 4,
+    "interval": 4,
+    "jarnik:1.0": 3,
+    "salpha:1.0": 3,
+    "fp:0.5:x=11(0)": 3,
+    "pi03:0.8:rows=1;(01);0": 3,
+    "salemgap:0.63:rows=1;0": 3,
+    "weihrauch:xs=1;0;(10)": 3,
+}
+
+
+def _scheme_classes(cls=Scheme):
+    out = [cls]
+    for sub in cls.__subclasses__():
+        out.extend(_scheme_classes(sub))
+    return out
+
+
+def count_top_builds(monkeypatch, top: int) -> tuple[Counter, list]:
+    """Count stage(top) and decay_measure(top) on the schemes cli.parse_scheme
+    returns, and every natural_measure call."""
+    counts: Counter = Counter()
+    made: list = []
+    parse = cli.parse_scheme
+
+    def parse_and_keep(spec):
+        made.append(parse(spec))
+        return made[-1]
+
+    def counting(name, fn):
+        def wrapped(self, k, *args, **kwargs):
+            if k == top and any(self is s for s in made):
+                counts[name] += 1
+            return fn(self, k, *args, **kwargs)
+
+        return wrapped
+
+    def counting_measure(fn):
+        def wrapped(*args, **kwargs):
+            counts["natural_measure"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "parse_scheme", parse_and_keep)
+    for cls in _scheme_classes():
+        for name in ("stage", "decay_measure"):
+            if name in cls.__dict__:
+                monkeypatch.setattr(cls, name, counting(name, cls.__dict__[name]))
+    for module in (measures, dimension):
+        monkeypatch.setattr(module, "natural_measure", counting_measure(module.natural_measure))
+    return counts, made
+
+
+@pytest.mark.parametrize("spec", sorted(SPEC_TOPS))
+def test_salem_report_builds_top_stage_and_measures_once(spec, monkeypatch):
+    top = SPEC_TOPS[spec]
+    counts, _ = count_top_builds(monkeypatch, top)
+    salem_report(cli.parse_scheme(spec), top, samples_per_band=64, seed=1)
+    assert counts["stage"] == 1
+    assert counts["natural_measure"] == 1
+    assert counts["decay_measure"] <= 1
+
+
+@pytest.mark.parametrize("spec", sorted(SPEC_TOPS))
+def test_cli_report_builds_top_stage_and_measures_once(spec, monkeypatch, tmp_path, capsys):
+    top = SPEC_TOPS[spec]
+    counts, made = count_top_builds(monkeypatch, top)
+    argv = ["report", spec, "--stage", str(top), "--samples", "64", "--seed", "1", "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 0
+    assert len(made) == 1
+    assert counts["stage"] == 1
+    assert counts["natural_measure"] == 1
+    assert counts["decay_measure"] <= 1

@@ -1,5 +1,6 @@
-"""Property tests: integer ball masses, the stage-report memo and the exact
-geometry queries (point distance, Hausdorff metric, radial lift, grid partition)."""
+"""Property tests: integer ball masses and Frostman sups, transform bounds, the
+stage-report memo and the exact geometry queries (point distance, Hausdorff
+metric, radial lift, grid partition)."""
 
 from __future__ import annotations
 
@@ -8,13 +9,14 @@ import math
 from fractions import Fraction as F
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salemlab.cli import parse_scheme
 from salemlab.constructions import radial_lift
 from salemlab.geometry import IntervalUnion, hausdorff_metric, simplex_partition_1d
-from salemlab.measures import PiecewiseUniformMeasure
+from salemlab.measures import PiecewiseUniformMeasure, SelfSimilarProductMeasure
 
 
 def reference_ball_mass(mu: PiecewiseUniformMeasure, x: F, r: F) -> float:
@@ -93,6 +95,73 @@ def measures_and_balls(draw):
 def test_integer_ball_mass_equals_fraction_formula(case):
     mu, x, r = case
     assert mu.ball_mass(x, r) == reference_ball_mass(mu, x, r)
+
+
+positive_rationals = st.builds(lambda n, d: F(n % (2 * d) + 1, d), st.integers(0, 2**400), denominators)
+
+
+@st.composite
+def frostman_cases(draw):
+    """Centres on endpoints or anywhere, radii with denominators unrelated to the
+    measure's, and touching balls: radii reaching exactly from a centre to an endpoint."""
+    mu = draw(measures())
+    ends = [e for a, b, _ in mu.pieces for e in (a, b)]
+    centers = draw(st.lists(st.one_of(st.sampled_from(ends), rationals), min_size=1, max_size=6))
+    radii = draw(st.lists(positive_rationals, min_size=1, max_size=4))
+    touching = [abs(e - c) for c in centers for e in ends if e != c]
+    if touching:
+        radii += draw(st.lists(st.sampled_from(touching), min_size=1, max_size=4))
+    return mu, centers, radii
+
+
+@settings(max_examples=300, deadline=None)
+@given(frostman_cases())
+def test_max_ball_masses_equal_per_ball_masses(case):
+    mu, centers, radii = case
+    sups = mu.max_ball_masses(centers, radii)
+    assert sups == [max(mu.ball_mass(c, r) for c in centers) for r in radii]
+    assert sups == [max(reference_ball_mass(mu, c, r) for c in centers) for r in radii]
+
+
+@settings(max_examples=300, deadline=None)
+@given(measures_and_balls(), st.lists(positive_rationals, max_size=5))
+def test_ball_mass_monotone_bounded_and_full_on_the_support(case, more_radii):
+    mu, x, r = case
+    masses = [mu.ball_mass(x, s) for s in sorted({r, *more_radii})]
+    assert all(0.0 <= m <= 1.0 + 1e-12 for m in masses)
+    # monotone up to rounding: the covered pieces come from float prefix sums, so a
+    # piece moving from a boundary into the bulk can lower the float by an ulp
+    assert all(a <= b + 1e-12 for a, b in zip(masses, masses[1:]))
+    lo, hi = mu.pieces[0][0], max(b for _, b, _ in mu.pieces)
+    cover = max(x - lo, hi - x)  # the ball's ends reach the support's ends
+    assert abs(mu.ball_mass(x, cover if cover > 0 else F(1)) - 1.0) <= 1e-12
+
+
+xis = st.floats(-1e7, 1e7, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(measures(), st.lists(xis, min_size=1, max_size=8))
+def test_piecewise_uniform_transform_is_at_most_one(mu, xs):
+    assert all(mu.fourier_modulus(xi) <= 1.0 + 1e-12 for xi in xs)
+    assert max(mu.fourier_modulus_many(np.array(xs))) <= 1.0 + 1e-12
+
+
+@st.composite
+def product_measures(draw):
+    b = draw(st.integers(2, 4))
+    stages = draw(st.integers(1, 3))
+    contractions = [F(draw(st.integers(1, 99)), 100) for _ in range(stages)]
+    offsets = [[F(draw(st.integers(0, 1000)), 1000) for _ in range(b)] for _ in range(stages)]
+    scale = F(draw(st.integers(1, 50)) * draw(st.sampled_from([-1, 1])), draw(st.integers(1, 50)))
+    return SelfSimilarProductMeasure(b, offsets, contractions, scale, draw(rationals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_measures(), st.lists(xis, min_size=1, max_size=8), st.integers(1, 30))
+def test_product_transform_is_at_most_one(mu, xs, depth):
+    assert all(mu.fourier_modulus(xi) <= 1.0 + 1e-12 for xi in xs)
+    assert all(mu.fourier_modulus(xi, depth) <= 1.0 + 1e-12 for xi in xs)
 
 
 SPECS = {
