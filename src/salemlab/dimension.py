@@ -1,9 +1,10 @@
 """Estimators for box-counting, covering-sum, ball-mass and Fourier-decay exponents.
 
-Band evaluations are independent and may run on a thread pool capped by
-SALEMLAB_THREADS; results are assembled by band index, so identical
+A Fourier fit evaluates the frequencies of all its bands in one vectorised
+sweep.  With SALEMLAB_THREADS > 1 a thread pool splits that sweep into
+contiguous slices; every frequency is computed on its own, so identical
 parameters and seed give identical output regardless of pool size.  numpy
-and the thread pool are imported where a band sweep runs.
+and the thread pool are imported where a sweep runs.
 """
 
 from __future__ import annotations
@@ -208,25 +209,8 @@ def _band_samples(lo: float, hi: float, count: int, seed: int) -> "np.ndarray":
     return lo * (hi / lo) ** frac
 
 
-def _band_sup(mu: Measure, lo: float, hi: float, samples: int, seed: int) -> float:
-    xis = _band_samples(lo, hi, samples, seed)
-    resonant = mu.resonant_frequencies(lo, hi)
-    if hasattr(mu, "fourier_modulus_many"):
-        import numpy as np
-
-        if resonant:
-            xis = np.concatenate([xis, np.array(resonant)])
-        return float(np.max(mu.fourier_modulus_many(xis)))
-    best = max(mu.fourier_modulus(x) for x in xis)
-    for xi in resonant:
-        v = mu.fourier_modulus(xi)
-        if v > best:
-            best = v
-    return best
-
-
 def thread_count() -> int:
-    """Band-sweep pool size from SALEMLAB_THREADS: default 1, values below 1 mean 1."""
+    """Fourier-sweep pool size from SALEMLAB_THREADS: default 1, values below 1 mean 1."""
     return max(1, int(os.environ.get("SALEMLAB_THREADS", "1")))
 
 
@@ -242,9 +226,10 @@ def fourier_decay_fit(
 
     Bands are the top `bands` dyadic intervals below xi_max; within each,
     the supremum is taken over jittered log-lattice samples plus the
-    measure's resonant candidates.  The fitted exponent is the raw decay
-    rate (-2 * slope); clamp with `clamp_dimension` for the dimension
-    estimate.
+    measure's resonant candidates.  The frequencies of all bands go
+    through one `fourier_modulus_many` call (one per thread), and each band
+    takes the max of its slice.  The fitted exponent is the raw decay rate
+    (-2 * slope); clamp with `clamp_dimension` for the dimension estimate.
     """
     if bands < 4:
         raise FitError("need at least four bands")
@@ -253,23 +238,25 @@ def fourier_decay_fit(
     j_hi = math.floor(math.log2(xi_max))
     if j_hi - bands < 1:
         raise FitError("xi_max too small for the requested band count")
+    import numpy as np
+
+    edges = [(2.0**j, 2.0 ** (j + 1)) for j in range(j_hi - bands, j_hi)]
+    per_band = []
+    for lo, hi in edges:
+        resonant = np.array(mu.resonant_frequencies(lo, hi), dtype=float)
+        per_band.append(np.concatenate([_band_samples(lo, hi, samples_per_band, seed), resonant]))
+    xis = np.concatenate(per_band)
     threads = thread_count()
-    js = list(range(j_hi - bands, j_hi))
-
-    def one(j: int) -> tuple[float, float]:
-        lo, hi = 2.0**j, 2.0 ** (j + 1)
-        sup = _band_sup(mu, lo, hi, samples_per_band, seed)
-        return math.log(math.sqrt(lo * hi)), math.log(max(sup, 1e-300))
-
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            pts = list(pool.map(one, js))
+            mods = np.concatenate(list(pool.map(mu.fourier_modulus_many, np.array_split(xis, threads))))
     else:
-        pts = [one(j) for j in js]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+        mods = mu.fourier_modulus_many(xis)
+    sups = [float(np.max(m)) for m in np.split(mods, np.cumsum([len(b) for b in per_band])[:-1])]
+    xs = [math.log(math.sqrt(lo * hi)) for lo, hi in edges]
+    ys = [math.log(max(sup, 1e-300)) for sup in sups]
     slope, intercept, r2 = _least_squares(xs, ys)
     return DecayFit(-2.0 * slope, intercept, r2, (min(xs), max(xs)), len(xs))
 

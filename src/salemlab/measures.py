@@ -1,10 +1,11 @@
 """Probability measures with closed-form Fourier transforms.
 
-Geometry stays rational, weights are floats.  Scalar transform values are
-accumulated with math.fsum so they do not depend on piece order; vector
-sweeps run through numpy with a fixed accumulation order.  numpy is
-imported by the sweeps only, so ball masses and the CLI's non-transform
-commands do not pay for it.
+Geometry stays rational, weights are floats.  Piecewise-uniform scalar
+transforms are summed with math.fsum, independent of piece order; their
+vector sweeps have a fixed accumulation order.  The product measure's
+vector sweep gives the floats of its scalar product, modulus by hypot.
+numpy is imported by the sweeps only, so ball masses and the CLI's
+non-transform commands do not pay for it.
 """
 
 from __future__ import annotations
@@ -76,14 +77,20 @@ class PiecewiseUniformMeasure:
         self._cumw = cum
 
     @cached_property
-    def _arrays(self) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """Centers, half-lengths and weights as numpy arrays, for vectorized sweeps."""
+    def _arrays(self) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
+        """Centers, the distinct (half-length, weight) pairs and each piece's pair index.
+
+        Stage measures repeat few pairs over many pieces, so sinc runs per pair.
+        """
         import numpy as np
 
+        pairs = [(float((b - a) / 2), w) for a, b, w in self.pieces]
+        index = {p: k for k, p in enumerate(dict.fromkeys(pairs))}
         return (
             np.array([float((a + b) / 2) for a, b, _ in self.pieces]),
-            np.array([float((b - a) / 2) for a, b, _ in self.pieces]),
-            np.array([w for _, _, w in self.pieces]),
+            np.array([h for h, _ in index]),
+            np.array([w for _, w in index]),
+            np.array([index[p] for p in pairs]),
         )
 
     def __repr__(self) -> str:
@@ -112,17 +119,27 @@ class PiecewiseUniformMeasure:
         return abs(self.fourier_eval(xi))
 
     def fourier_eval_many(self, xis: "np.ndarray") -> "np.ndarray":
-        """Vectorized transform values with a fixed accumulation order."""
+        """Vectorized transform values with a fixed accumulation order.
+
+        Each row sums w * sinc(xi h) * e^(-i xi c) over 512-piece blocks as
+        (ws cos, -(ws sin)), the floats of numpy's complex exp and product
+        without their cost; 128 rows at a time bound the temporaries.
+        """
         import numpy as np
 
-        centers, halves, weights = self._arrays
+        centers, halves, weights, index = self._arrays
+        xis = np.asarray(xis, dtype=float)
         out = np.zeros(len(xis), dtype=complex)
-        for start in range(0, len(weights), 512):
-            sl = slice(start, start + 512)
-            arg = np.outer(xis, centers[sl])
-            t = np.outer(xis, halves[sl])
-            sinc = np.sinc(t / np.pi)
-            out += (weights[sl] * sinc * np.exp(-1j * arg)).sum(axis=1)
+        for r in range(0, len(xis), 128):
+            x = xis[r:r + 128, None]
+            envelope = weights * np.sinc(x * halves / np.pi)
+            for start in range(0, len(centers), 512):
+                sl = slice(start, start + 512)
+                arg = x * centers[sl]
+                ws = envelope[:, index[sl]]
+                term = np.empty(arg.shape, dtype=complex)
+                term.real, term.imag = ws * np.cos(arg), -(ws * np.sin(arg))
+                out[r:r + 128] += term.sum(axis=1)
         return out
 
     def fourier_modulus_many(self, xis: "np.ndarray") -> "np.ndarray":
@@ -315,21 +332,25 @@ class SelfSimilarProductMeasure:
         self._cf = [float(c) for c in self.contractions]
         self._of = [[float(o) for o in off] for off in self.offsets]
         self._sf, self._tf = float(self.scale), float(self.shift)
+        self._sched = [abs(self._sf)]
+        self._sched = self._stage_scales(201)  # s_0..s_200, read by every transform
 
     def _stage_scales(self, depth: int) -> list[float]:
-        """|parent length| ahead of stages 1..depth."""
-        out = [abs(self._sf)]
-        for j in range(1, depth):
+        """|parent length| ahead of stages 1..depth, from the schedule or a longer copy."""
+        out = self._sched[:depth]
+        for j in range(len(out), depth):
             out.append(out[-1] * self._cf[(j - 1) % len(self._cf)])
         return out
 
     def auto_depth(self, xi: float) -> int:
-        """Depth rule: truncate once the residual scale resolves xi to 1e-3."""
-        s = abs(self._sf)
-        depth = 0
+        """Depth rule: truncate once the residual scale resolves xi to 1e-3.
+
+        The schedule does not increase, so this is 8 plus the count of d in
+        8..199 with s_d >= target.
+        """
         target = 1e-3 / max(abs(xi), 1.0)
-        while depth < 200 and (depth < 8 or s >= target):
-            s *= self._cf[depth % len(self._cf)]
+        depth = 8
+        while depth < 200 and self._sched[depth] >= target:
             depth += 1
         return depth
 
@@ -339,7 +360,7 @@ class SelfSimilarProductMeasure:
             depth = self.auto_depth(xi)
         if depth < 1:
             raise MeasureError("depth must be >= 1")
-        sgn = 1.0 if self.scale > 0 else -1.0
+        sgn = 1.0 if self._sf > 0 else -1.0
         scales = self._stage_scales(depth)
         acc = cmath.exp(-1j * xi * self._tf)
         inv_b = 1.0 / self.branching
@@ -351,6 +372,42 @@ class SelfSimilarProductMeasure:
 
     def fourier_modulus(self, xi: float, depth: int | None = None) -> float:
         return abs(self.fourier_eval(xi, depth))
+
+    def fourier_eval_many(self, xis: "np.ndarray") -> "np.ndarray":
+        """fourier_eval(xi) with auto_depth for each xi, bit for bit.
+
+        The scalar path's float operations run in CPython's order: phase
+        sums start from 0.0, 1/b multiplies as (1/b, 0.0) and each stage as
+        (ar*tr - ai*ti, ar*ti + ai*tr), in real arithmetic since numpy's
+        complex product may fuse multiply-adds.  xi past its depth (a
+        searchsorted on the schedule) is left untouched.
+        """
+        import numpy as np
+
+        nxi = -np.asarray(xis, dtype=float)
+        tail = np.array(self._sched[199:7:-1])  # s_199 .. s_8, ascending
+        depth = 200 - np.searchsorted(tail, 1e-3 / np.maximum(np.abs(nxi), 1.0))
+        theta = 0.0 + nxi * self._tf
+        ar, ai = np.cos(theta), np.sin(theta)
+        inv_b = 1.0 / self.branching
+        sgn = 1.0 if self._sf > 0 else -1.0
+        for j in range(int(depth.max(initial=0))):
+            s = self._sched[j] * sgn
+            R = I = 0.0
+            for o in self._of[j % len(self._of)]:
+                t = nxi * o * s
+                R, I = R + np.cos(t), I + np.sin(t)
+            tr, ti = inv_b * R - 0.0 * I, inv_b * I + 0.0 * R
+            live = depth > j
+            ar, ai = np.where(live, ar * tr - ai * ti, ar), np.where(live, ar * ti + ai * tr, ai)
+        return np.column_stack([ar, ai]).view(complex)[:, 0]  # ar + 1j * ai may lose a zero sign
+
+    def fourier_modulus_many(self, xis: "np.ndarray") -> "np.ndarray":
+        """abs(fourier_eval(xi)) for each xi: hypot, as abs() takes it; np.abs may differ by an ulp."""
+        import numpy as np
+
+        v = self.fourier_eval_many(xis)
+        return np.hypot(v.real, v.imag)
 
     def sample(self, xi: float, depth: int | None = None) -> FourierSample:
         return FourierSample(xi, self.fourier_eval(xi, depth))

@@ -221,6 +221,19 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("spec", ["cantor:3", "gcantor:0.5"])
+def test_product_measure_sweep_leaves_numpy_out(spec, tmp_path):
+    code = ("import sys; from salemlab.cli import main; "
+            "code = main(['sweep', sys.argv[1], '--stage', '3', '--samples', '64', '--seed', '1', '--out', sys.argv[2]]); "
+            "print(code, 'numpy' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code, spec, str(tmp_path / "s.csv")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "s.csv").read_text().count("\n") == 257  # header and 256 rows
+
+
 def test_cli_import_leaves_numpy_out():
     code = "import sys, salemlab.cli; print('numpy' in sys.modules)"
     src = str(Path(__file__).resolve().parent.parent / "src")

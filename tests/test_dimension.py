@@ -16,6 +16,7 @@ from salemlab.constructions import (
     cantor_stage,
 )
 from salemlab.dimension import (
+    DecayFit,
     FitError,
     box_count_fit,
     clamp_dimension,
@@ -205,14 +206,53 @@ class TestCountableUnionSup:
         assert countable_union_sup([rep], True) == rep.hdim_est
 
 
+def reference_band_fit(mu, seed: int, xi_max: float = 2.0**16, bands: int = 10, samples: int = 128) -> DecayFit:
+    """fourier_decay_fit as one sweep per band: the vector kernel for piecewise
+    measures, the scalar transform for product measures."""
+    import numpy as np
+
+    j_hi = math.floor(math.log2(xi_max))
+    xs, ys = [], []
+    for j in range(j_hi - bands, j_hi):
+        lo, hi = 2.0**j, 2.0 ** (j + 1)
+        xis = dimension._band_samples(lo, hi, samples, seed)
+        resonant = mu.resonant_frequencies(lo, hi)
+        if isinstance(mu, SelfSimilarProductMeasure):
+            sup = max(mu.fourier_modulus(x) for x in [*xis, *resonant])
+        else:
+            sup = float(np.max(mu.fourier_modulus_many(np.concatenate([xis, np.array(resonant, dtype=float)]))))
+        xs.append(math.log(math.sqrt(lo * hi)))
+        ys.append(math.log(max(sup, 1e-300)))
+    slope, intercept, r2 = dimension._least_squares(xs, ys)
+    return DecayFit(-2.0 * slope, intercept, r2, (min(xs), max(xs)), len(xs))
+
+
+FIT_MEASURES = {
+    "natural cantor:3 stage 6": lambda: natural_measure(cantor_stage(3, 6)),
+    "natural jarnik:1.0 stage 4": lambda: natural_measure(JarnikScheme(1.0).stage(4)),
+    "cantor:3 product": lambda: CantorScheme(3).decay_measure(6),
+    "gcantor:0.5 product": lambda: cli.parse_scheme("gcantor:0.5").decay_measure(6),
+}
+
+
+class TestFusedSweep:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", FIT_MEASURES)
+    def test_one_sweep_equals_the_per_band_loop(self, name, seed):
+        mu = FIT_MEASURES[name]()
+        assert fourier_decay_fit(mu, seed=seed) == reference_band_fit(mu, seed)
+
+
 class TestThreadCapDeterminism:
     def test_thread_pool_does_not_change_results(self, monkeypatch):
-        mu = natural_measure(cantor_stage(3, 6))
-        monkeypatch.setenv("SALEMLAB_THREADS", "1")
-        serial = fourier_decay_fit(mu, seed=3)
-        monkeypatch.setenv("SALEMLAB_THREADS", "4")
-        pooled = fourier_decay_fit(mu, seed=3)
-        assert serial == pooled
+        product = cli.parse_scheme("cantor:3").decay_measure(6)
+        assert isinstance(product, SelfSimilarProductMeasure)
+        for mu in (natural_measure(cantor_stage(3, 6)), product):
+            monkeypatch.setenv("SALEMLAB_THREADS", "1")
+            serial = fourier_decay_fit(mu, seed=3)
+            for threads in ("2", "3", "4"):  # 3 gives uneven slices
+                monkeypatch.setenv("SALEMLAB_THREADS", threads)
+                assert fourier_decay_fit(mu, seed=3) == serial
 
 
 class TestTowerReports:

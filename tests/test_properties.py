@@ -1,10 +1,12 @@
 """Property tests: integer ball masses and Frostman sups, transform bounds, the
+vector transform kernels against the scalar and per-pair references, the
 stage-report memo and the exact geometry queries (point distance, Hausdorff
 metric, radial lift, grid partition)."""
 
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from fractions import Fraction as F
 from functools import lru_cache
@@ -162,6 +164,86 @@ def product_measures(draw):
 def test_product_transform_is_at_most_one(mu, xs, depth):
     assert all(mu.fourier_modulus(xi) <= 1.0 + 1e-12 for xi in xs)
     assert all(mu.fourier_modulus(xi, depth) <= 1.0 + 1e-12 for xi in xs)
+
+
+def bits(values) -> list[tuple[str, str]]:
+    """Exact bit patterns of complex values, so a lost sign of zero shows too."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+# the origin, both signs and both ends of the range besides the general floats
+edge_xis = st.one_of(xis, st.sampled_from([0.0, -0.0, 1e7, -1e7, 1e-300]))
+
+
+def reference_product_eval(mu: SelfSimilarProductMeasure, xi: float, depth: int | None = None) -> complex:
+    """The scalar product before the cached schedule: depth by its own loop, the
+    sign from the Fraction scale, the scales rebuilt on every call."""
+    if depth is None:
+        s, depth, target = abs(mu._sf), 0, 1e-3 / max(abs(xi), 1.0)
+        while depth < 200 and (depth < 8 or s >= target):
+            s *= mu._cf[depth % len(mu._cf)]
+            depth += 1
+    scales = [abs(mu._sf)]
+    for j in range(1, depth):
+        scales.append(scales[-1] * mu._cf[(j - 1) % len(mu._cf)])
+    sgn = 1.0 if mu.scale > 0 else -1.0
+    acc = cmath.exp(-1j * xi * mu._tf)
+    for j in range(1, depth + 1):
+        off = mu._of[(j - 1) % len(mu._of)]
+        acc *= (1.0 / mu.branching) * sum(cmath.exp(-1j * xi * o * (scales[j - 1] * sgn)) for o in off)
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_measures(), st.lists(edge_xis, min_size=1, max_size=40))
+def test_product_vector_kernel_is_bit_identical_to_the_scalar_path(mu, xs):
+    scalar = [mu.fourier_eval(xi) for xi in xs]
+    many = mu.fourier_eval_many(np.array(xs))
+    assert many.tolist() == scalar
+    assert bits(many) == bits(scalar)
+    assert mu.fourier_modulus_many(np.array(xs)).tolist() == [abs(v) for v in scalar]
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_measures(), st.lists(edge_xis, min_size=1, max_size=6), st.sampled_from([None, 1, 9, 200, 201, 260]))
+def test_scalar_product_reads_the_schedule_and_extends_it(mu, xs, depth):
+    assert bits(mu.fourier_eval(xi, depth) for xi in xs) == bits(reference_product_eval(mu, xi, depth) for xi in xs)
+    assert len(mu._sched) == 201
+
+
+def reference_piecewise_eval_many(mu: PiecewiseUniformMeasure, xis: np.ndarray) -> np.ndarray:
+    """The piecewise kernel before the pair table: sinc and complex exp for every
+    (xi, piece) pair, 512 pieces and every xi at a time."""
+    centers = np.array([float((a + b) / 2) for a, b, _ in mu.pieces])
+    halves = np.array([float((b - a) / 2) for a, b, _ in mu.pieces])
+    weights = np.array([w for _, _, w in mu.pieces])
+    out = np.zeros(len(xis), dtype=complex)
+    for start in range(0, len(weights), 512):
+        sl = slice(start, start + 512)
+        sinc = np.sinc(np.outer(xis, halves[sl]) / np.pi)
+        out += (weights[sl] * sinc * np.exp(-1j * np.outer(xis, centers[sl]))).sum(axis=1)
+    return out
+
+
+@st.composite
+def many_piece_measures(draw):
+    """One piece, a few, or more than one 512-piece block; atoms among them and
+    few distinct (length, weight) pairs, as on stage sets."""
+    n = draw(st.sampled_from([1, 2, 5, 513, 1300]))
+    rng = draw(st.randoms(use_true_random=False))
+    den = draw(st.integers(1, 97))
+    raw = [rng.choice([1, 2, 7]) for _ in range(n)]
+    total = sum(raw)
+    return PiecewiseUniformMeasure(
+        [(F(4 * k, den), F(4 * k + rng.choice([0, 1, 3]), den), v / total) for k, v in enumerate(raw)]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(measures(), many_piece_measures()), st.lists(edge_xis, min_size=1, max_size=300))
+def test_piecewise_kernel_is_bit_identical_to_the_per_pair_kernel(mu, xs):
+    got = mu.fourier_eval_many(np.array(xs))
+    assert got.tobytes() == reference_piecewise_eval_many(mu, np.array(xs)).tobytes()
 
 
 SPECS = {
