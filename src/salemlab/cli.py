@@ -143,7 +143,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     cfg = config_hash(args, ["spec", "stage"])
     out = Path(args.out)
     out.with_suffix(".json").write_text(stage_set.to_json())
-    _write_stage_csv(out.with_suffix(".csv"), scheme.reports(1, args.stage), cfg)
+    _write_stage_csv(out.with_suffix(".csv"), scheme.reports(1, args.stage, stage_set), cfg)
     print(f"wrote {out.with_suffix('.json')} ({len(stage_set)} pieces) and {out.with_suffix('.csv')}")
     return 0
 

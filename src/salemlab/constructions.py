@@ -71,10 +71,16 @@ class StageReport:
 
     @classmethod
     def of(cls, stage: int, union: IntervalUnion) -> "StageReport":
-        diams = [b - a for a, b in union.pieces if b > a]
+        """Statistics of `union`, read from its integer view."""
+        return cls._of_ends(stage, *union.int_ends)
+
+    @classmethod
+    def _of_ends(cls, stage: int, D: int, lefts: list[int], rights: list[int]) -> "StageReport":
+        """Statistics of the pieces with endpoint numerators `lefts`, `rights` over D."""
+        diams = [r - l for l, r in zip(lefts, rights) if r > l]
         if not diams:
-            return cls(stage, len(union.pieces), Fraction(0), Fraction(0))
-        return cls(stage, len(union.pieces), min(diams), max(diams))
+            return cls(stage, len(lefts), Fraction(0), Fraction(0))
+        return cls(stage, len(lefts), Fraction(min(diams), D), Fraction(max(diams), D))
 
 
 def _dyadic_pow(base: float, exponent: float, bits: int = 48) -> Fraction:
@@ -147,15 +153,11 @@ def cantor_stage(n: int, k: int) -> IntervalUnion:
         raise ConstructionError("dissection parameter must satisfy n >= 3")
     if k < 0:
         raise ConstructionError("stage must be nonnegative")
-    pieces = [(Fraction(0), Fraction(1))]
+    lefts = [0]  # left endpoints times n^j at stage j
     for _ in range(k):
-        nxt = []
-        for a, b in pieces:
-            w = (b - a) / n
-            nxt.append((a, a + w))
-            nxt.append((b - w, b))
-        pieces = nxt
-    return IntervalUnion(pieces)
+        lefts = [m for a in lefts for m in (n * a, n * a + n - 1)]
+    N = n**k
+    return IntervalUnion([(Fraction(a, N), Fraction(a + 1, N)) for a in lefts])
 
 
 class CantorScheme(Scheme):
@@ -526,6 +528,11 @@ def block_interval(m: int) -> tuple[Fraction, Fraction]:
     return (Fraction(1, 2 ** (m + 1)), Fraction(1, 2**m))
 
 
+def _tower(tail: tuple[Fraction, Fraction], blocks: Iterable[IntervalUnion]) -> IntervalUnion:
+    """The tail piece at 0, then the blocks from the one nearest 0: the pieces arrive in order."""
+    return IntervalUnion.from_intervals([tail, *(p for U in blocks for p in U.pieces)])
+
+
 def _tower_report(stage: int, union: IntervalUnion) -> StageReport:
     """Stage statistics with the accumulation tail excluded.
 
@@ -533,8 +540,9 @@ def _tower_report(stage: int, union: IntervalUnion) -> StageReport:
     yet built; its width tracks the block grid, not the fractal ladder, so
     it would corrupt the diameter statistics the count fits regress on.
     """
-    pieces = [p for p in union.pieces if p[0] != 0]
-    return StageReport.of(stage, IntervalUnion(pieces, space=union.space))
+    D, lefts, rights = union.int_ends
+    k = 1 if lefts and lefts[0] == 0 else 0  # in [0, 1] only the first piece can start at 0
+    return StageReport._of_ends(stage, D, lefts[k:], rights[k:])
 
 
 class Pi03Scheme(Scheme):
@@ -576,13 +584,9 @@ class Pi03Scheme(Scheme):
     def stage(self, k: int) -> IntervalUnion:
         if k < 0:
             raise ConstructionError("stage must be nonnegative")
-        pieces: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(1, 2 ** (k + 1)))]
-        for m in range(k + 1):
-            pieces.extend(self.block_union(m, k).pieces)
-        return IntervalUnion.from_intervals(pieces)
+        return _tower((Fraction(0), Fraction(1, 2 ** (k + 1))), (self.block_union(m, k) for m in range(k, -1, -1)))
 
-    def report_of(self, k: int, union: IntervalUnion) -> StageReport:
-        return _tower_report(k, union)
+    report_of = staticmethod(_tower_report)
 
     def block_ladders(self, k: int) -> list[list[StageReport]]:
         out = []
@@ -638,14 +642,10 @@ class SalemGapScheme(Scheme):
     def stage(self, k: int) -> IntervalUnion:
         if k < 0:
             raise ConstructionError("stage must be nonnegative")
-        pieces = [(Fraction(0), Fraction(1, 2 ** (k + 1)))]
-        pieces.extend(self.head_union(k).pieces)
-        for n in range(1, k + 1):
-            pieces.extend(self.block(n).stage(k).map_onto(block_interval(n)).pieces)
-        return IntervalUnion.from_intervals(pieces)
+        blocks = [self.block(n).stage(k).map_onto(block_interval(n)) for n in range(k, 0, -1)]
+        return _tower((Fraction(0), Fraction(1, 2 ** (k + 1))), blocks + [self.head_union(k)])
 
-    def report_of(self, k: int, union: IntervalUnion) -> StageReport:
-        return _tower_report(k, union)
+    report_of = staticmethod(_tower_report)
 
     def block_ladders(self, k: int) -> list[list[StageReport]]:
         out = [self._head.reports(1, k)]
@@ -729,10 +729,8 @@ class WeihrauchScheme(Scheme):
     def stage(self, depth: int) -> IntervalUnion:
         if depth < 0:
             raise ConstructionError("depth must be nonnegative")
-        pieces: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-        for k in range(len(self._blocks)):
-            pieces.extend(self.block_union(k, depth).pieces)
-        return IntervalUnion.from_intervals(pieces)
+        blocks = (self.block_union(k, depth) for k in range(len(self._blocks) - 1, -1, -1))
+        return _tower((Fraction(0), Fraction(0)), blocks)
 
 
 def weihrauch_encode(

@@ -158,20 +158,21 @@ def frostman_fit(
 
 
 def default_frostman_centers(mu: PiecewiseUniformMeasure, cap: int = 128) -> list[Fraction]:
-    """Piece endpoints and midpoints, evenly thinned to the cap."""
-    pts: list[Fraction] = []
-    for a, b, _ in mu.pieces:
-        pts.append(a)
-        if b > a:
-            pts.append((a + b) / 2)
-            pts.append(b)
+    """Piece endpoints and midpoints, evenly thinned to the cap; numerators over 2D until then."""
+    D, lefts, rights = mu.int_ends
+    pts: list[int] = []
+    for l, r in zip(lefts, rights):
+        pts.append(2 * l)
+        if r > l:
+            pts.append(l + r)
+            pts.append(2 * r)
     # disjoint pieces already give strictly increasing points
-    if any(b >= a2 for (_, b, _), (a2, _, _) in zip(mu.pieces, mu.pieces[1:])):
+    if any(r >= l2 for r, l2 in zip(rights, lefts[1:])):
         pts = sorted(set(pts))
     if len(pts) > cap:
         step = (len(pts) - 1) / (cap - 1)
         pts = [pts[round(i * step)] for i in range(cap)]
-    return pts
+    return [Fraction(n, 2 * D) for n in pts]
 
 
 def default_frostman_radii(mu: PiecewiseUniformMeasure, min_scales: int = 6) -> list[Fraction]:
@@ -183,7 +184,8 @@ def default_frostman_radii(mu: PiecewiseUniformMeasure, min_scales: int = 6) -> 
     diam = mu.diameter()
     if diam <= 0:
         return [Fraction(1, 2**j) for j in range(2, 2 + max(min_scales, 4))]
-    floor = min((b - a for a, b, _ in mu.pieces if b > a), default=diam / 2**10)
+    D, lefts, rights = mu.int_ends
+    floor = Fraction(min((r - l for l, r in zip(lefts, rights) if r > l), default=diam * D / 2**10), D)
     radii = []
     r = diam / 4
     while r >= floor and len(radii) < 40:

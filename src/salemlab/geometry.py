@@ -5,7 +5,9 @@ pure function, so they are safe to share across threads.  Endpoints are
 `fractions.Fraction` throughout: the distance and containment questions
 asked by the staged constructions reduce to endpoint comparisons, which we
 therefore answer exactly.  Floating point appears only where a quantity is
-genuinely irrational (box diagonals).
+genuinely irrational (box diagonals).  A union's integer view, `int_ends`,
+serves the layers that read per-piece quantities; constructors check
+sorted input in one pass and sort only input that is out of order.
 """
 
 from __future__ import annotations
@@ -42,6 +44,14 @@ class GeometryError(ValueError):
     """Domain error raised by geometric operations."""
 
 
+def integer_ends(pieces: Iterable[Sequence]) -> tuple[int, list[int], list[int]]:
+    """Common denominator D of the first two entries of each piece, and their numerators over D."""
+    ends = [e for p in pieces for e in p[:2]]
+    D = math.lcm(*{e.denominator for e in ends})
+    nums = [e.numerator * (D // e.denominator) for e in ends]
+    return D, nums[0::2], nums[1::2]
+
+
 @dataclass(frozen=True)
 class HausdorffDistance:
     """Distance between two compact unions.
@@ -69,7 +79,7 @@ class IntervalUnion:
     that the empty set has a well-defined "far apart" distance surrogate.
     """
 
-    __slots__ = ("space", "pieces", "_lefts")
+    __slots__ = ("space", "pieces", "_ints")
 
     def __init__(
         self,
@@ -87,10 +97,11 @@ class IntervalUnion:
             if fa < lo or fb > hi:
                 raise GeometryError(f"piece [{fa}, {fb}] outside space [{lo}, {hi}]")
             norm.append((fa, fb))
-        norm.sort()
-        for (a1, b1), (a2, _) in zip(norm, norm[1:]):
-            if a2 <= b1:
-                raise GeometryError(f"pieces [{a1},{b1}] and starting {a2} not disjoint")
+        if any(a2 <= b1 for (_, b1), (a2, _) in zip(norm, norm[1:])):  # out of order or overlapping
+            norm.sort()
+            for (a1, b1), (a2, _) in zip(norm, norm[1:]):
+                if a2 <= b1:
+                    raise GeometryError(f"pieces [{a1},{b1}] and starting {a2} not disjoint")
         object.__setattr__(self, "space", (lo, hi))
         object.__setattr__(self, "pieces", tuple(norm))
 
@@ -114,7 +125,7 @@ class IntervalUnion:
             fa, fb = max(as_fraction(a), lo), min(as_fraction(b), hi)
             if fa <= fb:
                 clamped.append((fa, fb))
-        clamped.sort()
+        clamped.sort(key=lambda p: p[0])  # equal left ends merge in any order
         merged: list[list[Fraction]] = []
         for a, b in clamped:
             if merged and a <= merged[-1][1]:
@@ -160,17 +171,17 @@ class IntervalUnion:
     def total_length(self) -> Fraction:
         return sum((b - a for a, b in self.pieces), ZERO)
 
-    def _left_ends(self) -> list[Fraction]:
-        """Left endpoints in order, built on first use for the bisecting queries."""
-        try:
-            return self._lefts
-        except AttributeError:
-            object.__setattr__(self, "_lefts", [a for a, _ in self.pieces])
-            return self._lefts
+    @property
+    def int_ends(self) -> tuple[int, list[int], list[int]]:
+        """Common denominator D and the left and right endpoint numerators over D, built once."""
+        if not hasattr(self, "_ints"):
+            object.__setattr__(self, "_ints", integer_ends(self.pieces))
+        return self._ints
 
     def contains_point(self, x: RationalLike) -> bool:
         fx = as_fraction(x)
-        i = bisect_right(self._left_ends(), fx)  # pieces[:i] start at or before x
+        D, lefts, _ = self.int_ends
+        i = bisect_right(lefts, fx.numerator * D, key=lambda l: l * fx.denominator)  # pieces[:i] start at or before x
         return i > 0 and fx <= self.pieces[i - 1][1]
 
     def subset_of(self, other: "IntervalUnion") -> bool:
@@ -191,14 +202,14 @@ class IntervalUnion:
         if self.is_empty:
             raise GeometryError("distance to the empty set is undefined")
         fx = as_fraction(x)
-        lefts = self._left_ends()
-        i = bisect_right(lefts, fx)
+        D, lefts, _ = self.int_ends
+        i = bisect_right(lefts, fx.numerator * D, key=lambda l: l * fx.denominator)
         if i == 0:
-            return lefts[0] - fx
+            return self.pieces[0][0] - fx
         b = self.pieces[i - 1][1]
         if fx <= b:
             return ZERO
-        return fx - b if i == len(lefts) else min(fx - b, lefts[i] - fx)
+        return fx - b if i == len(lefts) else min(fx - b, self.pieces[i][0] - fx)
 
     # -- transformations ---------------------------------------------------
 
@@ -280,7 +291,8 @@ class BoxUnion:
                     raise GeometryError("box side reversed")
                 cube.append((fa, fb))
             norm.append(tuple(cube))
-        norm = sorted(dict.fromkeys(norm))  # keeps first-seen order, so sorted input sorts in one pass
+        if not all(x < y for x, y in zip(norm, norm[1:])):  # strictly increasing boxes are distinct and in order
+            norm = sorted(dict.fromkeys(norm))
         if absorb and len(norm) > 1:
             norm = _absorb_contained(norm)
         object.__setattr__(self, "dimension", dimension)

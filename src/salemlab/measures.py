@@ -1,6 +1,8 @@
 """Probability measures with closed-form Fourier transforms.
 
-Geometry stays rational, weights are floats.  Piecewise-uniform scalar
+Geometry stays rational, weights are floats; a piecewise-uniform measure's
+masses and float views read its integer view, `int_ends`, which
+`natural_measure` takes from its union.  Piecewise-uniform scalar
 transforms are summed with math.fsum, independent of piece order; their
 vector sweeps have a fixed accumulation order.  The product measure's
 vector sweep gives the floats of its scalar product, modulus by hypot.
@@ -16,9 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .geometry import IntervalUnion, as_fraction
+from .geometry import IntervalUnion, as_fraction, integer_ends
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,7 +56,8 @@ class FourierSample:
 class PiecewiseUniformMeasure:
     """Mixture of uniform densities on disjoint intervals plus point masses.
 
-    A degenerate piece [a, a] carries its weight as an atom at a.
+    A degenerate piece [a, a] carries its weight as an atom at a.  Pieces
+    may meet only at endpoints: an atom may sit on an interval's end, not inside.
     """
 
     def __init__(self, pieces: Iterable[tuple[Fraction, Fraction, float]]) -> None:
@@ -65,16 +69,17 @@ class PiecewiseUniformMeasure:
             if w <= 0:
                 raise MeasureError("weights must be positive")
             norm.append((fa, fb, float(w)))
-        norm.sort(key=lambda p: (p[0], p[1]))
+        if any(a2 < b1 for (_, b1, _), (a2, _, _) in zip(norm, norm[1:])):  # out of order or overlapping
+            norm.sort(key=lambda p: (p[0], p[1]))
+            for (a1, b1, _), (a2, b2, _) in zip(norm, norm[1:]):
+                if a2 < b1:
+                    raise MeasureError(f"support pieces [{a1}, {b1}] and [{a2}, {b2}] overlap")
         total = math.fsum(w for _, _, w in norm)
         if abs(total - 1.0) > 1e-12:
             raise MeasureError(f"weights sum to {total}, not 1")
         self.pieces = tuple(norm)
         self._lengths: list[float] | None = None  # see resonant_frequencies
-        cum = [0.0]
-        for _, _, w in norm:
-            cum.append(cum[-1] + w)
-        self._cumw = cum
+        self._cumw = [0.0, *accumulate(w for _, _, w in norm)]
 
     @cached_property
     def _arrays(self) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
@@ -84,10 +89,12 @@ class PiecewiseUniformMeasure:
         """
         import numpy as np
 
-        pairs = [(float((b - a) / 2), w) for a, b, w in self.pieces]
+        D, lefts, rights = self.int_ends
+        D2 = 2 * D  # int true division rounds correctly: the floats of (b - a)/2 and (a + b)/2
+        pairs = [((r - l) / D2, w) for l, r, (_, _, w) in zip(lefts, rights, self.pieces)]
         index = {p: k for k, p in enumerate(dict.fromkeys(pairs))}
         return (
-            np.array([float((a + b) / 2) for a, b, _ in self.pieces]),
+            np.array([(l + r) / D2 for l, r in zip(lefts, rights)]),
             np.array([h for h, _ in index]),
             np.array([w for _, w in index]),
             np.array([index[p] for p in pairs]),
@@ -161,9 +168,10 @@ class PiecewiseUniformMeasure:
         """
         if self._lengths is None:
             by_len: dict[float, float] = {}
-            for a, b, w in self.pieces:
-                if b > a:
-                    key = float(b - a)
+            D, lefts, rights = self.int_ends
+            for l, r, (_, _, w) in zip(lefts, rights, self.pieces):
+                if r > l:
+                    key = (r - l) / D
                     by_len[key] = by_len.get(key, 0.0) + w
             self._lengths = sorted(by_len, key=by_len.get, reverse=True)[:8]
         out: list[float] = []
@@ -183,12 +191,9 @@ class PiecewiseUniformMeasure:
     # -- mass ----------------------------------------------------------------
 
     @cached_property
-    def _int_ends(self) -> tuple[int, list[int], list[int]]:
+    def int_ends(self) -> tuple[int, list[int], list[int]]:
         """Common denominator D and the left and right endpoint numerators over D."""
-        ends = [e for a, b, _ in self.pieces for e in (a, b)]
-        D = math.lcm(*(e.denominator for e in ends))
-        nums = [e.numerator * (D // e.denominator) for e in ends]
-        return D, nums[0::2], nums[1::2]
+        return integer_ends(self.pieces)
 
     def _mass_between(self, lefts: list[int], rights: list[int], ln: int, hn: int, e: int) -> float:
         """Mass of [ln/e, hn/e], with ln, hn, e ints in the unit of the endpoint numerators.
@@ -227,7 +232,7 @@ class PiecewiseUniformMeasure:
         fx, fr = as_fraction(x), as_fraction(r)
         if fr <= 0:
             raise MeasureError("radius must be positive")
-        D, lefts, rights = self._int_ends
+        D, lefts, rights = self.int_ends
         e = math.lcm(fx.denominator, fr.denominator)
         xn, rn = fx.numerator * (e // fx.denominator), fr.numerator * (e // fr.denominator)
         return self._mass_between(lefts, rights, (xn - rn) * D, (xn + rn) * D, e)
@@ -243,7 +248,7 @@ class PiecewiseUniformMeasure:
         rs = [as_fraction(r) for r in radii]
         if any(r <= 0 for r in rs):
             raise MeasureError("radius must be positive")
-        D, lefts, rights = self._int_ends
+        D, lefts, rights = self.int_ends
         E = math.lcm(D, *(q.denominator for q in cs + rs))
         s = E // D
         lefts, rights = [a * s for a in lefts], [b * s for b in rights]
@@ -266,9 +271,6 @@ class PiecewiseUniformMeasure:
 
     def diameter(self) -> Fraction:
         return self.pieces[-1][1] - self.pieces[0][0]
-
-    def support_endpoints(self) -> list[Fraction]:
-        return sorted({e for a, b, _ in self.pieces for e in (a, b)})
 
     # -- serialization --------------------------------------------------------
 
@@ -460,7 +462,9 @@ def natural_measure(A: IntervalUnion) -> PiecewiseUniformMeasure:
     if A.is_empty:
         raise MeasureError("the empty set supports no probability measure")
     n = len(A.pieces)
-    return PiecewiseUniformMeasure([(a, b, 1.0 / n) for a, b in A.pieces])
+    mu = PiecewiseUniformMeasure([(a, b, 1.0 / n) for a, b in A.pieces])
+    mu.int_ends = A.int_ends  # the same pieces in the same order
+    return mu
 
 
 def fourier_eval(mu: Measure, xi: float) -> complex:

@@ -361,3 +361,13 @@ def test_cli_report_builds_top_stage_and_measures_once(spec, monkeypatch, tmp_pa
     assert counts["stage"] == 1
     assert counts["natural_measure"] == 1
     assert counts["decay_measure"] <= 1
+
+
+@pytest.mark.parametrize("spec", sorted(SPEC_TOPS))
+def test_cli_build_builds_top_stage_once(spec, monkeypatch, tmp_path, capsys):
+    top = SPEC_TOPS[spec]
+    counts, made = count_top_builds(monkeypatch, top)
+    assert cli.main(["build", spec, "--stage", str(top), "--out", str(tmp_path / "b")]) == 0
+    assert len(made) == 1
+    assert counts["stage"] == 1
+    assert counts["natural_measure"] == 0

@@ -73,6 +73,21 @@ class TestNaturalMeasure:
         with pytest.raises(MeasureError):
             PiecewiseUniformMeasure([(F(0), F(1), 0.5)])
 
+    def test_overlapping_pieces_rejected(self):
+        # the ball mass kernel assumes pieces meet at most at endpoints: on
+        # these pieces ball_mass(7/16, 1/16) read 0.25 where the mass is 0.3125
+        for pieces in ([(F(0), F(1), 0.5), (F(1, 4), F(1, 2), 0.5)],
+                       [(F(1, 4), F(1, 2), 0.5), (F(0), F(1), 0.5)],
+                       [(F(0), F(1), 0.5), (F(1, 2), F(1, 2), 0.5)]):
+            with pytest.raises(MeasureError, match="overlap"):
+                PiecewiseUniformMeasure(pieces)
+
+    def test_touching_pieces_and_atoms_allowed(self):
+        mu = PiecewiseUniformMeasure([(F(1, 2), F(1), 0.25), (F(1, 2), F(1, 2), 0.25), (F(0), F(1, 2), 0.5)])
+        assert [(a, b) for a, b, _ in mu.pieces] == [(F(0), F(1, 2)), (F(1, 2), F(1, 2)), (F(1, 2), F(1))]
+        assert mu.ball_mass(F(7, 16), F(1, 16)) == 0.5 / 4 + 0.25
+        assert mu.ball_mass(F(5, 8), F(1, 8)) == 0.5 * 0 + 0.25 + 0.25 / 2
+
 
 class TestFourierEval:
     def test_total_mass_at_zero(self):

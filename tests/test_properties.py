@@ -1,7 +1,9 @@
 """Property tests: integer ball masses and Frostman sups, transform bounds, the
 vector transform kernels against the scalar and per-pair references, the
-stage-report memo and the exact geometry queries (point distance, Hausdorff
-metric, radial lift, grid partition)."""
+stage-report memo, the exact geometry queries (point distance, Hausdorff
+metric, radial lift, grid partition), and the integer endpoint view and
+one-pass constructors against the Fraction formulas and sorting
+constructors they replaced."""
 
 from __future__ import annotations
 
@@ -12,13 +14,22 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salemlab.cli import parse_scheme
-from salemlab.constructions import radial_lift
-from salemlab.geometry import IntervalUnion, hausdorff_metric, simplex_partition_1d
-from salemlab.measures import PiecewiseUniformMeasure, SelfSimilarProductMeasure
+from salemlab.constructions import IntervalScheme, Pi03Scheme, SalemGapScheme, StageReport, radial_lift
+from salemlab.dimension import default_frostman_centers, default_frostman_radii
+from salemlab.geometry import (
+    BoxUnion,
+    GeometryError,
+    IntervalUnion,
+    _absorb_contained,
+    hausdorff_metric,
+    simplex_partition_1d,
+)
+from salemlab.measures import PiecewiseUniformMeasure, SelfSimilarProductMeasure, natural_measure
 
 
 def reference_ball_mass(mu: PiecewiseUniformMeasure, x: F, r: F) -> float:
@@ -451,3 +462,242 @@ def test_simplex_partition_equals_reference(A, g):
     parts = simplex_partition_1d(A, g)
     assert parts == reference_partition(A, g)
     assert IntervalUnion.from_intervals(p for part in parts for p in part.pieces) == A
+
+
+# -- one integer view per union, one-pass constructors ---------------------
+#
+# The references below are the Fraction formulas and the sort-then-check
+# constructors the integer view and the one-pass checks replaced.
+
+
+def reference_union(pieces, space=(0, 1)) -> tuple:
+    """(space, pieces) as the constructor built them by sorting every input, or its error."""
+    lo, hi = F(space[0]), F(space[1])
+    norm = []
+    for a, b in pieces:
+        fa, fb = F(a), F(b)
+        if fa > fb:
+            raise GeometryError(f"interval [{fa}, {fb}] reversed")
+        if fa < lo or fb > hi:
+            raise GeometryError(f"piece [{fa}, {fb}] outside space [{lo}, {hi}]")
+        norm.append((fa, fb))
+    norm.sort()
+    for (a1, b1), (a2, _) in zip(norm, norm[1:]):
+        if a2 <= b1:
+            raise GeometryError(f"pieces [{a1},{b1}] and starting {a2} not disjoint")
+    return (lo, hi), tuple(norm)
+
+
+def built_union(pieces) -> tuple:
+    U = IntervalUnion(pieces)
+    return U.space, U.pieces
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except GeometryError as e:
+        return f"GeometryError: {e}"
+
+
+def assert_view(U: IntervalUnion) -> None:
+    D, lefts, rights = U.int_ends
+    assert D == math.lcm(*(e.denominator for p in U.pieces for e in p))
+    assert [(F(l, D), F(r, D)) for l, r in zip(lefts, rights)] == list(U.pieces)
+    assert U.int_ends is U.int_ends
+
+
+def reference_stage_report(k: int, U: IntervalUnion) -> StageReport:
+    diams = [b - a for a, b in U.pieces if b > a]
+    if not diams:
+        return StageReport(k, len(U.pieces), F(0), F(0))
+    return StageReport(k, len(U.pieces), min(diams), max(diams))
+
+
+def reference_report_of(scheme, k: int, U: IntervalUnion) -> StageReport:
+    """The stage statistics before the integer view: the towers rebuilt a union
+    without the piece at 0; the interval scheme counts grid cells."""
+    if isinstance(scheme, (Pi03Scheme, SalemGapScheme)):
+        U = IntervalUnion([p for p in U.pieces if p[0] != 0], space=U.space)
+    elif isinstance(scheme, IntervalScheme):
+        return scheme.report_of(k, U)
+    return reference_stage_report(k, U)
+
+
+def reference_centers(mu: PiecewiseUniformMeasure, cap: int = 128) -> list[F]:
+    pts = []
+    for a, b, _ in mu.pieces:
+        pts.append(a)
+        if b > a:
+            pts.append((a + b) / 2)
+            pts.append(b)
+    if any(b >= a2 for (_, b, _), (a2, _, _) in zip(mu.pieces, mu.pieces[1:])):
+        pts = sorted(set(pts))
+    if len(pts) > cap:
+        step = (len(pts) - 1) / (cap - 1)
+        pts = [pts[round(i * step)] for i in range(cap)]
+    return pts
+
+
+def reference_radii(mu: PiecewiseUniformMeasure, min_scales: int = 6) -> list[F]:
+    diam = mu.diameter()
+    if diam <= 0:
+        return [F(1, 2**j) for j in range(2, 2 + max(min_scales, 4))]
+    floor = min((b - a for a, b, _ in mu.pieces if b > a), default=diam / 2**10)
+    radii = []
+    r = diam / 4
+    while r >= floor and len(radii) < 40:
+        radii.append(r)
+        r /= 2
+    while len(radii) < max(min_scales, 4):
+        radii.append(radii[-1] / 2 if radii else diam / 4)
+    return radii
+
+
+def reference_arrays(mu: PiecewiseUniformMeasure) -> tuple:
+    pairs = [(float((b - a) / 2), w) for a, b, w in mu.pieces]
+    index = {p: k for k, p in enumerate(dict.fromkeys(pairs))}
+    return (
+        np.array([float((a + b) / 2) for a, b, _ in mu.pieces]),
+        np.array([h for h, _ in index]),
+        np.array([w for _, w in index]),
+        np.array([index[p] for p in pairs]),
+    )
+
+
+def assert_measure_readings(mu: PiecewiseUniformMeasure) -> None:
+    assert default_frostman_centers(mu) == reference_centers(mu)
+    assert default_frostman_centers(mu, cap=5) == reference_centers(mu, cap=5)
+    assert default_frostman_radii(mu) == reference_radii(mu)
+    assert [a.tobytes() for a in mu._arrays] == [a.tobytes() for a in reference_arrays(mu)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(unions(), st.randoms(use_true_random=False))
+def test_shuffled_pieces_give_the_same_union(U, rng):
+    pieces = list(U.pieces)
+    rng.shuffle(pieces)
+    V = IntervalUnion(pieces)
+    assert V == U and V.pieces == reference_union(pieces)[1]
+    assert_view(V)
+
+
+@st.composite
+def bad_piece_lists(draw):
+    """A union's pieces, shuffled or not, with a reversed, out-of-space,
+    overlapping or touching piece put in, or any piece."""
+    pieces = list(draw(unions(min_size=2)).pieces)
+    if draw(st.booleans()):
+        draw(st.randoms(use_true_random=False)).shuffle(pieces)
+    a, b = sorted(draw(st.lists(rationals, min_size=2, max_size=2)))
+    kind = draw(st.sampled_from(["reversed", "outside", "overlap", "touch", "any"]))
+    at = draw(st.integers(0, len(pieces)))
+    if kind == "reversed" and a < b:
+        a, b = b, a
+    elif kind == "overlap" and pieces:
+        p = draw(st.sampled_from(pieces))
+        a, b = min(a, p[0]), max(b, p[0])
+    elif kind == "touch" and pieces:
+        # a piece starting where another ends, put right after it
+        at = draw(st.integers(0, len(pieces) - 1))
+        a, b = pieces[at][1], max(pieces[at][1], min(b, F(1)))
+        at += 1
+    pieces.insert(at, (a, b))
+    return pieces
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_piece_lists())
+def test_constructor_raises_the_errors_of_the_sorting_constructor(pieces):
+    assert outcome(built_union, pieces) == outcome(reference_union, pieces)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals), max_size=12), unions(min_size=1), rationals, rationals)
+def test_integer_view_matches_the_pieces_on_every_path(intervals, U, x, y):
+    lo, hi = min(x, y), max(x, y)
+    sets = [
+        IntervalUnion.from_intervals(intervals),
+        U.map_onto((lo, hi if hi > lo else lo + 1)),
+        U.affine(-3 * (abs(x) or 1), y),
+        U.intersect_interval(lo, hi),
+        IntervalUnion.from_json(U.to_json()),
+    ]
+    # the negative-scale affine image: its pieces reflected and sorted, as before
+    neg = sets[2]
+    fa = -3 * (abs(x) or 1)
+    assert neg.pieces == tuple(sorted((fa * b + y, fa * a + y) for a, b in U.pieces))
+    tower = parse_scheme("pi03:0.8:rows=1;(01);0")
+    for V in sets:
+        assert_view(V)
+        assert StageReport.of(1, V) == reference_stage_report(1, V)
+        if V.space[0] >= 0:  # tower stages lie in [0, 1]
+            assert tower.report_of(1, V) == reference_report_of(tower, 1, V)
+        if V.pieces:
+            assert_measure_readings(natural_measure(V))
+
+
+@pytest.mark.parametrize("spec", sorted(SPECS))
+def test_scheme_stage_views_and_readings_equal_fraction_formulas(spec):
+    scheme = parse_scheme(spec)
+    for k in range(SPECS[spec] + 1):
+        U = scheme.stage(k)
+        assert_view(U)
+        assert scheme.report_of(k, U) == reference_report_of(scheme, k, U)
+        mu = natural_measure(U)
+        assert mu.int_ends is U.int_ends
+        assert_measure_readings(mu)
+
+
+@st.composite
+def touching_measures(draw):
+    """Pieces that touch at shared endpoints, with atoms on them, in any order."""
+    ends = sorted(draw(st.lists(rationals, min_size=2, max_size=12, unique=True)))
+    pieces, k = [], 0
+    while k + 1 < len(ends):
+        pieces.append((ends[k], ends[k + 1]))
+        if draw(st.booleans()):
+            pieces.append((ends[k + 1], ends[k + 1]))
+        k += draw(st.sampled_from([1, 2]))
+    draw(st.randoms(use_true_random=False)).shuffle(pieces)
+    raw = draw(st.lists(st.integers(1, 1000), min_size=len(pieces), max_size=len(pieces)))
+    return PiecewiseUniformMeasure([(a, b, v / sum(raw)) for (a, b), v in zip(pieces, raw)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(measures(), touching_measures()))
+def test_measure_readings_equal_fraction_formulas(mu):
+    assert [(F(l, mu.int_ends[0]), F(r, mu.int_ends[0])) for l, r in zip(*mu.int_ends[1:])] == [
+        (a, b) for a, b, _ in mu.pieces
+    ]
+    assert all(b1 <= a2 for (_, b1, _), (a2, _, _) in zip(mu.pieces, mu.pieces[1:]))
+    assert_measure_readings(mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(measures_and_balls())
+def test_shuffled_measure_pieces_keep_exact_ball_masses(case):
+    mu, x, r = case
+    shuffled = PiecewiseUniformMeasure(reversed(mu.pieces))
+    assert shuffled.pieces == mu.pieces
+    assert shuffled.ball_mass(x, r) == mu.ball_mass(x, r) == reference_ball_mass(mu, x, r)
+
+
+def reference_boxes(dimension: int, boxes, absorb: bool = True) -> tuple:
+    """BoxUnion pieces as built by hashing and sorting every input."""
+    norm = sorted(dict.fromkeys(tuple((F(a), F(b)) for a, b in box) for box in boxes))
+    if absorb and len(norm) > 1:
+        norm = _absorb_contained(norm)
+    return tuple(norm)
+
+
+small = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+sides = st.builds(lambda a, b: (min(a, b), max(a, b)), small, small)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(sides, sides), max_size=12), st.booleans(), st.booleans())
+def test_box_union_equals_the_sorting_path(boxes, increasing, absorb):
+    if increasing:  # the form radial_lift builds: distinct boxes in order
+        boxes = sorted(set(boxes))
+    assert BoxUnion(2, boxes, absorb).pieces == reference_boxes(2, boxes, absorb)
