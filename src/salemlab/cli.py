@@ -319,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     except (dim.FitError, ArithmeticError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
+    except MemoryError:  # last resort for a stage too large to build
+        print("error: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

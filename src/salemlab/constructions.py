@@ -156,8 +156,7 @@ def cantor_stage(n: int, k: int) -> IntervalUnion:
     lefts = [0]  # left endpoints times n^j at stage j
     for _ in range(k):
         lefts = [m for a in lefts for m in (n * a, n * a + n - 1)]
-    N = n**k
-    return IntervalUnion([(Fraction(a, N), Fraction(a + 1, N)) for a in lefts])
+    return IntervalUnion._of_ints(n**k, lefts, [a + 1 for a in lefts])
 
 
 class CantorScheme(Scheme):
@@ -254,10 +253,7 @@ class IntervalScheme(Scheme):
         return IntervalUnion.full()
 
     def report_of(self, k: int, union: IntervalUnion) -> StageReport:
-        from .geometry import simplex_partition_1d
-
-        cells = simplex_partition_1d(union, Fraction(1, 2**k))
-        return StageReport(k, len(cells), Fraction(1, 2**k), Fraction(1, 2**k))
+        return StageReport(k, 2**k, Fraction(1, 2**k), Fraction(1, 2**k))
 
 
 # ---------------------------------------------------------------------------
@@ -353,38 +349,45 @@ class SAlphaScheme(Scheme):
         self._ratio = min(ratio, cap)
         self._lengths: list[Fraction] = [Fraction(1)]
         self._primes: list[int] = [0]
-        self._stages: list[list[tuple[Fraction, Fraction]]] = [[(Fraction(0), Fraction(1))]]
+        self._stages: list[IntervalUnion] = [IntervalUnion.full()]
 
-    def _refine(
-        self, pieces: list[tuple[Fraction, Fraction]], ell: Fraction
-    ) -> tuple[list[tuple[Fraction, Fraction]], int]:
+    def _refine(self, parent: IntervalUnion, ell: Fraction) -> tuple[IntervalUnion, int]:
+        """Children of every parent piece, centred at i/q with i the round-half-even
+        of target*q clamped to the piece, on numerators over E = lcm(D, den(ell/2))."""
         G = self.branching
-        parent_len = pieces[0][1] - pieces[0][0]
+        D, lefts, rights = parent.int_ends
+        parent_len = Fraction(rights[0] - lefts[0], D)
         slack = (parent_len - G * ell) / (G + 1)
         fine = min(ell, slack if slack > 0 else ell) / (8 * G)
         jbits = max(1, (math.ceil(1 / fine) - 1).bit_length())
         q = next_prime(2**jbits)
         half = ell / 2
-        out: list[tuple[Fraction, Fraction]] = []
-        for a, b in pieces:
-            lo, hi = a + half, b - half
-            span = hi - lo
-            lo_idx = math.ceil(lo * q)
-            hi_idx = math.floor(hi * q)
+        E = math.lcm(D, half.denominator)
+        s, H = E // D, half.numerator * (E // half.denominator)
+        M = E * (G - 1)  # target = lo + span*i/(G-1), so target*q = N/M with N an int
+        F = math.lcm(E, q)  # children [idx/q - half, idx/q + half] over F
+        fq, fH = F // q, H * (F // E)
+        out_l: list[int] = []
+        out_r: list[int] = []
+        for a, b in zip(lefts, rights):
+            lo, hi = a * s + H, b * s - H
+            lo_idx, hi_idx = -(-lo * q // E), hi * q // E
             for i in range(G):
-                target = lo + span * Fraction(i, G - 1) if G > 1 else lo + span / 2
-                idx = min(max(round(target * q), lo_idx), hi_idx)
-                c = Fraction(idx, q)
-                out.append((c - half, c + half))
-        return out, q
+                n, rem = divmod(q * (lo * (G - 1) + (hi - lo) * i), M)
+                if 2 * rem > M or (2 * rem == M and n % 2):
+                    n += 1
+                c = min(max(n, lo_idx), hi_idx) * fq
+                out_l.append(c - fH)
+                out_r.append(c + fH)
+        return IntervalUnion._of_ints(F, out_l, out_r), q
 
     def _ensure(self, k: int) -> None:
         while len(self._stages) <= k:
             ell = self._lengths[-1] * self._ratio
-            pieces, q = self._refine(self._stages[-1], ell)
-            if not pieces:
+            union, q = self._refine(self._stages[-1], ell)
+            if union.is_empty:
                 raise ConstructionError("refinement produced an empty stage")
-            self._stages.append(pieces)
+            self._stages.append(union)
             self._lengths.append(ell)
             self._primes.append(q)
 
@@ -392,7 +395,7 @@ class SAlphaScheme(Scheme):
         if k < 0:
             raise ConstructionError("stage must be nonnegative")
         self._ensure(k)
-        return IntervalUnion(self._stages[k])
+        return self._stages[k]
 
     def stage_prime(self, k: int) -> int:
         self._ensure(k)
@@ -469,8 +472,8 @@ class FpScheme(Scheme):
         self.declared_hdim = p if x.is_eventually_zero else 0.0
         self.declared_fdim = self.declared_hdim
         self._sal = _shared_salpha(self.alpha, branching)
-        self._stages: list[list[tuple[Fraction, Fraction]]] = [[(Fraction(0), Fraction(1))]]
-        self._base: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(1))]
+        self._stages: list[IntervalUnion] = [IntervalUnion.full()]
+        self._base = self._stages[0]
         self._depth_since_reset = 0
         self._shrinks: list[tuple[int, int, Fraction]] = []
 
@@ -481,30 +484,37 @@ class FpScheme(Scheme):
             if self.x.bit(s + 1) == 1:
                 n = len(cur)
                 cap = shrink_cap(s, n)
-                nxt = []
-                for a, b in cur:
-                    half = min(b - a, cap) / 2
-                    c = (a + b) / 2
-                    nxt.append((c - half, c + half))
+                D, lefts, rights = cur.int_ends
+                L = math.lcm(D, cap.denominator)
+                u, c = L // D, cap.numerator * (L // cap.denominator)
+                pairs = [(a * u, b * u) for a, b in zip(lefts, rights)]
+                # over 2L: a piece no longer than the cap stays, a longer one keeps its centre a + b
+                ends = [(2 * a, 2 * b) if b - a <= c else (a + b - c, a + b + c) for a, b in pairs]
+                nxt = IntervalUnion._of_ints(2 * L, [a for a, _ in ends], [b for _, b in ends])
                 self._base = nxt
                 self._depth_since_reset = 0
                 self._shrinks.append((s, n, cap))
             else:
                 self._depth_since_reset += 1
                 unit = self._sal.stage(self._depth_since_reset)
-                if self._base == [(Fraction(0), Fraction(1))]:
-                    nxt = list(unit.pieces)
+                if self._base == self._stages[0]:
+                    nxt = unit
                 else:
-                    nxt = []
-                    for a, b in self._base:
-                        nxt.extend(unit.map_onto((a, b)).pieces)
+                    # the unit's x/Du onto the base piece [A, B]/Db: (A*Du + x*(B - A)) / (Db*Du)
+                    Db, bl, br = self._base.int_ends
+                    Du, ul, ur = unit.int_ends
+                    nxt = IntervalUnion._of_ints(
+                        Db * Du,
+                        [A * Du + x * (B - A) for A, B in zip(bl, br) for x in ul],
+                        [A * Du + x * (B - A) for A, B in zip(bl, br) for x in ur],
+                    )
             self._stages.append(nxt)
 
     def stage(self, k: int) -> IntervalUnion:
         if k < 0:
             raise ConstructionError("stage must be nonnegative")
         self._ensure(k)
-        return IntervalUnion(self._stages[k])
+        return self._stages[k]
 
     def shrink_events(self, k: int) -> list[tuple[int, int, Fraction]]:
         """(stage, piece count, cap) for every 1-bit processed up to stage k."""
@@ -529,51 +539,33 @@ def block_interval(m: int) -> tuple[Fraction, Fraction]:
 
 
 def _tower(tail: tuple[Fraction, Fraction], blocks: Iterable[IntervalUnion]) -> IntervalUnion:
-    """The tail piece at 0, then the blocks from the one nearest 0: the pieces arrive in order."""
-    return IntervalUnion.from_intervals([tail, *(p for U in blocks for p in U.pieces)])
+    """The tail piece at 0, then the blocks from the one nearest 0: the pieces arrive in order
+    and merge on the blocks' integer views."""
+    views = [IntervalUnion([tail]).int_ends, *(U.int_ends for U in blocks)]
+    return IntervalUnion._merged(views, (Fraction(0), Fraction(1)))
 
 
-def _tower_report(stage: int, union: IntervalUnion) -> StageReport:
-    """Stage statistics with the accumulation tail excluded.
+class BlockTower(Scheme):
+    """Block m in T_m for m = k..0 at stage k, above the closed tail
+    [0, 2^-(k+1)]: the tail holds the accumulation point and the blocks not
+    yet started, which keeps the stages nested as new blocks appear."""
 
-    The leading piece anchored at 0 is the placeholder for the blocks not
-    yet built; its width tracks the block grid, not the fractal ladder, so
-    it would corrupt the diameter statistics the count fits regress on.
-    """
-    D, lefts, rights = union.int_ends
-    k = 1 if lefts and lefts[0] == 0 else 0  # in [0, 1] only the first piece can start at 0
-    return StageReport._of_ends(stage, D, lefts[k:], rights[k:])
-
-
-class Pi03Scheme(Scheme):
-    """Tower of sequence-controlled blocks accumulating at 0.
-
-    Block m lives in T_m and runs the stage-k construction for row m at
-    dimension target p(1 - 2^-m); the closed tail [0, 2^-(k+1)] holds the
-    accumulation point and the not-yet-started blocks, which keeps the
-    stages nested as new blocks appear.
-    """
-
-    def __init__(self, p: float, x: BitMatrix, branching: int = 3) -> None:
+    def __init__(self, kind: str, p: float, x: BitMatrix, branching: int) -> None:
         if not 0 < p <= 1:
             raise ConstructionError("dimension parameter must lie in (0, 1]")
         self.p = p
         self.x = x
         self.branching = branching
-        self.name = f"pi03:{p:g}"
-        self._blocks: dict[int, FpScheme | None] = {}
-        good = [self.q_m(m) for m in range(x.max_row + 2) if x.row(m).is_eventually_zero]
-        self.declared_hdim = p if x.tail.is_eventually_zero else (max(good) if good else 0.0)
-        self.declared_fdim = self.declared_hdim
+        self.name = f"{kind}:{p:g}"
+        self._blocks: dict[int, Scheme | None] = {}
 
     def q_m(self, m: int) -> float:
+        """Dimension target p(1 - 2^-m) of the sequence-controlled block m."""
         return self.p * (1.0 - 2.0**-m)
 
-    def block(self, m: int) -> FpScheme | None:
-        if m not in self._blocks:
-            q = self.q_m(m)
-            self._blocks[m] = FpScheme(q, self.x.row(m), self.branching) if q > 0 else None
-        return self._blocks[m]
+    def block(self, m: int) -> Scheme | None:
+        """The construction run in T_m, or None for an empty block."""
+        raise NotImplementedError
 
     def block_union(self, m: int, k: int) -> IntervalUnion:
         blk = self.block(m)
@@ -586,22 +578,46 @@ class Pi03Scheme(Scheme):
             raise ConstructionError("stage must be nonnegative")
         return _tower((Fraction(0), Fraction(1, 2 ** (k + 1))), (self.block_union(m, k) for m in range(k, -1, -1)))
 
-    report_of = staticmethod(_tower_report)
+    def report_of(self, k: int, union: IntervalUnion) -> StageReport:
+        """Stage statistics with the accumulation tail excluded.
+
+        The leading piece anchored at 0 is the placeholder for the blocks not
+        yet built; its width tracks the block grid, not the fractal ladder, so
+        it would corrupt the diameter statistics the count fits regress on.
+        """
+        D, lefts, rights = union.int_ends
+        i = 1 if lefts and lefts[0] == 0 else 0  # in [0, 1] only the first piece can start at 0
+        return StageReport._of_ends(k, D, lefts[i:], rights[i:])
 
     def block_ladders(self, k: int) -> list[list[StageReport]]:
-        out = []
-        for m in range(k + 1):
-            blk = self.block(m)
-            if blk is not None:
-                out.append(blk.reports(1, k))
-        return out
+        return [blk.reports(1, k) for blk in map(self.block, range(k + 1)) if blk is not None]
+
+
+class Pi03Scheme(BlockTower):
+    """Tower of sequence-controlled blocks accumulating at 0.
+
+    Block m lives in T_m and runs the stage-k construction for row m at
+    dimension target p(1 - 2^-m).
+    """
+
+    def __init__(self, p: float, x: BitMatrix, branching: int = 3) -> None:
+        super().__init__("pi03", p, x, branching)
+        good = [self.q_m(m) for m in range(x.max_row + 2) if x.row(m).is_eventually_zero]
+        self.declared_hdim = p if x.tail.is_eventually_zero else (max(good) if good else 0.0)
+        self.declared_fdim = self.declared_hdim
+
+    def block(self, m: int) -> FpScheme | None:
+        if m not in self._blocks:
+            q = self.q_m(m)
+            self._blocks[m] = FpScheme(q, self.x.row(m), self.branching) if q > 0 else None
+        return self._blocks[m]
 
 
 def pi03_stage(p: float, x: BitMatrix, k: int, branching: int = 3) -> IntervalUnion:
     return Pi03Scheme(p, x, branching).stage(k)
 
 
-class SalemGapScheme(Scheme):
+class SalemGapScheme(BlockTower):
     """Block tower whose head block pins the Hausdorff dimension at p.
 
     T_0 carries a Cantor-type set of counting dimension p (vanishing
@@ -614,44 +630,23 @@ class SalemGapScheme(Scheme):
         # binary branching throughout: the head block is binary by design,
         # and a uniform count rate across blocks keeps the union ladder
         # readable (count and diameter then track the same dominant block)
-        if not 0 < p <= 1:
-            raise ConstructionError("dimension parameter must lie in (0, 1]")
-        self.p = p
-        self.x = x
-        self.branching = branching
-        self.name = f"salemgap:{p:g}"
+        super().__init__("salemgap", p, x, branching)
         if abs(p - math.log(2) / math.log(3)) < 1e-9:
             self._head: Scheme = CantorScheme(3)
         else:
             self._head = GeneralizedCantorScheme.for_dimension(p)
-        self._blocks: dict[int, FpScheme] = {}
         self.declared_hdim = p
         self.declared_fdim = p if p3_member(x) else 0.0
 
-    def q_n(self, n: int) -> float:
-        return self.p * (1.0 - 2.0**-n)
-
-    def block(self, n: int) -> FpScheme:
+    def block(self, n: int) -> Scheme:
+        if n == 0:
+            return self._head
         if n not in self._blocks:
-            self._blocks[n] = FpScheme(self.q_n(n), self.x.row(n - 1), self.branching)
+            self._blocks[n] = FpScheme(self.q_m(n), self.x.row(n - 1), self.branching)
         return self._blocks[n]
 
     def head_union(self, k: int) -> IntervalUnion:
-        return self._head.stage(k).map_onto(block_interval(0))
-
-    def stage(self, k: int) -> IntervalUnion:
-        if k < 0:
-            raise ConstructionError("stage must be nonnegative")
-        blocks = [self.block(n).stage(k).map_onto(block_interval(n)) for n in range(k, 0, -1)]
-        return _tower((Fraction(0), Fraction(1, 2 ** (k + 1))), blocks + [self.head_union(k)])
-
-    report_of = staticmethod(_tower_report)
-
-    def block_ladders(self, k: int) -> list[list[StageReport]]:
-        out = [self._head.reports(1, k)]
-        for n in range(1, k + 1):
-            out.append(self.block(n).reports(1, k))
-        return out
+        return self.block_union(0, k)
 
 
 def salem_gap_stage(p: float, x: BitMatrix, k: int, branching: int = 3) -> IntervalUnion:

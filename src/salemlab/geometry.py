@@ -6,8 +6,10 @@ pure function, so they are safe to share across threads.  Endpoints are
 asked by the staged constructions reduce to endpoint comparisons, which we
 therefore answer exactly.  Floating point appears only where a quantity is
 genuinely irrational (box diagonals).  A union's integer view, `int_ends`,
-serves the layers that read per-piece quantities; constructors check
-sorted input in one pass and sort only input that is out of order.
+is built with it and serves the layers that read per-piece quantities;
+constructors check pieces on it, in one pass over sorted input, and sort
+only input that is out of order.  Builders work on numerators and make
+each output endpoint a Fraction once.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, le, lt
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -77,33 +80,62 @@ class IntervalUnion:
     Pieces are kept pairwise disjoint and sorted; degenerate pieces [a, a]
     are allowed.  The ambient interval (`space`) is carried explicitly so
     that the empty set has a well-defined "far apart" distance surrogate.
+    `int_ends`, built with the union, is its integer view: the common
+    denominator D of the endpoints and the left and right numerators over D.
     """
 
-    __slots__ = ("space", "pieces", "_ints")
+    __slots__ = ("space", "pieces", "int_ends")
 
     def __init__(
         self,
         pieces: Iterable[tuple[RationalLike, RationalLike]],
         space: tuple[RationalLike, RationalLike] = (0, 1),
     ) -> None:
+        norm = [(as_fraction(a), as_fraction(b)) for a, b in pieces]
+        self._set(space, norm, integer_ends(norm))
+
+    @classmethod
+    def _of_ints(
+        cls, D: int, lefts: list[int], rights: list[int], space: tuple[RationalLike, RationalLike] = (0, 1)
+    ) -> "IntervalUnion":
+        """The checked constructor on the pieces [l/D, r/D]; each endpoint becomes a Fraction once.
+
+        Dividing by g = gcd(D, every numerator) leaves D the lcm of the reduced
+        endpoint denominators, the union's integer view.
+        """
+        g = math.gcd(D, *lefts, *rights)
+        if g > 1:
+            D, lefts, rights = D // g, [l // g for l in lefts], [r // g for r in rights]
+        U = cls.__new__(cls)
+        U._set(space, [(Fraction(l, D), Fraction(r, D)) for l, r in zip(lefts, rights)], (D, lefts, rights))
+        return U
+
+    def _set(self, space: tuple, pieces: list, ints: tuple[int, list[int], list[int]]) -> None:
+        """Check the pieces on their numerators, sort them only if out of order, and store them with the view."""
         lo, hi = as_fraction(space[0]), as_fraction(space[1])
         if lo >= hi:
             raise GeometryError("space bound must be nondegenerate")
-        norm: list[tuple[Fraction, Fraction]] = []
-        for a, b in pieces:
-            fa, fb = as_fraction(a), as_fraction(b)
-            if fa > fb:
-                raise GeometryError(f"interval [{fa}, {fb}] reversed")
-            if fa < lo or fb > hi:
-                raise GeometryError(f"piece [{fa}, {fb}] outside space [{lo}, {hi}]")
-            norm.append((fa, fb))
-        if any(a2 <= b1 for (_, b1), (a2, _) in zip(norm, norm[1:])):  # out of order or overlapping
-            norm.sort()
-            for (a1, b1), (a2, _) in zip(norm, norm[1:]):
-                if a2 <= b1:
+        D, lefts, rights = ints
+        lon, hin = lo.numerator * D, hi.numerator * D  # l/D >= lo iff l * lo.denominator >= lon
+        if not (
+            all(map(le, lefts, rights))
+            and (not lefts or (min(lefts) * lo.denominator >= lon and max(rights) * hi.denominator <= hin))
+        ):
+            for (fa, fb), l, r in zip(pieces, lefts, rights):  # the first bad piece in input order
+                if l > r:
+                    raise GeometryError(f"interval [{fa}, {fb}] reversed")
+                if l * lo.denominator < lon or r * hi.denominator > hin:
+                    raise GeometryError(f"piece [{fa}, {fb}] outside space [{lo}, {hi}]")
+        if not all(map(lt, rights, lefts[1:])):  # out of order or overlapping
+            order = sorted(range(len(pieces)), key=lambda i: (lefts[i], rights[i]))
+            pieces = [pieces[i] for i in order]
+            ints = D, lefts, rights = D, [lefts[i] for i in order], [rights[i] for i in order]
+            for (a1, b1), (a2, _), r1, l2 in zip(pieces, pieces[1:], rights, lefts[1:]):
+                if l2 <= r1:
                     raise GeometryError(f"pieces [{a1},{b1}] and starting {a2} not disjoint")
         object.__setattr__(self, "space", (lo, hi))
-        object.__setattr__(self, "pieces", tuple(norm))
+        object.__setattr__(self, "pieces", tuple(pieces))
+        object.__setattr__(self, "int_ends", ints)
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("IntervalUnion is immutable")
@@ -120,20 +152,31 @@ class IntervalUnion:
         Pieces are clamped to the ambient space.
         """
         lo, hi = as_fraction(space[0]), as_fraction(space[1])
+        return cls._merged([integer_ends([(as_fraction(a), as_fraction(b)) for a, b in intervals])], (lo, hi))
+
+    @classmethod
+    def _merged(cls, views: list[tuple[int, list[int], list[int]]], space: tuple[Fraction, Fraction]) -> "IntervalUnion":
+        """`from_intervals` on integer views: every view's pieces, clamped to space, sorted and merged."""
+        lo, hi = space
+        D = math.lcm(lo.denominator, hi.denominator, *(v[0] for v in views))
+        lon, hin = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
         clamped = []
-        for a, b in intervals:
-            fa, fb = max(as_fraction(a), lo), min(as_fraction(b), hi)
-            if fa <= fb:
-                clamped.append((fa, fb))
-        clamped.sort(key=lambda p: p[0])  # equal left ends merge in any order
-        merged: list[list[Fraction]] = []
+        for d, lefts, rights in views:
+            s = D // d
+            clamped += [(max(l * s, lon), min(r * s, hin)) for l, r in zip(lefts, rights)]
+        clamped.sort(key=itemgetter(0))  # equal left ends merge in any order
+        ml: list[int] = []
+        mr: list[int] = []
         for a, b in clamped:
-            if merged and a <= merged[-1][1]:
-                if b > merged[-1][1]:
-                    merged[-1][1] = b
+            if a > b:
+                continue
+            if mr and a <= mr[-1]:
+                if b > mr[-1]:
+                    mr[-1] = b
             else:
-                merged.append([a, b])
-        return cls([(a, b) for a, b in merged], space=(lo, hi))
+                ml.append(a)
+                mr.append(b)
+        return cls._of_ints(D, ml, mr, space)
 
     @classmethod
     def empty(cls, space: tuple[RationalLike, RationalLike] = (0, 1)) -> "IntervalUnion":
@@ -170,13 +213,6 @@ class IntervalUnion:
 
     def total_length(self) -> Fraction:
         return sum((b - a for a, b in self.pieces), ZERO)
-
-    @property
-    def int_ends(self) -> tuple[int, list[int], list[int]]:
-        """Common denominator D and the left and right endpoint numerators over D, built once."""
-        if not hasattr(self, "_ints"):
-            object.__setattr__(self, "_ints", integer_ends(self.pieces))
-        return self._ints
 
     def contains_point(self, x: RationalLike) -> bool:
         fx = as_fraction(x)
@@ -225,10 +261,8 @@ class IntervalUnion:
     def map_onto(self, target: tuple[RationalLike, RationalLike]) -> "IntervalUnion":
         """Affine image of a union living in [0, 1] onto the target interval."""
         lo, hi = as_fraction(target[0]), as_fraction(target[1])
-        scale = hi - lo
-        mapped = [(lo + a * scale, lo + b * scale) for a, b in self.pieces]
         space = (min(self.space[0], lo), max(self.space[1], hi))
-        return IntervalUnion(mapped, space=space)
+        return IntervalUnion._of_ints(*self._mapped(hi - lo, lo), space)
 
     def affine(self, a: RationalLike, t: RationalLike) -> "IntervalUnion":
         """Image under x -> a*x + t (a != 0); the space is mapped alongside."""
@@ -236,8 +270,17 @@ class IntervalUnion:
         if fa == 0:
             raise GeometryError("affine scale must be nonzero")
         ends = sorted((fa * self.space[0] + ft, fa * self.space[1] + ft))
-        pieces = [tuple(sorted((fa * x + ft, fa * y + ft))) for x, y in self.pieces]
-        return IntervalUnion(pieces, space=(ends[0], ends[1]))
+        M, ml, mr = self._mapped(fa, ft)
+        if fa < 0:  # a reflection: each piece and their order reverse
+            ml, mr = mr[::-1], ml[::-1]
+        return IntervalUnion._of_ints(M, ml, mr, (ends[0], ends[1]))
+
+    def _mapped(self, a: Fraction, t: Fraction) -> tuple[int, list[int], list[int]]:
+        """Numerators of a*l + t and a*r + t over M = D * lcm(den a, den t), piece by piece."""
+        D, lefts, rights = self.int_ends
+        M = D * math.lcm(a.denominator, t.denominator)
+        sa, st = a.numerator * (M // (D * a.denominator)), t.numerator * (M // t.denominator)
+        return M, [sa * l + st for l in lefts], [sa * r + st for r in rights]
 
     # -- serialization -----------------------------------------------------
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import le
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .geometry import IntervalUnion, as_fraction, integer_ends
@@ -61,23 +62,31 @@ class PiecewiseUniformMeasure:
     """
 
     def __init__(self, pieces: Iterable[tuple[Fraction, Fraction, float]]) -> None:
-        norm = []
-        for a, b, w in pieces:
-            fa, fb = as_fraction(a), as_fraction(b)
-            if fa > fb:
-                raise MeasureError("reversed support interval")
-            if w <= 0:
-                raise MeasureError("weights must be positive")
-            norm.append((fa, fb, float(w)))
-        if any(a2 < b1 for (_, b1, _), (a2, _, _) in zip(norm, norm[1:])):  # out of order or overlapping
-            norm.sort(key=lambda p: (p[0], p[1]))
-            for (a1, b1, _), (a2, b2, _) in zip(norm, norm[1:]):
-                if a2 < b1:
+        norm = [(as_fraction(a), as_fraction(b), w) for a, b, w in pieces]
+        self._set(norm, integer_ends(norm))
+
+    def _set(self, norm: list, ints: tuple[int, list[int], list[int]]) -> None:
+        """Check the pieces on their numerators, sort them only if out of order, and store them with the view."""
+        D, lefts, rights = ints
+        if not (all(map(le, lefts, rights)) and all(w > 0 for _, _, w in norm)):
+            for l, r, (_, _, w) in zip(lefts, rights, norm):  # the first bad piece in input order
+                if l > r:
+                    raise MeasureError("reversed support interval")
+                if w <= 0:
+                    raise MeasureError("weights must be positive")
+        norm = [(a, b, float(w)) for a, b, w in norm]
+        if not all(map(le, rights, lefts[1:])):  # out of order or overlapping
+            order = sorted(range(len(norm)), key=lambda i: (lefts[i], rights[i]))
+            norm = [norm[i] for i in order]
+            ints = D, lefts, rights = D, [lefts[i] for i in order], [rights[i] for i in order]
+            for (a1, b1, _), (a2, b2, _), r1, l2 in zip(norm, norm[1:], rights, lefts[1:]):
+                if l2 < r1:
                     raise MeasureError(f"support pieces [{a1}, {b1}] and [{a2}, {b2}] overlap")
         total = math.fsum(w for _, _, w in norm)
         if abs(total - 1.0) > 1e-12:
             raise MeasureError(f"weights sum to {total}, not 1")
         self.pieces = tuple(norm)
+        self.int_ends = ints  # common denominator D and the endpoint numerators over D
         self._lengths: list[float] | None = None  # see resonant_frequencies
         self._cumw = [0.0, *accumulate(w for _, _, w in norm)]
 
@@ -191,35 +200,30 @@ class PiecewiseUniformMeasure:
     # -- mass ----------------------------------------------------------------
 
     @cached_property
-    def int_ends(self) -> tuple[int, list[int], list[int]]:
-        """Common denominator D and the left and right endpoint numerators over D."""
-        return integer_ends(self.pieces)
+    def _terms(self) -> list[tuple[float, int, int]]:
+        """Each piece's weight and that float's integer ratio."""
+        return [(w, *w.as_integer_ratio()) for _, _, w in self.pieces]
 
-    def _mass_between(self, lefts: list[int], rights: list[int], ln: int, hn: int, e: int) -> float:
-        """Mass of [ln/e, hn/e], with ln, hn, e ints in the unit of the endpoint numerators.
+    def _mass(self, lefts: list[int], rights: list[int], i: int, j: int, ln: int, hn: int, e: int) -> float:
+        """Mass of [ln/e, hn/e], with ln, hn, e ints in the unit of the endpoint
+        numerators and pieces i..j the only ones it can touch.
 
         Interior pieces are fully covered and come from prefix sums; each of
         the two boundary pieces adds w * overlap / length as one ratio of
         ints divided once, which Python rounds correctly.
         """
-        cl, fh = -(-ln // e), hn // e
-        i = bisect.bisect_left(lefts, cl)
-        if i > 0 and rights[i - 1] >= cl:
-            i -= 1
-        j = bisect.bisect_right(lefts, fh) - 1
         if j < i:
             return 0.0
         mass, ends = (self._cumw[j] - self._cumw[i + 1], (i, j)) if j > i else (0.0, (i,))
         for k in ends:
-            A, B, w = lefts[k], rights[k], self.pieces[k][2]
-            if B < cl or A > fh:
+            A, B = lefts[k] * e, rights[k] * e
+            if B < ln or A > hn:
                 continue
+            w, wn, wd = self._terms[k]
             if A == B:
                 mass += w
                 continue
-            on = min(B * e, hn) - max(A * e, ln)  # overlap * e; 0 when the ball only touches the piece
-            wn, wd = w.as_integer_ratio()
-            mass += (wn * on) / (wd * e * (B - A))
+            mass += (wn * (min(B, hn) - max(A, ln))) / (wd * (B - A))  # 0 when the ball only touches the piece
         return mass
 
     def ball_mass(self, x, r) -> float:
@@ -227,7 +231,9 @@ class PiecewiseUniformMeasure:
 
         The ball's ends are ints over e = lcm(den x, den r), scaled by the
         common endpoint denominator D, so every comparison is an int one and
-        the float is that of the exact rational mass.
+        the float is that of the exact rational mass.  Rights do not
+        decrease, so the first piece the ball can touch is the first whose
+        right end reaches ceil(ln/e).
         """
         fx, fr = as_fraction(x), as_fraction(r)
         if fr <= 0:
@@ -235,14 +241,20 @@ class PiecewiseUniformMeasure:
         D, lefts, rights = self.int_ends
         e = math.lcm(fx.denominator, fr.denominator)
         xn, rn = fx.numerator * (e // fx.denominator), fr.numerator * (e // fr.denominator)
-        return self._mass_between(lefts, rights, (xn - rn) * D, (xn + rn) * D, e)
+        ln, hn = (xn - rn) * D, (xn + rn) * D
+        i, j = bisect.bisect_left(rights, -(-ln // e)), bisect.bisect_right(lefts, hn // e) - 1
+        return self._mass(lefts, rights, i, j, ln, hn, e)
 
     def max_ball_masses(self, centers: Sequence, radii: Sequence) -> list[float]:
         """max(ball_mass(c, r) for c in centers) for each r in radii, the same floats.
 
         Endpoints, centers and radii are rescaled once to ints over
         E = lcm(D, their denominators), so each query is two bisects and a
-        few int operations.
+        few int operations.  The pieces a ball can touch bound its mass by
+        their total weight (each boundary term is at most its w), so exact
+        masses are taken in order of decreasing bound and stop once a bound
+        is below the best mass by more than 1e-9, far above the few-ulp
+        error of the prefix sums: the skipped centres cannot hold the max.
         """
         cs = [as_fraction(c) for c in centers]
         rs = [as_fraction(r) for r in radii]
@@ -253,10 +265,20 @@ class PiecewiseUniformMeasure:
         s = E // D
         lefts, rights = [a * s for a in lefts], [b * s for b in rights]
         cn = [c.numerator * (E // c.denominator) for c in cs]
+        cumw, bl, br = self._cumw, bisect.bisect_left, bisect.bisect_right
         out = []
         for r in rs:
             rn = r.numerator * (E // r.denominator)
-            out.append(max(self._mass_between(lefts, rights, c - rn, c + rn, 1) for c in cn))
+            I = [bl(rights, c - rn) for c in cn]
+            J = [br(lefts, c + rn) - 1 for c in cn]
+            bounds = [cumw[j + 1] - cumw[i] if j >= i else 0.0 for i, j in zip(I, J)]
+            masses, best = [], 0.0
+            for m in sorted(range(len(cn)), key=bounds.__getitem__, reverse=True):
+                if masses and bounds[m] + 1e-9 < best:
+                    break
+                masses.append(self._mass(lefts, rights, I[m], J[m], cn[m] - rn, cn[m] + rn, 1))
+                best = max(best, masses[-1])
+            out.append(max(masses))
         return out
 
     def affine_pushforward(self, a, t) -> "PiecewiseUniformMeasure":
@@ -462,8 +484,8 @@ def natural_measure(A: IntervalUnion) -> PiecewiseUniformMeasure:
     if A.is_empty:
         raise MeasureError("the empty set supports no probability measure")
     n = len(A.pieces)
-    mu = PiecewiseUniformMeasure([(a, b, 1.0 / n) for a, b in A.pieces])
-    mu.int_ends = A.int_ends  # the same pieces in the same order
+    mu = PiecewiseUniformMeasure.__new__(PiecewiseUniformMeasure)
+    mu._set([(a, b, 1.0 / n) for a, b in A.pieces], A.int_ends)  # the checks, on the union's view
     return mu
 
 

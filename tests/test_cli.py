@@ -183,6 +183,17 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_memory_error_is_exit_three_without_traceback(self, tmp_path, monkeypatch, capsys):
+        import salemlab.cli as cli
+
+        def exhausted(args):  # stands in for a stage too large to build
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_build", exhausted)
+        assert run(["build", "cantor:3", "--stage", "2", "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_malformed_thread_count_is_exit_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SALEMLAB_THREADS", "abc")
         code = run(["report", "cantor:3", "--stage", "3", "--seed", "1", "--out", str(tmp_path / "x")])

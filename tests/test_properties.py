@@ -1,9 +1,10 @@
 """Property tests: integer ball masses and Frostman sups, transform bounds, the
 vector transform kernels against the scalar and per-pair references, the
 stage-report memo, the exact geometry queries (point distance, Hausdorff
-metric, radial lift, grid partition), and the integer endpoint view and
-one-pass constructors against the Fraction formulas and sorting
-constructors they replaced."""
+metric, radial lift, grid partition), the integer endpoint view and
+one-pass constructors, and the integer stage builders and the pruned
+Frostman sup, against the Fraction formulas, sorting constructors and
+unpruned maxima they replaced."""
 
 from __future__ import annotations
 
@@ -15,11 +16,21 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from salemlab.bitseq import BitSequence
 from salemlab.cli import parse_scheme
-from salemlab.constructions import IntervalScheme, Pi03Scheme, SalemGapScheme, StageReport, radial_lift
+from salemlab.constructions import (
+    FpScheme,
+    IntervalScheme,
+    Pi03Scheme,
+    SAlphaScheme,
+    SalemGapScheme,
+    StageReport,
+    radial_lift,
+    shrink_cap,
+)
 from salemlab.dimension import default_frostman_centers, default_frostman_radii
 from salemlab.geometry import (
     BoxUnion,
@@ -29,7 +40,8 @@ from salemlab.geometry import (
     hausdorff_metric,
     simplex_partition_1d,
 )
-from salemlab.measures import PiecewiseUniformMeasure, SelfSimilarProductMeasure, natural_measure
+from salemlab.measures import MeasureError, PiecewiseUniformMeasure, SelfSimilarProductMeasure, natural_measure
+from salemlab.primes import next_prime
 
 
 def reference_ball_mass(mu: PiecewiseUniformMeasure, x: F, r: F) -> float:
@@ -473,6 +485,8 @@ def test_simplex_partition_equals_reference(A, g):
 def reference_union(pieces, space=(0, 1)) -> tuple:
     """(space, pieces) as the constructor built them by sorting every input, or its error."""
     lo, hi = F(space[0]), F(space[1])
+    if lo >= hi:
+        raise GeometryError("space bound must be nondegenerate")
     norm = []
     for a, b in pieces:
         fa, fb = F(a), F(b)
@@ -520,7 +534,8 @@ def reference_report_of(scheme, k: int, U: IntervalUnion) -> StageReport:
     if isinstance(scheme, (Pi03Scheme, SalemGapScheme)):
         U = IntervalUnion([p for p in U.pieces if p[0] != 0], space=U.space)
     elif isinstance(scheme, IntervalScheme):
-        return scheme.report_of(k, U)
+        cells = simplex_partition_1d(U, F(1, 2**k))
+        return StageReport(k, len(cells), F(1, 2**k), F(1, 2**k))
     return reference_stage_report(k, U)
 
 
@@ -701,3 +716,327 @@ def test_box_union_equals_the_sorting_path(boxes, increasing, absorb):
     if increasing:  # the form radial_lift builds: distinct boxes in order
         boxes = sorted(set(boxes))
     assert BoxUnion(2, boxes, absorb).pieces == reference_boxes(2, boxes, absorb)
+
+
+# -- integer stage builders and constructors -------------------------------
+#
+# The references below are the Fraction builders the integer numerators
+# replaced: from_intervals, map_onto and affine, SAlphaScheme._refine, the
+# FpScheme shrink and map steps, and the measure constructor.
+
+
+def reference_from_intervals(intervals, space=(0, 1)) -> tuple:
+    lo, hi = F(space[0]), F(space[1])
+    clamped = []
+    for a, b in intervals:
+        fa, fb = max(F(a), lo), min(F(b), hi)
+        if fa <= fb:
+            clamped.append((fa, fb))
+    clamped.sort(key=lambda p: p[0])
+    merged: list[list[F]] = []
+    for a, b in clamped:
+        if merged and a <= merged[-1][1]:
+            if b > merged[-1][1]:
+                merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    return reference_union([(a, b) for a, b in merged], space=(lo, hi))
+
+
+def reference_map_onto(U: IntervalUnion, target) -> tuple:
+    lo, hi = F(target[0]), F(target[1])
+    scale = hi - lo
+    mapped = [(lo + a * scale, lo + b * scale) for a, b in U.pieces]
+    return reference_union(mapped, space=(min(U.space[0], lo), max(U.space[1], hi)))
+
+
+def reference_affine(U: IntervalUnion, a, t) -> tuple:
+    fa, ft = F(a), F(t)
+    if fa == 0:
+        raise GeometryError("affine scale must be nonzero")
+    ends = sorted((fa * U.space[0] + ft, fa * U.space[1] + ft))
+    pieces = [tuple(sorted((fa * x + ft, fa * y + ft))) for x, y in U.pieces]
+    return reference_union(pieces, space=(ends[0], ends[1]))
+
+
+def built(U: IntervalUnion) -> tuple:
+    assert_view(U)
+    return U.space, U.pieces
+
+
+@st.composite
+def spaced_unions(draw):
+    """A union in [0, 1], or in a wider or shifted space."""
+    U = draw(unions())
+    lo = min([F(0), *(a for a, _ in U.pieces)]) - draw(st.sampled_from([0, 0, 1, F(1, 3)]))
+    hi = max([F(1), *(b for _, b in U.pieces)]) + draw(st.sampled_from([0, 0, 2, F(5, 7)]))
+    return IntervalUnion(U.pieces, space=(lo, hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals), max_size=12), st.sampled_from([(0, 1), (F(-1, 3), 2), (1, 1), (1, 0)]))
+def test_from_intervals_equals_the_fraction_merge(intervals, space):
+    got = outcome(lambda: built(IntervalUnion.from_intervals(intervals, space)))
+    assert got == outcome(reference_from_intervals, intervals, space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaced_unions(), rationals, rationals, st.sampled_from(["ordered", "reversed", "degenerate"]))
+def test_map_onto_and_affine_equal_the_fraction_maps(U, x, y, kind):
+    lo, hi = min(x, y), max(x, y)
+    target = {"ordered": (lo, hi if hi > lo else lo + 1), "reversed": (hi + 1, lo), "degenerate": (x, x)}[kind]
+    assert outcome(lambda: built(U.map_onto(target))) == outcome(reference_map_onto, U, target)
+    for a in (x, -x, 3 * y + 1, F(0)):
+        assert outcome(lambda: built(U.affine(a, y))) == outcome(reference_affine, U, a, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_piece_lists(), st.sampled_from([(0, 1), (F(1, 4), F(3, 4)), (2, 1)]))
+def test_integer_constructor_raises_the_errors_of_the_sorting_constructor(pieces, space):
+    D = math.lcm(*(F(e).denominator for p in pieces for e in p))
+    lefts, rights = [F(a) * D for a, _ in pieces], [F(b) * D for _, b in pieces]
+    ints = [int(v) for v in lefts], [int(v) for v in rights]
+    want = outcome(reference_union, pieces, space)
+    assert outcome(lambda: built(IntervalUnion(pieces, space))) == want
+    assert outcome(lambda: built(IntervalUnion._of_ints(3 * D, [3 * v for v in ints[0]], [3 * v for v in ints[1]], space))) == want
+
+
+def reference_refine(G: int, pieces, ell: F) -> tuple[list, int]:
+    parent_len = pieces[0][1] - pieces[0][0]
+    slack = (parent_len - G * ell) / (G + 1)
+    fine = min(ell, slack if slack > 0 else ell) / (8 * G)
+    jbits = max(1, (math.ceil(1 / fine) - 1).bit_length())
+    q = next_prime(2**jbits)
+    half = ell / 2
+    out = []
+    for a, b in pieces:
+        lo, hi = a + half, b - half
+        span = hi - lo
+        lo_idx = math.ceil(lo * q)
+        hi_idx = math.floor(hi * q)
+        for i in range(G):
+            target = lo + span * F(i, G - 1) if G > 1 else lo + span / 2
+            idx = min(max(round(target * q), lo_idx), hi_idx)
+            c = F(idx, q)
+            out.append((c - half, c + half))
+    return out, q
+
+
+def reference_salpha_stages(scheme: SAlphaScheme, k: int) -> tuple[list, list[int]]:
+    stages, primes, ell = [[(F(0), F(1))]], [0], F(1)
+    for _ in range(k):
+        ell *= scheme._ratio
+        pieces, q = reference_refine(scheme.branching, stages[-1], ell)
+        stages.append(pieces)
+        primes.append(q)
+    return stages, primes
+
+
+@pytest.mark.parametrize("alpha", [0, 0.5, 1, 2, 3])
+@pytest.mark.parametrize("branching, k", [(3, 6), (2, 6), (4, 4)])
+def test_salpha_stages_equal_the_fraction_refinement(alpha, branching, k):
+    scheme = SAlphaScheme(alpha, branching)
+    stages, primes = reference_salpha_stages(scheme, k)
+    assert [built(scheme.stage(j)) for j in range(k + 1)] == [reference_union(p) for p in stages]
+    assert [scheme.stage_prime(j) for j in range(k + 1)] == primes
+    assert scheme.stage(k) is scheme.stage(k)  # built once and kept
+
+
+@st.composite
+def refine_cases(draw):
+    """A parent stage and a child length; its later pieces put target*q exactly
+    halfway between two integers for every child, so round's tie rule decides."""
+    G = draw(st.sampled_from([2, 3, 4]))
+    L = F(1, draw(st.integers(6, 40)))
+    ell = L * F(draw(st.integers(1, 99)), 100 * G)
+    first = [(F(0), L)]
+    q = reference_refine(G, first, ell)[1]
+    half = ell / 2
+    pieces, m = list(first), math.ceil((L + half) * q) + 1
+    for _ in range(draw(st.integers(0, 6))):
+        # lo = (2m+1)/(2q) and hi = (2m'+1)/(2q) with (G-1) | m' - m: every target is a tie
+        m2 = m + (G - 1) * (math.ceil(ell * q) + draw(st.integers(-1, 3)))
+        a, b = F(2 * m + 1, 2 * q) - half, F(2 * m2 + 1, 2 * q) + half
+        if b > 1:
+            break
+        pieces.append((a, b))
+        m = math.ceil((b + half) * q) + draw(st.integers(1, 9))
+    if draw(st.booleans()):  # any other stage of that length range instead
+        extra = draw(unions(min_size=2))
+        pieces = [(a, b) for a, b in extra.pieces if b - a >= ell] or first
+    return G, IntervalUnion(pieces), ell
+
+
+@settings(max_examples=200, deadline=None)
+@given(refine_cases())
+def test_integer_refine_equals_the_fraction_refine(case):
+    G, parent, ell = case
+    scheme = SAlphaScheme(1.0, G)
+    pieces, q = reference_refine(G, parent.pieces, ell)
+
+    def refined():
+        U, p = scheme._refine(parent, ell)
+        return built(U), p
+
+    assert outcome(refined) == outcome(lambda: (reference_union(pieces), q))
+
+
+def test_refine_breaks_ties_to_even_centres():
+    G, L, ell = 3, F(1, 8), F(1, 64)
+    q = reference_refine(G, [(F(0), L)], ell)[1]
+    m0 = math.ceil((L + ell / 2) * q) + 1
+    ups = []
+    for t in range(40, 44):  # children t/q apart, more than their length 1/64
+        # lo = (2 m0 + 1)/(2q), hi = lo + 2t/q: the middle target*q is m0 + t + 1/2
+        tie = (F(2 * m0 + 1, 2 * q) - ell / 2, F(2 * (m0 + 2 * t) + 1, 2 * q) + ell / 2)
+        parent = IntervalUnion([(F(0), L), tie])
+        middle = SAlphaScheme(1.0, G)._refine(parent, ell)[0].pieces[4]
+        assert middle == reference_refine(G, parent.pieces, ell)[0][4]
+        idx = (middle[0] + ell / 2) * q
+        assert idx % 2 == 0 and idx in (m0 + t, m0 + t + 1)
+        ups.append(idx - (m0 + t))
+    assert sorted(set(ups)) == [0, 1]  # both directions of the tie rule occur
+
+
+def reference_fp_stages(scheme: FpScheme, k: int) -> tuple[list[tuple], list]:
+    """FpScheme's stages and shrink events by the Fraction shrink and the per-piece map_onto formula."""
+    stages, events = [[(F(0), F(1))]], []
+    base, depth = [(F(0), F(1))], 0
+    for s in range(k):
+        cur = stages[-1]
+        if scheme.x.bit(s + 1) == 1:
+            cap = shrink_cap(s, len(cur))
+            nxt = []
+            for a, b in cur:
+                half = min(b - a, cap) / 2
+                c = (a + b) / 2
+                nxt.append((c - half, c + half))
+            base, depth = nxt, 0
+            events.append((s, len(cur), cap))
+        else:
+            depth += 1
+            unit = scheme._sal.stage(depth).pieces
+            nxt = [(a + u * (b - a), a + v * (b - a)) for a, b in base for u, v in unit]
+        stages.append(nxt)
+    return [reference_union(p) for p in stages], events
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0.3, 0.5, 0.8, 1.0]), st.lists(st.integers(0, 1), max_size=6),
+       st.sampled_from([(0,), (1,), (0, 1)]), st.integers(0, 5))
+def test_fp_stages_equal_the_fraction_shrink_and_map(p, prefix, period, k):
+    scheme = FpScheme(p, BitSequence(prefix, period))
+    stages, events = reference_fp_stages(scheme, k)
+    assert [built(scheme.stage(j)) for j in range(k + 1)] == stages
+    assert scheme.shrink_events(k) == events
+
+
+def reference_measure(pieces) -> tuple:
+    """The measure constructor's pieces as built by Fraction compares, or its error."""
+    norm = []
+    for a, b, w in pieces:
+        fa, fb = F(a), F(b)
+        if fa > fb:
+            raise MeasureError("reversed support interval")
+        if w <= 0:
+            raise MeasureError("weights must be positive")
+        norm.append((fa, fb, float(w)))
+    if any(a2 < b1 for (_, b1, _), (a2, _, _) in zip(norm, norm[1:])):
+        norm.sort(key=lambda p: (p[0], p[1]))
+        for (a1, b1, _), (a2, b2, _) in zip(norm, norm[1:]):
+            if a2 < b1:
+                raise MeasureError(f"support pieces [{a1}, {b1}] and [{a2}, {b2}] overlap")
+    total = math.fsum(w for _, _, w in norm)
+    if abs(total - 1.0) > 1e-12:
+        raise MeasureError(f"weights sum to {total}, not 1")
+    return tuple(norm)
+
+
+def measure_outcome(build, *args):
+    try:
+        return build(*args)
+    except MeasureError as e:
+        return f"MeasureError: {e}"
+
+
+@st.composite
+def bad_measure_pieces(draw):
+    """A measure's pieces, shuffled or not, with a reversed, weightless,
+    overlapping or touching piece put in, or any piece."""
+    mu = draw(st.one_of(measures(), touching_measures()))
+    pieces = [(a, b, w) for a, b, w in mu.pieces]
+    if draw(st.booleans()):
+        draw(st.randoms(use_true_random=False)).shuffle(pieces)
+    a, b = sorted(draw(st.lists(rationals, min_size=2, max_size=2)))
+    kind = draw(st.sampled_from(["reversed", "weightless", "overlap", "touch", "any", "none"]))
+    w = draw(st.sampled_from([0.25, 0.0, -1.0])) if kind == "weightless" else 0.25
+    if kind == "reversed" and a < b:
+        a, b = b, a
+    elif kind == "overlap":
+        p = draw(st.sampled_from(pieces))
+        a, b = min(a, p[0]), max(b, p[0], p[1])
+    elif kind == "touch":
+        p = draw(st.sampled_from(pieces))
+        a, b = p[1], p[1] + abs(b - a)
+    if kind != "none":
+        pieces = [(x, y, v * 0.75) for x, y, v in pieces]
+        pieces.insert(draw(st.integers(0, len(pieces))), (a, b, w))
+    return pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad_measure_pieces())
+def test_measure_constructor_equals_the_fraction_checks(pieces):
+    def build(pieces):
+        mu = PiecewiseUniformMeasure(pieces)
+        D, lefts, rights = mu.int_ends
+        assert [(F(l, D), F(r, D)) for l, r in zip(lefts, rights)] == [(a, b) for a, b, _ in mu.pieces]
+        return mu.pieces
+
+    assert measure_outcome(build, pieces) == measure_outcome(reference_measure, pieces)
+
+
+def test_interval_reports_in_closed_form_equal_the_grid_partition():
+    scheme, U = IntervalScheme(), IntervalUnion.full()
+    for k in range(12):
+        assert scheme.report_of(k, U) == reference_report_of(scheme, k, U)
+
+
+@st.composite
+def tied_frostman_cases(draw):
+    """Unequal weights on lattice pieces (gapped, touching or atoms), with the
+    balls that cover whole runs of m pieces: for each m their bounds and masses
+    tie up to ulps, where pruning could skip the true max."""
+    n = draw(st.integers(2, 30))
+    step, length = draw(st.sampled_from([(2, 1), (1, 1), (1, 0)]))
+    N = draw(st.integers(1, 97))
+    raw = draw(st.lists(st.integers(1, draw(st.sampled_from([3, 1000]))), min_size=n, max_size=n))
+    mu = PiecewiseUniformMeasure([(F(step * k, N), F(step * k + length, N), v / sum(raw)) for k, v in enumerate(raw)])
+    centers, radii = [], []
+    for m in draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True)):
+        extent = F(step * (m - 1) + length, N)
+        radii.append(extent / 2 if extent else F(1, 10 * N))
+        centers += [F(step * i, N) + extent / 2 for i in range(n - m + 1)]
+    draw(st.randoms(use_true_random=False)).shuffle(centers)
+    return mu, centers, radii + draw(st.lists(positive_rationals, max_size=2))
+
+
+# weights 3, 2, 3, 2, 3 over 13: the two 4-piece runs tie at the bound, and
+# their masses differ in the last bit, so a pruning slack of 0 misses the max
+TIED = (PiecewiseUniformMeasure([(F(2 * k, 10), F(2 * k + 1, 10), v / 13) for k, v in enumerate([3, 2, 3, 2, 3])]),
+        [F(11, 20), F(7, 20)], [F(7, 20)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tied_frostman_cases(), frostman_cases()))
+@example(TIED)
+def test_pruned_sup_equals_max_over_every_centre(case):
+    mu, centers, radii = case
+    assert mu.max_ball_masses(centers, radii) == [max(mu.ball_mass(c, r) for c in centers) for r in radii]
+
+
+def test_pruned_sup_of_no_centre_raises_as_max_does():
+    mu = PiecewiseUniformMeasure([(F(0), F(1), 1.0)])
+    with pytest.raises(ValueError, match=r"max\(\) arg is an empty sequence"):
+        mu.max_ball_masses([], [F(1, 2)])
+    assert mu.max_ball_masses([], []) == []
