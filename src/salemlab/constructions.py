@@ -406,7 +406,7 @@ _SALPHA_CACHE: dict[tuple[float, int], SAlphaScheme] = {}
 
 
 def _shared_salpha(alpha: float, branching: int) -> SAlphaScheme:
-    key = (round(alpha, 12), branching)
+    key = (alpha, branching)  # exact: a rounded key hands one alpha's stages to its neighbours
     if key not in _SALPHA_CACHE:
         _SALPHA_CACHE[key] = SAlphaScheme(alpha, branching)
     return _SALPHA_CACHE[key]

@@ -1,10 +1,10 @@
 """Estimators for box-counting, covering-sum, ball-mass and Fourier-decay exponents.
 
-A Fourier fit evaluates the frequencies of all its bands in one vectorised
-sweep.  With SALEMLAB_THREADS > 1 a thread pool splits that sweep into
-contiguous slices; every frequency is computed on its own, so identical
-parameters and seed give identical output regardless of pool size.  numpy
-and the thread pool are imported where a sweep runs.
+A Fourier fit screens all its bands' frequencies in one cheap sweep and runs
+the exact kernel only where a band's supremum can be.  SALEMLAB_THREADS > 1
+splits the screen into contiguous slices on a thread pool; every frequency
+is computed on its own, so identical parameters and seed give identical
+output regardless of pool size.  numpy and the pool load where a sweep runs.
 """
 
 from __future__ import annotations
@@ -228,10 +228,11 @@ def fourier_decay_fit(
 
     Bands are the top `bands` dyadic intervals below xi_max; within each,
     the supremum is taken over jittered log-lattice samples plus the
-    measure's resonant candidates.  The frequencies of all bands go
-    through one `fourier_modulus_many` call (one per thread), and each band
-    takes the max of its slice.  The fitted exponent is the raw decay rate
-    (-2 * slope); clamp with `clamp_dimension` for the dimension estimate.
+    measure's resonant candidates.  One `fourier_screen` call (one per thread)
+    brackets each modulus; one `fourier_modulus_many` call on the frequencies
+    whose upper end reaches their band's best lower end, the arg-max among
+    them, gives each supremum as the exact kernel's float.  The fitted exponent
+    is the raw decay rate (-2 * slope); clamp it with `clamp_dimension`.
     """
     if bands < 4:
         raise FitError("need at least four bands")
@@ -253,10 +254,14 @@ def fourier_decay_fit(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            mods = np.concatenate(list(pool.map(mu.fourier_modulus_many, np.array_split(xis, threads))))
+            parts = list(pool.map(mu.fourier_screen, np.array_split(xis, threads)))
+        approx, slack = (np.concatenate(p) for p in zip(*parts))
     else:
-        mods = mu.fourier_modulus_many(xis)
-    sups = [float(np.max(m)) for m in np.split(mods, np.cumsum([len(b) for b in per_band])[:-1])]
+        approx, slack = mu.fourier_screen(xis)
+    cuts = np.cumsum([len(b) for b in per_band])[:-1]
+    keep = [a + s >= np.max(a - s) for a, s in zip(np.split(approx, cuts), np.split(slack, cuts))]
+    mods = mu.fourier_modulus_many(xis[np.concatenate(keep)])
+    sups = [float(np.max(m)) for m in np.split(mods, np.cumsum([np.count_nonzero(k) for k in keep])[:-1])]
     xs = [math.log(math.sqrt(lo * hi)) for lo, hi in edges]
     ys = [math.log(max(sup, 1e-300)) for sup in sups]
     slope, intercept, r2 = _least_squares(xs, ys)

@@ -174,6 +174,19 @@ class TestSweepCommand:
         assert head == "xi,re,im,modulus,config"
 
 
+@pytest.mark.parametrize("spec,stage", [("jarnik:1.0", "5"), ("cantor:3", "8")])
+def test_report_and_sweep_files_do_not_depend_on_the_thread_count(spec, stage, tmp_path, monkeypatch):
+    outputs = []
+    for threads in ("1", "2", "3", "4"):  # 3 gives uneven slices
+        monkeypatch.setenv("SALEMLAB_THREADS", threads)
+        d = tmp_path / threads
+        d.mkdir()
+        assert run(["report", spec, "--stage", stage, "--seed", "5", "--out", str(d / "rep")]) == 0
+        assert run(["sweep", spec, "--stage", stage, "--seed", "5", "--out", str(d / "sweep.csv")]) == 0
+        outputs.append([(d / name).read_bytes() for name in ("rep.csv", "rep_sweep.csv", "sweep.csv")])
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
 class TestExitCodes:
     def test_numeric_error_is_exit_three(self, tmp_path, capsys):
         # band count too large for the frequency ceiling -> fit error

@@ -197,6 +197,15 @@ class TestFp:
                 # the exact sum bound: every diam <= cap forces the sum there
                 assert all(d <= cap for d in diams)
 
+    def test_shared_salpha_keys_on_the_exact_alpha(self):
+        x = BitSequence.from_string("0110")
+        first = FpScheme(0.6, x)
+        first.stage(3)
+        near = FpScheme(0.6000000000000001, x)
+        assert near.alpha != first.alpha
+        assert near._sal.alpha == near.alpha
+        assert first._sal.alpha == first.alpha
+
     def test_shrink_bound_violation_detected(self):
         assert not shrink_bound_holds([F(1, 2), F(1, 2)], 3)
 

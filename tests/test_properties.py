@@ -1,6 +1,7 @@
 """Property tests: integer ball masses and Frostman sups, transform bounds, the
 vector transform kernels against the scalar and per-pair references, the
-stage-report memo, the exact geometry queries (point distance, Hausdorff
+Fourier screen within its slack and the screened fit against the per-band
+reference, the stage-report memo, the exact geometry queries (point distance, Hausdorff
 metric, radial lift, grid partition), the integer endpoint view and
 one-pass constructors, and the integer stage builders and the pruned
 Frostman sup, against the Fraction formulas, sorting constructors and
@@ -31,7 +32,7 @@ from salemlab.constructions import (
     radial_lift,
     shrink_cap,
 )
-from salemlab.dimension import default_frostman_centers, default_frostman_radii
+from salemlab.dimension import default_frostman_centers, default_frostman_radii, fourier_decay_fit
 from salemlab.geometry import (
     BoxUnion,
     GeometryError,
@@ -42,6 +43,7 @@ from salemlab.geometry import (
 )
 from salemlab.measures import MeasureError, PiecewiseUniformMeasure, SelfSimilarProductMeasure, natural_measure
 from salemlab.primes import next_prime
+from test_dimension import FIT_MEASURES, reference_band_fit
 
 
 def reference_ball_mass(mu: PiecewiseUniformMeasure, x: F, r: F) -> float:
@@ -267,6 +269,81 @@ def many_piece_measures(draw):
 def test_piecewise_kernel_is_bit_identical_to_the_per_pair_kernel(mu, xs):
     got = mu.fourier_eval_many(np.array(xs))
     assert got.tobytes() == reference_piecewise_eval_many(mu, np.array(xs)).tobytes()
+
+
+@st.composite
+def touching_measures(draw):
+    """Intervals that share endpoints with atoms on their ends, unequal weights."""
+    ends = sorted(draw(st.lists(rationals, min_size=2, max_size=14, unique=True)))
+    pieces = []
+    for a, b in zip(ends, ends[1:]):
+        if draw(st.booleans()):
+            pieces.append((a, a))
+        if draw(st.booleans()) or not pieces:
+            pieces.append((a, b))
+    raw = draw(st.lists(st.integers(1, 1000), min_size=len(pieces), max_size=len(pieces)))
+    return PiecewiseUniformMeasure([(a, b, v / sum(raw)) for (a, b), v in zip(pieces, raw)])
+
+
+@st.composite
+def screened_measures(draw):
+    """Piecewise measures of every shape, some pushed by an affine map that may
+    reverse them and move their centres below 0."""
+    mu = draw(st.one_of(measures(), touching_measures(), many_piece_measures()))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([-1, 1])) * draw(positive_rationals)
+        mu = mu.affine_pushforward(scale, draw(rationals) - 3)
+    return mu
+
+
+# frequencies where the slack is small, up to 2^40 where it passes 1, and the edges
+screen_xis = st.one_of(
+    st.floats(-(2.0**16), 2.0**16), st.floats(-(2.0**40), 2.0**40), st.sampled_from([0.0, -0.0, 1e-300, 2.0**40])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(screened_measures(), st.lists(screen_xis, min_size=1, max_size=300))
+def test_screen_is_within_its_slack_of_the_exact_kernel(mu, xs):
+    approx, slack = mu.fourier_screen(np.array(xs))
+    exact = mu.fourier_modulus_many(np.array(xs))
+    assert np.all(np.abs(approx - exact) <= slack)
+    if len(mu.pieces) == 1:  # one piece answers with the exact modulus
+        assert approx.tobytes() == exact.tobytes() and not slack.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_measures(), st.lists(edge_xis, min_size=1, max_size=40))
+def test_product_screen_is_the_exact_kernel(mu, xs):
+    approx, slack = mu.fourier_screen(np.array(xs))
+    assert approx.tobytes() == mu.fourier_modulus_many(np.array(xs)).tobytes() and not slack.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(screened_measures(), product_measures()),
+    st.lists(screen_xis, min_size=1, max_size=300),
+    st.randoms(use_true_random=False),
+)
+def test_exact_kernel_gives_a_frequency_the_same_float_alone_or_in_a_batch(mu, xs, rng):
+    """The screened fit reads survivors' moduli from a smaller batch than the sweep's."""
+    xis = np.array(xs)
+    batch = mu.fourier_modulus_many(xis)
+    subset = np.array(sorted(rng.sample(range(len(xs)), rng.randint(1, len(xs)))))
+    assert mu.fourier_modulus_many(xis[subset]).tobytes() == batch[subset].tobytes()
+    i = rng.randrange(len(xs))
+    assert mu.fourier_modulus_many(xis[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.sampled_from(sorted(FIT_MEASURES)), many_piece_measures(), touching_measures()),
+    st.integers(0, 2**20),
+    st.sampled_from([2.0**12, 2.0**16, 2.0**28, 2.0**40]),
+)
+def test_screened_fit_equals_the_per_band_reference(mu, seed, xi_max):
+    mu = FIT_MEASURES[mu]() if isinstance(mu, str) else mu
+    assert fourier_decay_fit(mu, xi_max, seed=seed) == reference_band_fit(mu, seed, xi_max)
 
 
 SPECS = {
