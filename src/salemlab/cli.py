@@ -322,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # last resort for a stage too large to build
         print("error: out of memory", file=sys.stderr)
         return 3
+    except OSError as e:  # an output file that cannot be written (reads raise SpecParseError)
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .bitseq import BitMatrix, BitSequence, ZERO_SEQ, p3_member, phi_transform, q2_member
-from .geometry import BoxUnion, IntervalUnion, as_fraction
+from .geometry import ONE, ZERO, BoxUnion, IntervalUnion, as_fraction
 from .primes import next_prime, primes_in_range
 
 __all__ = [
@@ -50,9 +50,6 @@ __all__ = [
     "radial_reports",
     "shrink_cap",
     "shrink_bound_holds",
-    "phi_transform",
-    "q2_member",
-    "p3_member",
 ]
 
 
@@ -192,7 +189,7 @@ class GeneralizedCantorScheme(Scheme):
         self.name = name
         self._sched = lengths
         self._lengths: list[Fraction] = [Fraction(1)]
-        self._stages: list[list[tuple[Fraction, Fraction]]] = [[(Fraction(0), Fraction(1))]]
+        self._stages: list[tuple[int, list[int]]] = [(1, [0])]  # D and the left numerators over D
 
     @classmethod
     def for_dimension(cls, p: float) -> "GeneralizedCantorScheme":
@@ -211,19 +208,20 @@ class GeneralizedCantorScheme(Scheme):
             self._lengths.append(min(self._sched(j), self._lengths[j - 1] / 2))
 
     def _ensure(self, k: int) -> None:
+        """A parent [a, a + P] spawns the left ends a and a + P - L, over E = lcm(D, den L)."""
         self._ensure_lengths(k)
         while len(self._stages) <= k:
             j = len(self._stages)
-            ell = self._lengths[j]
-            nxt = []
-            for a, b in self._stages[j - 1]:
-                nxt.append((a, a + ell))
-                nxt.append((b - ell, b))
-            self._stages.append(nxt)
+            D, lefts = self._stages[-1]
+            E = math.lcm(D, self._lengths[j].denominator)
+            s, step = E // D, int((self._lengths[j - 1] - self._lengths[j]) * E)
+            self._stages.append((E, [m for a in lefts for m in (a * s, a * s + step)]))
 
     def stage(self, k: int) -> IntervalUnion:
         self._ensure(k)
-        return IntervalUnion.from_intervals(self._stages[k])
+        D, lefts = self._stages[k]
+        L = int(self._lengths[k] * D)
+        return IntervalUnion._merged([(D, lefts, [a + L for a in lefts])], (ZERO, ONE))
 
     def decay_measure(self, k: int, natural=None):
         from . import measures
@@ -286,13 +284,12 @@ def _jarnik_stage_cached(alpha: float, j: int) -> IntervalUnion:
         raise ConstructionError("block index must be >= 1")
     primes = primes_in_range(2**j, 2 ** (j + 1))
     assert primes, "dyadic prime block is never empty for j >= 1"
-    intervals = []
+    views = []
     for q in primes:
         r = _radius(q, alpha)
-        for p in range(q + 1):
-            c = Fraction(p, q)
-            intervals.append((c - r, c + r))
-    return IntervalUnion.from_intervals(intervals)
+        rn, rd = r.numerator * q, r.denominator  # [p/q - r, p/q + r] over q * rd
+        views.append((q * rd, [p * rd - rn for p in range(q + 1)], [p * rd + rn for p in range(q + 1)]))
+    return IntervalUnion._merged(views, (ZERO, ONE))
 
 
 class JarnikScheme(Scheme):
@@ -538,11 +535,10 @@ def block_interval(m: int) -> tuple[Fraction, Fraction]:
     return (Fraction(1, 2 ** (m + 1)), Fraction(1, 2**m))
 
 
-def _tower(tail: tuple[Fraction, Fraction], blocks: Iterable[IntervalUnion]) -> IntervalUnion:
-    """The tail piece at 0, then the blocks from the one nearest 0: the pieces arrive in order
-    and merge on the blocks' integer views."""
-    views = [IntervalUnion([tail]).int_ends, *(U.int_ends for U in blocks)]
-    return IntervalUnion._merged(views, (Fraction(0), Fraction(1)))
+def _tower(tail: tuple[int, list[int], list[int]], blocks: Iterable[IntervalUnion]) -> IntervalUnion:
+    """The tail piece at 0 (an integer view), then the blocks from the one nearest 0: the pieces
+    arrive in order and merge on the blocks' integer views."""
+    return IntervalUnion._merged([tail, *(U.int_ends for U in blocks)], (ZERO, ONE))
 
 
 class BlockTower(Scheme):
@@ -576,7 +572,7 @@ class BlockTower(Scheme):
     def stage(self, k: int) -> IntervalUnion:
         if k < 0:
             raise ConstructionError("stage must be nonnegative")
-        return _tower((Fraction(0), Fraction(1, 2 ** (k + 1))), (self.block_union(m, k) for m in range(k, -1, -1)))
+        return _tower((2 ** (k + 1), [0], [1]), (self.block_union(m, k) for m in range(k, -1, -1)))
 
     def report_of(self, k: int, union: IntervalUnion) -> StageReport:
         """Stage statistics with the accumulation tail excluded.
@@ -725,7 +721,7 @@ class WeihrauchScheme(Scheme):
         if depth < 0:
             raise ConstructionError("depth must be nonnegative")
         blocks = (self.block_union(k, depth) for k in range(len(self._blocks) - 1, -1, -1))
-        return _tower((Fraction(0), Fraction(0)), blocks)
+        return _tower((1, [0], [0]), blocks)
 
 
 def weihrauch_encode(
@@ -756,10 +752,11 @@ def radial_lift(A: IntervalUnion, d: int = 2, resolution=Fraction(1, 16)) -> Box
     res = as_fraction(resolution)
     if res <= 0:
         raise ConstructionError("resolution must be positive")
-    res2 = res * res
-    kept = [(max(a, 0), b) for a, b in A.pieces if b >= 0]
-    floors = [math.floor(b * b / res2) for _, b in kept]
-    ceils = [math.ceil(a * a / res2) for a, _ in kept]
+    D, lefts, rights = A.int_ends
+    den = (D * res.numerator) ** 2  # e²/res² = (n * den res)² / den for an endpoint e = n/D
+    kept = [(max(l, 0) * res.denominator, r * res.denominator) for l, r in zip(lefts, rights) if r >= 0]
+    floors = [b * b // den for _, b in kept]
+    ceils = [-(a * a // -den) for a, _ in kept]
     n = math.ceil(1 / res)
     cols = []  # per grid column: its side, squared grid index of its end nearer 0 and farther
     for i in range(-n, n):

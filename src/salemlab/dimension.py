@@ -13,10 +13,10 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .constructions import Scheme, StageReport
-from .geometry import IntervalUnion
+from .geometry import IntervalUnion, diameter
 from .measures import Measure, PiecewiseUniformMeasure, natural_measure
 
 if TYPE_CHECKING:
@@ -93,19 +93,11 @@ def covering_sum(cover, s: float) -> float:
     """
     if s < 0:
         raise FitError("exponent must be nonnegative")
-    diams: list[float] = []
-    if isinstance(cover, IntervalUnion):
-        elements: Iterable = cover.pieces
+    if isinstance(cover, IntervalUnion):  # int true division: the floats of the Fraction diameters
+        D, lefts, rights = cover.int_ends
+        diams = [(r - l) / D for l, r in zip(lefts, rights)]
     else:
-        elements = cover
-    for e in elements:
-        if isinstance(e, IntervalUnion):
-            from .geometry import diameter
-
-            diams.append(float(diameter(e)))
-        else:
-            a, b = e
-            diams.append(float(Fraction(b) - Fraction(a)) if not isinstance(b, Fraction) else float(b - a))
+        diams = [float(diameter(e) if isinstance(e, IntervalUnion) else Fraction(e[1]) - Fraction(e[0])) for e in cover]
     return math.fsum(d**s for d in diams)
 
 

@@ -2,14 +2,14 @@
 
 All set values are immutable after construction and every operation is a
 pure function, so they are safe to share across threads.  Endpoints are
-`fractions.Fraction` throughout: the distance and containment questions
-asked by the staged constructions reduce to endpoint comparisons, which we
+exact rationals throughout: the distance and containment questions asked
+by the staged constructions reduce to endpoint comparisons, which we
 therefore answer exactly.  Floating point appears only where a quantity is
-genuinely irrational (box diagonals).  A union's integer view, `int_ends`,
-is built with it and serves the layers that read per-piece quantities;
-constructors check pieces on it, in one pass over sorted input, and sort
-only input that is out of order.  Builders work on numerators and make
-each output endpoint a Fraction once.
+genuinely irrational (box diagonals).  A union stores its endpoints only as
+its integer view, `int_ends`: constructors check pieces on it, in one pass
+over sorted input, and sort only input that is out of order.  Builders and
+the hot readers (metric, partition, JSON) work on numerators; the
+`Fraction` pieces are derived on first read.
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_ratio(n: int, d: int) -> str:
+    """`format_fraction` of n/d (d > 0) without building the Fraction."""
+    g = math.gcd(n, d)
+    return f"{n // g}/{d // g}"
+
+
 class GeometryError(ValueError):
     """Domain error raised by geometric operations."""
 
@@ -53,6 +59,12 @@ def integer_ends(pieces: Iterable[Sequence]) -> tuple[int, list[int], list[int]]
     D = math.lcm(*{e.denominator for e in ends})
     nums = [e.numerator * (D // e.denominator) for e in ends]
     return D, nums[0::2], nums[1::2]
+
+
+def view_pieces(ints: tuple[int, list[int], list[int]], *columns: Iterable) -> tuple:
+    """The pieces (l/D, r/D, *one entry per column) of an integer view, with Fraction ends."""
+    D, lefts, rights = ints
+    return tuple(zip([Fraction(l, D) for l in lefts], [Fraction(r, D) for r in rights], *columns))
 
 
 @dataclass(frozen=True)
@@ -80,25 +92,26 @@ class IntervalUnion:
     Pieces are kept pairwise disjoint and sorted; degenerate pieces [a, a]
     are allowed.  The ambient interval (`space`) is carried explicitly so
     that the empty set has a well-defined "far apart" distance surrogate.
-    `int_ends`, built with the union, is its integer view: the common
-    denominator D of the endpoints and the left and right numerators over D.
+    The endpoints are stored only as `int_ends`, the integer view: the lcm D
+    of their reduced denominators and the left and right numerators over D.
+    The view is canonical, so equal unions have equal views; `pieces`, the
+    Fraction pairs, is derived from it on first read.
     """
 
-    __slots__ = ("space", "pieces", "int_ends")
+    __slots__ = ("space", "int_ends", "_pieces")
 
     def __init__(
         self,
         pieces: Iterable[tuple[RationalLike, RationalLike]],
-        space: tuple[RationalLike, RationalLike] = (0, 1),
+        space: tuple[RationalLike, RationalLike] = (ZERO, ONE),
     ) -> None:
-        norm = [(as_fraction(a), as_fraction(b)) for a, b in pieces]
-        self._set(space, norm, integer_ends(norm))
+        self._set(space, integer_ends([(as_fraction(a), as_fraction(b)) for a, b in pieces]))
 
     @classmethod
     def _of_ints(
-        cls, D: int, lefts: list[int], rights: list[int], space: tuple[RationalLike, RationalLike] = (0, 1)
+        cls, D: int, lefts: list[int], rights: list[int], space: tuple[RationalLike, RationalLike] = (ZERO, ONE)
     ) -> "IntervalUnion":
-        """The checked constructor on the pieces [l/D, r/D]; each endpoint becomes a Fraction once.
+        """The checked constructor on the pieces [l/D, r/D].
 
         Dividing by g = gcd(D, every numerator) leaves D the lcm of the reduced
         endpoint denominators, the union's integer view.
@@ -107,11 +120,11 @@ class IntervalUnion:
         if g > 1:
             D, lefts, rights = D // g, [l // g for l in lefts], [r // g for r in rights]
         U = cls.__new__(cls)
-        U._set(space, [(Fraction(l, D), Fraction(r, D)) for l, r in zip(lefts, rights)], (D, lefts, rights))
+        U._set(space, (D, lefts, rights))
         return U
 
-    def _set(self, space: tuple, pieces: list, ints: tuple[int, list[int], list[int]]) -> None:
-        """Check the pieces on their numerators, sort them only if out of order, and store them with the view."""
+    def _set(self, space: tuple, ints: tuple[int, list[int], list[int]]) -> None:
+        """Check the pieces on their numerators, sort them only if out of order, and store the view."""
         lo, hi = as_fraction(space[0]), as_fraction(space[1])
         if lo >= hi:
             raise GeometryError("space bound must be nondegenerate")
@@ -121,21 +134,27 @@ class IntervalUnion:
             all(map(le, lefts, rights))
             and (not lefts or (min(lefts) * lo.denominator >= lon and max(rights) * hi.denominator <= hin))
         ):
-            for (fa, fb), l, r in zip(pieces, lefts, rights):  # the first bad piece in input order
-                if l > r:
-                    raise GeometryError(f"interval [{fa}, {fb}] reversed")
-                if l * lo.denominator < lon or r * hi.denominator > hin:
-                    raise GeometryError(f"piece [{fa}, {fb}] outside space [{lo}, {hi}]")
+            for a, b in zip(lefts, rights):  # the first bad piece in input order
+                if a > b:
+                    raise GeometryError(f"interval [{Fraction(a, D)}, {Fraction(b, D)}] reversed")
+                if a * lo.denominator < lon or b * hi.denominator > hin:
+                    raise GeometryError(f"piece [{Fraction(a, D)}, {Fraction(b, D)}] outside space [{lo}, {hi}]")
         if not all(map(lt, rights, lefts[1:])):  # out of order or overlapping
-            order = sorted(range(len(pieces)), key=lambda i: (lefts[i], rights[i]))
-            pieces = [pieces[i] for i in order]
+            order = sorted(range(len(lefts)), key=lambda i: (lefts[i], rights[i]))
             ints = D, lefts, rights = D, [lefts[i] for i in order], [rights[i] for i in order]
-            for (a1, b1), (a2, _), r1, l2 in zip(pieces, pieces[1:], rights, lefts[1:]):
-                if l2 <= r1:
+            for a1, b1, a2 in zip(lefts, rights, lefts[1:]):
+                if a2 <= b1:
+                    a1, b1, a2 = Fraction(a1, D), Fraction(b1, D), Fraction(a2, D)
                     raise GeometryError(f"pieces [{a1},{b1}] and starting {a2} not disjoint")
         object.__setattr__(self, "space", (lo, hi))
-        object.__setattr__(self, "pieces", tuple(pieces))
         object.__setattr__(self, "int_ends", ints)
+
+    @property
+    def pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The pieces as sorted Fraction pairs, derived from `int_ends` on first read and kept."""
+        if not hasattr(self, "_pieces"):
+            object.__setattr__(self, "_pieces", view_pieces(self.int_ends))
+        return self._pieces
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("IntervalUnion is immutable")
@@ -144,7 +163,7 @@ class IntervalUnion:
     def from_intervals(
         cls,
         intervals: Iterable[tuple[RationalLike, RationalLike]],
-        space: tuple[RationalLike, RationalLike] = (0, 1),
+        space: tuple[RationalLike, RationalLike] = (ZERO, ONE),
     ) -> "IntervalUnion":
         """Build a union from possibly overlapping closed intervals.
 
@@ -179,73 +198,54 @@ class IntervalUnion:
         return cls._of_ints(D, ml, mr, space)
 
     @classmethod
-    def empty(cls, space: tuple[RationalLike, RationalLike] = (0, 1)) -> "IntervalUnion":
+    def empty(cls, space: tuple[RationalLike, RationalLike] = (ZERO, ONE)) -> "IntervalUnion":
         return cls([], space=space)
 
     @classmethod
-    def full(cls, space: tuple[RationalLike, RationalLike] = (0, 1)) -> "IntervalUnion":
+    def full(cls, space: tuple[RationalLike, RationalLike] = (ZERO, ONE)) -> "IntervalUnion":
         return cls([space], space=space)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return not self.pieces
+        return not self.int_ends[1]
 
     def __len__(self) -> int:
-        return len(self.pieces)
+        return len(self.int_ends[1])
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntervalUnion)
-            and self.space == other.space
-            and self.pieces == other.pieces
-        )
+        return isinstance(other, IntervalUnion) and self.space == other.space and self.int_ends == other.int_ends
 
     def __hash__(self) -> int:
-        return hash((self.space, self.pieces))
+        return hash((self.space, self.int_ends[0], *map(tuple, self.int_ends[1:])))
 
     def __repr__(self) -> str:
-        inner = " u ".join(f"[{a},{b}]" for a, b in self.pieces[:4])
-        if len(self.pieces) > 4:
-            inner += f" ... ({len(self.pieces)} pieces)"
+        D, lefts, rights = self.int_ends
+        inner = " u ".join(f"[{Fraction(l, D)},{Fraction(r, D)}]" for l, r in zip(lefts[:4], rights[:4]))
+        if len(lefts) > 4:
+            inner += f" ... ({len(lefts)} pieces)"
         return f"IntervalUnion({inner or 'empty'})"
 
-    def total_length(self) -> Fraction:
-        return sum((b - a for a, b in self.pieces), ZERO)
-
     def contains_point(self, x: RationalLike) -> bool:
-        fx = as_fraction(x)
-        D, lefts, _ = self.int_ends
-        i = bisect_right(lefts, fx.numerator * D, key=lambda l: l * fx.denominator)  # pieces[:i] start at or before x
-        return i > 0 and fx <= self.pieces[i - 1][1]
+        return not self.is_empty and self.point_distance(x) == 0
 
     def subset_of(self, other: "IntervalUnion") -> bool:
-        """Exact containment: every piece of self lies in a piece of other."""
-        j = 0
-        for a, b in self.pieces:
-            while j < len(other.pieces) and other.pieces[j][1] < a:
-                j += 1
-            if j >= len(other.pieces):
-                return False
-            oa, ob = other.pieces[j]
-            if not (oa <= a and b <= ob):
-                return False
-        return True
+        """Exact containment: every piece of self lies in the last piece of other starting at or before it."""
+        (D, lefts, rights), (E, ol, orr) = self.int_ends, other.int_ends  # compared over D*E
+        last = [bisect_right(ol, a * E, key=lambda l: l * D) - 1 for a in lefts]
+        return all(j >= 0 and b * E <= orr[j] * D for j, b in zip(last, rights))
 
     def point_distance(self, x: RationalLike) -> Fraction:
         """Exact d(x, self) from the pieces on either side of x; raises on the empty set."""
         if self.is_empty:
             raise GeometryError("distance to the empty set is undefined")
         fx = as_fraction(x)
-        D, lefts, _ = self.int_ends
-        i = bisect_right(lefts, fx.numerator * D, key=lambda l: l * fx.denominator)
-        if i == 0:
-            return self.pieces[0][0] - fx
-        b = self.pieces[i - 1][1]
-        if fx <= b:
-            return ZERO
-        return fx - b if i == len(lefts) else min(fx - b, self.pieces[i][0] - fx)
+        D, lefts, rights = self.int_ends
+        q, X = fx.denominator, fx.numerator * D  # over D*q: x is X, an endpoint e is e*q
+        i = bisect_right(lefts, X, key=lambda l: l * q)  # pieces[:i] start at or before x
+        near = ([lefts[i] * q - X] if i < len(lefts) else []) + ([max(X - rights[i - 1] * q, 0)] if i else [])
+        return Fraction(min(near), D * q)
 
     # -- transformations ---------------------------------------------------
 
@@ -285,10 +285,11 @@ class IntervalUnion:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
+        D, lefts, rights = self.int_ends
         return json.dumps(
             {
                 "space": [format_fraction(self.space[0]), format_fraction(self.space[1])],
-                "pieces": [[format_fraction(a), format_fraction(b)] for a, b in self.pieces],
+                "pieces": [[format_ratio(l, D), format_ratio(r, D)] for l, r in zip(lefts, rights)],
             }
         )
 
@@ -395,19 +396,36 @@ def _absorb_contained(boxes: list[tuple]) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def one_sided_distance(src: IntervalUnion, dst: IntervalUnion) -> Fraction:
-    """sup_{x in src} d(x, dst), exact.
+def _one_sided(src: IntervalUnion, dst: IntervalUnion) -> tuple[int, int]:
+    """sup_{x in src} d(x, dst) as an int over E = 2 lcm(D_src, D_dst), and E.
 
     d(., dst) is piecewise linear with breakpoints at dst endpoints and at
     midpoints of dst gaps, so the sup over the closed union src is attained
-    at a src endpoint or at a breakpoint lying inside src.
+    at a src endpoint or at a breakpoint lying inside src.  Over the even
+    scale E the midpoints are ints, and each candidate looks only at the
+    dst pieces on either side of it.
     """
-    candidates = [e for piece in src.pieces for e in piece]
-    for (_, b1), (a2, _) in zip(dst.pieces, dst.pieces[1:]):
-        mid = (b1 + a2) / 2
-        if src.contains_point(mid):
+    (Ds, sl, sr), (Dd, dl, dr) = src.int_ends, dst.int_ends
+    L = math.lcm(Ds, Dd)
+    s, d = 2 * (L // Ds), 2 * (L // Dd)
+    sl, sr, dl, dr = [a * s for a in sl], [b * s for b in sr], [a * d for a in dl], [b * d for b in dr]
+    candidates = sl + sr
+    for mid in ((b1 + a2) // 2 for b1, a2 in zip(dr, dl[1:])):
+        i = bisect_right(sl, mid)
+        if i and mid <= sr[i - 1]:
             candidates.append(mid)
-    return max(dst.point_distance(x) for x in candidates)
+    best = 0
+    for x in candidates:
+        i = bisect_right(dl, x)
+        best = max(best, min(([dl[i] - x] if i < len(dl) else []) + ([max(x - dr[i - 1], 0)] if i else [])))
+    return best, 2 * L
+
+
+def one_sided_distance(src: IntervalUnion, dst: IntervalUnion) -> Fraction:
+    """sup_{x in src} d(x, dst), exact; raises on an empty src or dst."""
+    if src.is_empty or dst.is_empty:
+        raise GeometryError("one-sided distance needs two nonempty unions")
+    return Fraction(*_one_sided(src, dst))
 
 
 def hausdorff_metric(A: IntervalUnion, B: IntervalUnion) -> HausdorffDistance:
@@ -415,6 +433,7 @@ def hausdorff_metric(A: IntervalUnion, B: IntervalUnion) -> HausdorffDistance:
 
     Empty-set cases follow the three-way metric definition, with the
     diameter of the ambient space standing in for the infinite distance.
+    Both one-sided sups are ints over 2 lcm(D_A, D_B); one Fraction is made.
     """
     if A.space != B.space:
         raise GeometryError("operands must share the same space bound")
@@ -422,7 +441,8 @@ def hausdorff_metric(A: IntervalUnion, B: IntervalUnion) -> HausdorffDistance:
         return HausdorffDistance(ZERO)
     if A.is_empty or B.is_empty:
         return HausdorffDistance(A.space[1] - A.space[0])
-    return HausdorffDistance(max(one_sided_distance(A, B), one_sided_distance(B, A)))
+    (ab, E), (ba, _) = _one_sided(A, B), _one_sided(B, A)
+    return HausdorffDistance(Fraction(max(ab, ba), E))
 
 
 def _box_vertices(box) -> list[tuple[Fraction, ...]]:
@@ -528,7 +548,8 @@ def diameter(A: Union[IntervalUnion, BoxUnion]) -> Union[Fraction, float]:
     if isinstance(A, IntervalUnion):
         if A.is_empty:
             return ZERO
-        return A.pieces[-1][1] - A.pieces[0][0]
+        D, lefts, rights = A.int_ends
+        return Fraction(rights[-1] - lefts[0], D)
     if A.is_empty:
         return ZERO
     vertices: list[tuple[Fraction, ...]] = []
@@ -609,25 +630,29 @@ def simplex_partition_1d(A: IntervalUnion, grid: RationalLike) -> list[IntervalU
     Consecutive outputs overlap in at most one point.  A cell whose
     intersection is already contained in the previous output (a shared
     boundary point) is skipped, so re-unioning the outputs gives back A
-    exactly without redundant singleton cells.
+    exactly without redundant singleton cells.  Cells are cut on
+    numerators over E = lcm(D, den grid).
     """
     g = as_fraction(grid)
     if g <= 0:
         raise GeometryError("grid step must be positive")
     if A.is_empty:
         return []
-    pieces = A.pieces
-    rights = [b for _, b in pieces]
+    D, lefts, rights = A.int_ends
+    E = math.lcm(D, g.denominator)
+    s, G = E // D, g.numerator * (E // g.denominator)  # cell n is [n*G, (n+1)*G] over E
+    lefts, rights = [l * s for l in lefts], [r * s for r in rights]
     out: list[IntervalUnion] = []
-    bounds = [n * g for n in range(pieces[0][0] // g, rights[-1] // g + 2)]
-    for c0, c1 in zip(bounds, bounds[1:]):
+    for n in range(lefts[0] // G, rights[-1] // G + 1):
+        c0, c1 = n * G, (n + 1) * G
         k = bisect_left(rights, c0)  # first piece ending at or past the cell start
-        cut = []
-        while k < len(pieces) and pieces[k][0] <= c1:
-            a, b = pieces[k]
-            cut.append((max(a, c0), min(b, c1)))
+        cl, cr = [], []
+        while k < len(lefts) and lefts[k] <= c1:
+            cl.append(max(lefts[k], c0))
+            cr.append(min(rights[k], c1))
             k += 1
-        cell = IntervalUnion(cut, space=A.space)
-        if cut and not (out and cell.subset_of(out[-1])):
-            out.append(cell)
+        # the previous output is the cell before's cut, which holds c0 if A does:
+        # this cut lies in it exactly when it is the point c0
+        if cl and not (out and cl == cr == [c0]):
+            out.append(IntervalUnion._of_ints(E, cl, cr, A.space))
     return out

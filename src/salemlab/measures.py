@@ -1,10 +1,11 @@
 """Probability measures with closed-form Fourier transforms.
 
-Geometry stays rational, weights are floats; a piecewise-uniform measure's
-masses and float views read its integer view, `int_ends`, which
-`natural_measure` takes from its union.  Piecewise-uniform scalar
-transforms are summed with math.fsum, independent of piece order; their
-vector sweeps have a fixed accumulation order.  The product measure's
+Geometry stays rational, weights are floats; a piecewise-uniform measure
+stores its endpoints only as its integer view, `int_ends` (taken from the
+union by `natural_measure`), which every mass, float view and transform
+reads; its Fraction `pieces` are derived on first read.  Piecewise-uniform
+scalar transforms are summed with math.fsum, independent of piece order;
+their vector sweeps have a fixed accumulation order.  The product measure's
 vector sweep gives the floats of its scalar product, modulus by hypot.
 numpy is imported by the sweeps only, so ball masses and the CLI's
 non-transform commands do not pay for it.
@@ -22,7 +23,7 @@ from itertools import accumulate
 from operator import le
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .geometry import IntervalUnion, as_fraction, integer_ends
+from .geometry import IntervalUnion, as_fraction, format_ratio, integer_ends, view_pieces
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,32 +64,38 @@ class PiecewiseUniformMeasure:
 
     def __init__(self, pieces: Iterable[tuple[Fraction, Fraction, float]]) -> None:
         norm = [(as_fraction(a), as_fraction(b), w) for a, b, w in pieces]
-        self._set(norm, integer_ends(norm))
+        self._set(integer_ends(norm), [w for _, _, w in norm])
 
-    def _set(self, norm: list, ints: tuple[int, list[int], list[int]]) -> None:
-        """Check the pieces on their numerators, sort them only if out of order, and store them with the view."""
+    def _set(self, ints: tuple[int, list[int], list[int]], weights: list) -> None:
+        """Check the pieces on their numerators, sort them only if out of order, and store the view and weights."""
         D, lefts, rights = ints
-        if not (all(map(le, lefts, rights)) and all(w > 0 for _, _, w in norm)):
-            for l, r, (_, _, w) in zip(lefts, rights, norm):  # the first bad piece in input order
+        if not (all(map(le, lefts, rights)) and all(w > 0 for w in weights)):
+            for l, r, w in zip(lefts, rights, weights):  # the first bad piece in input order
                 if l > r:
                     raise MeasureError("reversed support interval")
                 if w <= 0:
                     raise MeasureError("weights must be positive")
-        norm = [(a, b, float(w)) for a, b, w in norm]
+        weights = [float(w) for w in weights]
         if not all(map(le, rights, lefts[1:])):  # out of order or overlapping
-            order = sorted(range(len(norm)), key=lambda i: (lefts[i], rights[i]))
-            norm = [norm[i] for i in order]
+            order = sorted(range(len(weights)), key=lambda i: (lefts[i], rights[i]))
+            weights = [weights[i] for i in order]
             ints = D, lefts, rights = D, [lefts[i] for i in order], [rights[i] for i in order]
-            for (a1, b1, _), (a2, b2, _), r1, l2 in zip(norm, norm[1:], rights, lefts[1:]):
+            for l1, r1, l2, r2 in zip(lefts, rights, lefts[1:], rights[1:]):
                 if l2 < r1:
+                    a1, b1, a2, b2 = (Fraction(e, D) for e in (l1, r1, l2, r2))
                     raise MeasureError(f"support pieces [{a1}, {b1}] and [{a2}, {b2}] overlap")
-        total = math.fsum(w for _, _, w in norm)
+        total = math.fsum(weights)
         if abs(total - 1.0) > 1e-12:
             raise MeasureError(f"weights sum to {total}, not 1")
-        self.pieces = tuple(norm)
         self.int_ends = ints  # common denominator D and the endpoint numerators over D
+        self.weights = weights
         self._lengths: list[float] | None = None  # see resonant_frequencies
-        self._cumw = [0.0, *accumulate(w for _, _, w in norm)]
+        self._cumw = [0.0, *accumulate(weights)]
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[Fraction, Fraction, float], ...]:
+        """The pieces (a, b, w) with Fraction ends, derived from `int_ends` on first read."""
+        return view_pieces(self.int_ends, self.weights)
 
     @cached_property
     def _arrays(self) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
@@ -100,7 +107,7 @@ class PiecewiseUniformMeasure:
 
         D, lefts, rights = self.int_ends
         D2 = 2 * D  # int true division rounds correctly: the floats of (b - a)/2 and (a + b)/2
-        pairs = [((r - l) / D2, w) for l, r, (_, _, w) in zip(lefts, rights, self.pieces)]
+        pairs = [((r - l) / D2, w) for l, r, w in zip(lefts, rights, self.weights)]
         index = {p: k for k, p in enumerate(dict.fromkeys(pairs))}
         return (
             np.array([(l + r) / D2 for l, r in zip(lefts, rights)]),
@@ -110,7 +117,7 @@ class PiecewiseUniformMeasure:
         )
 
     def __repr__(self) -> str:
-        return f"PiecewiseUniformMeasure({len(self.pieces)} pieces)"
+        return f"PiecewiseUniformMeasure({len(self.weights)} pieces)"
 
     # -- transform ----------------------------------------------------------
 
@@ -118,9 +125,9 @@ class PiecewiseUniformMeasure:
         """Exact closed form: sum of w * e^(-i xi (a+b)/2) * sinc(xi (b-a)/2)."""
         re = []
         im = []
-        for a, b, w in self.pieces:
-            c = float((a + b) / 2)
-            h = float((b - a) / 2)
+        D, lefts, rights = self.int_ends
+        for l, r, w in zip(lefts, rights, self.weights):
+            c, h = (l + r) / (2 * D), (r - l) / (2 * D)  # the floats of (a + b)/2 and (b - a)/2
             mod = w * _sinc(xi * h)
             re.append(mod * math.cos(xi * c))
             im.append(-mod * math.sin(xi * c))
@@ -129,9 +136,9 @@ class PiecewiseUniformMeasure:
     def fourier_modulus(self, xi: float) -> float:
         # single piece: the phase factor is unimodular, so the modulus is
         # exactly w * |sinc|; this keeps atoms at modulus w without rounding
-        if len(self.pieces) == 1:
-            a, b, w = self.pieces[0]
-            return w * abs(_sinc(xi * float((b - a) / 2)))
+        if len(self.weights) == 1:
+            D, (l,), (r,) = self.int_ends
+            return self.weights[0] * abs(_sinc(xi * ((r - l) / (2 * D))))
         return abs(self.fourier_eval(xi))
 
     def fourier_eval_many(self, xis: "np.ndarray") -> "np.ndarray":
@@ -159,7 +166,7 @@ class PiecewiseUniformMeasure:
         return out
 
     def fourier_modulus_many(self, xis: "np.ndarray") -> "np.ndarray":
-        return self.fourier_screen(xis)[0] if len(self.pieces) == 1 else abs(self.fourier_eval_many(xis))
+        return self.fourier_screen(xis)[0] if len(self.weights) == 1 else abs(self.fourier_eval_many(xis))
 
     def fourier_screen(self, xis: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
         """Approximate |mu^(xi)| and a slack bounding its distance from
@@ -176,9 +183,9 @@ class PiecewiseUniformMeasure:
         import numpy as np
 
         xis = np.asarray(xis, dtype=float)
-        if len(self.pieces) == 1:  # the phase is unimodular: w |sinc| is the modulus
-            a, b, w = self.pieces[0]
-            return w * np.abs(np.sinc(xis * float((b - a) / 2) / np.pi)), np.zeros(len(xis))
+        if len(self.weights) == 1:  # the phase is unimodular: w |sinc| is the modulus
+            D, (l,), (r,) = self.int_ends
+            return self.weights[0] * np.abs(np.sinc(xis * ((r - l) / (2 * D)) / np.pi)), np.zeros(len(xis))
         centers, halves, weights, index = self._arrays
         out = np.empty(len(xis))
         for r in range(0, len(xis), 128):
@@ -208,7 +215,7 @@ class PiecewiseUniformMeasure:
         if self._lengths is None:
             by_len: dict[float, float] = {}
             D, lefts, rights = self.int_ends
-            for l, r, (_, _, w) in zip(lefts, rights, self.pieces):
+            for l, r, w in zip(lefts, rights, self.weights):
                 if r > l:
                     key = (r - l) / D
                     by_len[key] = by_len.get(key, 0.0) + w
@@ -232,7 +239,7 @@ class PiecewiseUniformMeasure:
     @cached_property
     def _terms(self) -> list[tuple[float, int, int]]:
         """Each piece's weight and that float's integer ratio."""
-        return [(w, *w.as_integer_ratio()) for _, _, w in self.pieces]
+        return [(w, *w.as_integer_ratio()) for w in self.weights]
 
     def _mass(self, lefts: list[int], rights: list[int], i: int, j: int, ln: int, hn: int, e: int) -> float:
         """Mass of [ln/e, hn/e], with ln, hn, e ints in the unit of the endpoint
@@ -315,27 +322,23 @@ class PiecewiseUniformMeasure:
         fa, ft = as_fraction(a), as_fraction(t)
         if fa == 0:
             raise MeasureError("affine scale must be nonzero")
-        mapped = []
-        for p, q, w in self.pieces:
-            u, v = sorted((fa * p + ft, fa * q + ft))
-            mapped.append((u, v, w))
-        return PiecewiseUniformMeasure(mapped)
+        return PiecewiseUniformMeasure((*sorted((fa * p + ft, fa * q + ft)), w) for p, q, w in self.pieces)
 
     def diameter(self) -> Fraction:
-        return self.pieces[-1][1] - self.pieces[0][0]
+        D, lefts, rights = self.int_ends
+        return Fraction(rights[-1] - lefts[0], D)
 
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> str:
         import json
 
-        from .geometry import format_fraction
-
+        D, lefts, rights = self.int_ends
         return json.dumps(
             {
                 "pieces": [
-                    {"a": format_fraction(a), "b": format_fraction(b), "w": w}
-                    for a, b, w in self.pieces
+                    {"a": format_ratio(l, D), "b": format_ratio(r, D), "w": w}
+                    for l, r, w in zip(lefts, rights, self.weights)
                 ]
             }
         )
@@ -518,9 +521,9 @@ def natural_measure(A: IntervalUnion) -> PiecewiseUniformMeasure:
     """Equal weight per piece, uniform within each piece; atoms on singletons."""
     if A.is_empty:
         raise MeasureError("the empty set supports no probability measure")
-    n = len(A.pieces)
+    n = len(A)
     mu = PiecewiseUniformMeasure.__new__(PiecewiseUniformMeasure)
-    mu._set([(a, b, 1.0 / n) for a, b in A.pieces], A.int_ends)  # the checks, on the union's view
+    mu._set(A.int_ends, [1.0 / n] * n)  # the checks, on the union's view
     return mu
 
 

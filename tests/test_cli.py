@@ -213,8 +213,24 @@ class TestExitCodes:
         assert code == 2
         assert "SALEMLAB_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing", "file"])
+    @pytest.mark.parametrize("argv", [
+        ["build", "cantor:3", "--stage", "4"],
+        ["report", "cantor:3", "--stage", "4", "--seed", "1"],
+        ["sweep", "cantor:3", "--stage", "4", "--seed", "1"],
+        ["reduce", "--map", "fp", "--stage", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_output_is_exit_two_without_traceback(self, argv, where, tmp_path, capsys):
+        # an output directory that does not exist, or a path through a regular file
+        (tmp_path / "file").write_text("")
+        out = tmp_path / ("nodir" if where == "missing" else "file") / "rep"
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+        assert "Traceback" not in err and str(out.parent) in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("spec", ["jarnik:{}", "salpha:{}", "gcantor:{}", "fp:{}:x=1",
+    @pytest.mark.parametrize("spec", ["jarnik:{}","salpha:{}", "gcantor:{}", "fp:{}:x=1",
                                       "pi03:{}:rows=1;0", "salemgap:{}:rows=1;0"])
     def test_non_finite_spec_number_is_exit_two(self, spec, value, tmp_path, capsys):
         assert run(["build", spec.format(value), "--stage", "2", "--out", str(tmp_path / "x")]) == 2
