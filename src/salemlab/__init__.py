@@ -1,75 +1,44 @@
-"""salemlab: finite-stage fractal constructions and dimension estimators."""
+"""salemlab: finite-stage fractal constructions and dimension estimators.
 
-from .bitseq import BitMatrix, BitSequence, p3_member, phi_transform, q2_member
-from .constructions import (
-    CantorScheme,
-    ConstructionError,
-    FpScheme,
-    GeneralizedCantorScheme,
-    IntervalScheme,
-    JarnikScheme,
-    Pi03Scheme,
-    SAlphaScheme,
-    SalemGapScheme,
-    StageReport,
-    WeihrauchScheme,
-    cantor_stage,
-    f_p_stage,
-    jarnik_stage,
-    pi03_stage,
-    radial_lift,
-    radial_reports,
-    s_alpha_stage,
-    salem_gap_stage,
-    shrink_bound_holds,
-    weihrauch_encode,
-    weihrauch_dimension_target,
-)
-from .dimension import (
-    DecayFit,
-    DimensionReport,
-    FitError,
-    box_count_fit,
-    clamp_dimension,
-    countable_union_sup,
-    covering_sum,
-    fourier_decay_fit,
-    frostman_fit,
-    salem_report,
-)
-from .geometry import (
-    BoxUnion,
-    GeometryError,
-    HausdorffDistance,
-    IntervalUnion,
-    diameter,
-    disjoint_from_compact,
-    hausdorff_metric,
-    hausdorff_metric_boxes,
-    intersects_open,
-    simplex_partition_1d,
-    subset_of_open,
-)
-from .measures import (
-    FourierSample,
-    MeasureError,
-    PiecewiseUniformMeasure,
-    SelfSimilarProductMeasure,
-    affine_pushforward,
-    ball_mass,
-    fourier_eval,
-    fourier_eval_product,
-    natural_measure,
-)
-from .numberfield import (
-    GaussianInt,
-    gaussian_block_reports,
-    gaussian_jarnik_stage,
-    is_gaussian_prime,
-    mult_matrix,
-    mult_matrix_inv,
-    norm,
-    residue_system,
-)
+Each public name loads its module on first access (PEP 562), so a caller pays
+only for the layers it uses: ``import salemlab.cli`` loads geometry alone.
+"""
+
+import os
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "bitseq": "BitMatrix BitSequence p3_member phi_transform q2_member",
+    "constructions": "CantorScheme ConstructionError FpScheme GeneralizedCantorScheme IntervalScheme JarnikScheme"
+    " Pi03Scheme SAlphaScheme SalemGapScheme StageReport WeihrauchScheme cantor_stage f_p_stage jarnik_stage"
+    " pi03_stage radial_lift radial_reports s_alpha_stage salem_gap_stage shrink_bound_holds weihrauch_encode"
+    " weihrauch_dimension_target",
+    "dimension": "DecayFit DimensionReport FitError box_count_fit clamp_dimension countable_union_sup covering_sum"
+    " fourier_decay_fit frostman_fit salem_report",
+    "geometry": "BoxUnion GeometryError HausdorffDistance IntervalUnion diameter disjoint_from_compact"
+    " hausdorff_metric hausdorff_metric_boxes intersects_open simplex_partition_1d subset_of_open",
+    "measures": "FourierSample MeasureError PiecewiseUniformMeasure SelfSimilarProductMeasure affine_pushforward"
+    " ball_mass fourier_eval fourier_eval_product natural_measure",
+    "numberfield": "GaussianInt gaussian_block_reports gaussian_jarnik_stage is_gaussian_prime mult_matrix"
+    " mult_matrix_inv norm residue_system",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+def thread_count() -> int:
+    """Fourier-sweep pool size from SALEMLAB_THREADS: default 1, values below 1 mean 1."""
+    return max(1, int(os.environ.get("SALEMLAB_THREADS", "1")))

@@ -2,24 +2,25 @@
 
 Exit codes: 0 success, 2 spec/argument parse error, 3 numeric or fit error.
 One experiment per invocation; identical arguments (including --seed) give
-byte-identical output files.
+byte-identical output files.  Each command imports the layers it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import constructions as cons
-from . import dimension as dim
-from .bitseq import BitMatrix, BitSequence
+from . import thread_count
 from .geometry import GeometryError, IntervalUnion, format_fraction, hausdorff_metric
-from .measures import MeasureError, PiecewiseUniformMeasure
+
+if TYPE_CHECKING:
+    from .bitseq import BitMatrix, BitSequence
+    from .constructions import Scheme
 
 
 class SpecParseError(ValueError):
@@ -62,6 +63,8 @@ def _finite(text: str) -> float:
 
 
 def parse_bits(text: str) -> BitSequence:
+    from .bitseq import BitSequence
+
     try:
         return BitSequence.from_string(text)
     except ValueError as e:
@@ -69,11 +72,12 @@ def parse_bits(text: str) -> BitSequence:
 
 
 def parse_rows(text: str) -> BitMatrix:
-    rows = [parse_bits(part) for part in text.split(";") if part != ""]
-    return BitMatrix.from_rows(rows)
+    from .bitseq import BitMatrix
+
+    return BitMatrix.from_rows([parse_bits(part) for part in text.split(";") if part != ""])
 
 
-def parse_scheme(spec: str) -> cons.Scheme:
+def parse_scheme(spec: str) -> Scheme:
     """Scheme mini-grammar.
 
     cantor:<n> | gcantor:<p> | interval | jarnik:<alpha> | salpha:<alpha>
@@ -82,6 +86,8 @@ def parse_scheme(spec: str) -> cons.Scheme:
 
     Bits: '110' (then zeros), '11(01)' (prefix + period), '(10)'.
     """
+    from . import constructions as cons
+
     parts = spec.split(":")
     kind = parts[0]
     try:
@@ -124,6 +130,8 @@ def parse_scheme(spec: str) -> cons.Scheme:
 
 
 def config_hash(args: argparse.Namespace, keys: list[str]) -> str:
+    import hashlib
+
     blob = ";".join(f"{k}={getattr(args, k, None)}" for k in sorted(keys))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -167,6 +175,8 @@ def cmd_metric(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    from . import constructions as cons
+
     if args.map == "phi":
         mat = parse_rows(args.rows)
         out = cons.phi_transform(mat)
@@ -193,6 +203,8 @@ _REPORT_COLUMNS = [
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import dimension as dim
+
     scheme = parse_scheme(args.spec)
     cfg = config_hash(args, ["spec", "stage", "xi_max", "bands", "samples", "seed", "fit_lo"])
     rep, mu = dim.salem_report_with_measure(
@@ -223,6 +235,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _write_sweep(path: Path, mu, args: argparse.Namespace, cfg: str) -> None:
     """Transform of the decay measure mu on a log grid up to --xi-max."""
+    from .measures import PiecewiseUniformMeasure
+
     n = max(args.samples * 4, 256)
     xis = [args.xi_max ** (i / n) for i in range(1, n + 1)]
     # a product measure's scalar loop is cheaper than importing numpy here
@@ -299,13 +313,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _failure(e: Exception) -> tuple[int, str] | None:
+    """Exit code and stderr line for a command that raised e; None lets e propagate."""
+    if isinstance(e, MemoryError):  # a stage too large to build; checked before importing anything
+        return 3, "error: out of memory"
+    from .constructions import ConstructionError
+    from .dimension import FitError
+    from .measures import MeasureError
+
+    if isinstance(e, SpecParseError):
+        return 2, f"error: {e}"
+    if isinstance(e, (GeometryError, ConstructionError, MeasureError)):
+        return 3, f"error: {e}"
+    if isinstance(e, (FitError, ArithmeticError)):
+        return 3, f"numeric error: {e}"
+    if isinstance(e, OSError):  # an output file that cannot be written (reads raise SpecParseError)
+        return 2, f"error: cannot write output: {e}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
         if args.command == "report" and args.stage - args.fit_lo < 1:
             ap.error("report fits a ladder of at least two stages: --stage must exceed --fit-lo")
-        dim.thread_count()
+        thread_count()
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     except ValueError as e:
@@ -313,18 +346,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (SpecParseError, GeometryError, cons.ConstructionError, MeasureError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2 if isinstance(e, SpecParseError) else 3
-    except (dim.FitError, ArithmeticError) as e:
-        print(f"numeric error: {e}", file=sys.stderr)
-        return 3
-    except MemoryError:  # last resort for a stage too large to build
-        print("error: out of memory", file=sys.stderr)
-        return 3
-    except OSError as e:  # an output file that cannot be written (reads raise SpecParseError)
-        print(f"error: cannot write output: {e}", file=sys.stderr)
-        return 2
+    except (ValueError, ArithmeticError, MemoryError, OSError) as e:
+        failure = _failure(e)
+        if failure is None:  # any other ValueError is a bug and keeps its traceback
+            raise
+        print(failure[1], file=sys.stderr)
+        return failure[0]
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,11 +10,11 @@ output regardless of pool size.  numpy and the pool load where a sweep runs.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
+from . import thread_count
 from .constructions import Scheme, StageReport
 from .geometry import IntervalUnion, diameter
 from .measures import Measure, PiecewiseUniformMeasure, natural_measure
@@ -201,11 +201,6 @@ def _band_samples(lo: float, hi: float, count: int, seed: int) -> "np.ndarray":
     jitter = (u0 + i * _GOLDEN) % 1.0
     frac = (i + jitter) / count
     return lo * (hi / lo) ** frac
-
-
-def thread_count() -> int:
-    """Fourier-sweep pool size from SALEMLAB_THREADS: default 1, values below 1 mean 1."""
-    return max(1, int(os.environ.get("SALEMLAB_THREADS", "1")))
 
 
 def fourier_decay_fit(

@@ -7,8 +7,8 @@ reads; its Fraction `pieces` are derived on first read.  Piecewise-uniform
 scalar transforms are summed with math.fsum, independent of piece order;
 their vector sweeps have a fixed accumulation order.  The product measure's
 vector sweep gives the floats of its scalar product, modulus by hypot.
-numpy is imported by the sweeps only, so ball masses and the CLI's
-non-transform commands do not pay for it.
+Of the CLI's commands only `report` and `sweep` load this module; numpy
+loads in the vector sweeps only, so ball masses and scalar transforms skip it.
 """
 
 from __future__ import annotations

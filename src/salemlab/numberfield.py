@@ -142,16 +142,13 @@ def gaussian_primes_norm_range(lo: int, hi: int) -> Iterator[GaussianInt]:
                 yield GaussianInt(a, b)
 
 
-def gaussian_jarnik_centers(alpha: float, j: int) -> dict[tuple[Fraction, Fraction], Fraction]:
-    """Center -> half-side map for block j (norms in [4^j, 4^(j+1))).
-
-    Duplicate centers arising from different primes keep the smaller box.
-    """
+def _reduced_centers(alpha: float, j: int) -> dict[tuple[int, int, int, int], Fraction]:
+    """`gaussian_jarnik_centers` keyed on the centers' reduced (num, den) integer pairs."""
     if alpha < 0:
         raise ConstructionError("alpha must be nonnegative")
     if j < 1:
         raise ConstructionError("block index must be >= 1")
-    centers: dict[tuple[Fraction, Fraction], Fraction] = {}
+    centers: dict[tuple[int, int, int, int], Fraction] = {}
     for q in gaussian_primes_norm_range(4**j, 4 ** (j + 1)):
         n = norm(q)
         if float(alpha).is_integer() and (2 + int(alpha)) % 2 == 0:
@@ -159,11 +156,23 @@ def gaussian_jarnik_centers(alpha: float, j: int) -> dict[tuple[Fraction, Fracti
         else:
             half = _dyadic_pow(float(n), -(2.0 + alpha) / 2.0)
         for r in residue_system(q):
-            c = normalized_center(q, r)
-            old = centers.get(c)
+            # the numerators of normalized_center(q, r), over n
+            x, y = q.a * r.a + q.b * r.b, q.a * r.b - q.b * r.a
+            gx, gy = math.gcd(x, n), math.gcd(y, n)
+            key = (x // gx, n // gx, y // gy, n // gy)
+            old = centers.get(key)
             if old is None or half < old:
-                centers[c] = half
+                centers[key] = half
     return centers
+
+
+def gaussian_jarnik_centers(alpha: float, j: int) -> dict[tuple[Fraction, Fraction], Fraction]:
+    """Center -> half-side map for block j (norms in [4^j, 4^(j+1))).
+
+    Duplicate centers arising from different primes keep the smaller box.
+    """
+    centers = _reduced_centers(alpha, j)
+    return {(Fraction(xn, xd), Fraction(yn, yd)): half for (xn, xd, yn, yd), half in centers.items()}
 
 
 def gaussian_jarnik_stage(alpha: float, j: int) -> BoxUnion:
@@ -185,7 +194,7 @@ def gaussian_block_reports(alpha: float, blocks: range) -> list[StageReport]:
     """Per-block center counts with the largest box side as the scale."""
     out = []
     for j in blocks:
-        centers = gaussian_jarnik_centers(alpha, j)
-        side = 2 * max(centers.values())
-        out.append(StageReport(j, len(centers), 2 * min(centers.values()), side))
+        centers = _reduced_centers(alpha, j)
+        halves = {id(h): h for h in centers.values()}.values()  # one half object per prime
+        out.append(StageReport(j, len(centers), 2 * min(halves), 2 * max(halves)))
     return out

@@ -1,0 +1,125 @@
+"""What each CLI command loads, the lazy package exports, and exit codes in cold children.
+
+In-process tests cannot see which modules a command loads, because other
+tests have already imported every module; each case here starts a fresh
+interpreter instead.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import salemlab
+from salemlab.geometry import IntervalUnion
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# runs the CLI with the given arguments (none: import only), then prints the exit
+# code and the loaded salemlab and numpy modules as the last line
+_PROBE = (
+    "import json, sys\n"
+    "from salemlab import cli\n"
+    "code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None\n"
+    "mods = sorted(m for m in sys.modules if m.split('.')[0] in ('salemlab', 'numpy'))\n"
+    "print(json.dumps([code, mods]))\n"
+)
+
+
+def _child(args: list[str], cwd: Path, threads: str = "1") -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           "SALEMLAB_THREADS": threads}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def _probe(argv: list[str], cwd: Path) -> tuple[int | None, set[str]]:
+    out = _child(["-c", _PROBE, *argv], cwd)
+    assert out.returncode == 0, out.stderr
+    code, mods = json.loads(out.stdout.splitlines()[-1])
+    return code, set(mods)
+
+
+def test_cli_import_loads_geometry_alone(tmp_path):
+    assert _probe([], tmp_path) == (None, {"salemlab", "salemlab.cli", "salemlab.geometry"})
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "cantor:3", "--stage", "3", "--out", "s"],
+    ["metric", "a.json", "b.json"],
+    ["reduce", "--map", "phi", "--rows", "100;0"],
+], ids=lambda argv: argv[0])
+def test_commands_without_measures_load_neither_measures_nor_numpy(argv, tmp_path):
+    (tmp_path / "a.json").write_text(IntervalUnion([(0, 1)]).to_json())
+    (tmp_path / "b.json").write_text(IntervalUnion([(0, Fraction(1, 2))]).to_json())
+    code, mods = _probe(argv, tmp_path)
+    assert code == 0
+    assert not mods & {"numpy", "salemlab.measures", "salemlab.dimension", "salemlab.numberfield"}
+
+
+def test_report_loads_the_fits(tmp_path):
+    code, mods = _probe(["report", "cantor:3", "--stage", "3", "--seed", "1", "--out", "r"], tmp_path)
+    assert code == 0 and {"numpy", "salemlab.measures", "salemlab.dimension"} <= mods
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "cantor:3"],
+    ["metric", "a.json", "b.json"],
+    ["reduce", "--map", "phi", "--rows", "1"],
+    ["report", "cantor:3", "--stage", "3", "--seed", "1"],
+    ["sweep", "cantor:3", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_malformed_thread_count_is_exit_two_for_every_command(argv, tmp_path):
+    out = _child(["-m", "salemlab.cli", *argv], tmp_path, threads="abc")
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: SALEMLAB_THREADS:") and "Traceback" not in out.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    # band count too large for the frequency ceiling: a FitError
+    (["report", "cantor:3", "--stage", "8", "--seed", "1", "--xi-max", "64", "--bands", "10"],
+     "numeric error: xi_max too small for the requested band count"),
+    # a dimension target above 1 reaches the scheme: a ConstructionError
+    (["reduce", "--map", "fp", "--p", "2"], "error: dimension parameter must lie in (0, 1]"),
+], ids=["fit", "construction"])
+def test_layer_error_is_exit_three_without_traceback(argv, message, tmp_path):
+    out = _child(["-m", "salemlab.cli", *argv], tmp_path)
+    assert out.returncode == 3
+    assert out.stderr == message + "\n"
+
+
+def test_package_import_loads_no_layer(tmp_path):
+    out = _child(["-c", "import sys, salemlab; print(sorted(m for m in sys.modules if 'salemlab' in m))"],
+                 tmp_path)
+    assert out.stdout.strip() == "['salemlab']"
+
+
+class TestLazyExports:
+    def test_every_export_is_the_object_of_its_module(self):
+        assert salemlab.__all__ and len(set(salemlab.__all__)) == len(salemlab.__all__)
+        for name in salemlab.__all__:
+            obj = getattr(salemlab, name)
+            assert obj.__module__.startswith("salemlab.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+
+    def test_star_import_binds_all_exports(self):
+        ns: dict = {}
+        exec("from salemlab import *", ns)
+        assert set(ns) - {"__builtins__"} == set(salemlab.__all__)
+
+    def test_dir_lists_every_export(self):
+        assert set(salemlab.__all__) <= set(dir(salemlab))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            salemlab.no_such_name
+        assert not hasattr(salemlab, "no_such_name")
+
+    def test_one_thread_count_parser(self):
+        from salemlab import dimension
+
+        assert dimension.thread_count is salemlab.thread_count
