@@ -80,6 +80,11 @@ def _least_squares(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, flo
     return slope, my - slope * mx, 1.0 - ssr / sst
 
 
+def _log(q: Fraction) -> float:
+    """log q > 0: of its float, or of its integers where the float underflows to 0."""
+    return math.log(float(q)) if float(q) > 0 else math.log(q.numerator) - math.log(q.denominator)
+
+
 def clamp_dimension(raw: float, d: int = 1) -> float:
     """Clamp a raw exponent into the admissible range [0, d]."""
     return min(max(raw, 0.0), float(d))
@@ -114,7 +119,7 @@ def box_count_fit(reports: Sequence[StageReport], scale: str = "max") -> DecayFi
         delta = rep.max_diam if scale == "max" else rep.min_diam
         if delta <= 0 or rep.piece_count < 1:
             continue
-        xs.append(-math.log(float(delta)))
+        xs.append(-_log(delta))
         ys.append(math.log(rep.piece_count))
     if len(set(xs)) < 2:
         raise FitError("need at least two distinct scales")
@@ -141,7 +146,7 @@ def frostman_fit(
     for r, sup in zip(radii, mu.max_ball_masses(centers, radii)):
         if sup <= 0.0:
             continue
-        xs.append(math.log(float(r)))
+        xs.append(_log(r))
         ys.append(math.log(sup))
     if len(xs) < 2:
         raise FitError("ball masses vanished at every scale")

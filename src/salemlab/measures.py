@@ -8,7 +8,8 @@ scalar transforms are summed with math.fsum, independent of piece order;
 their vector sweeps have a fixed accumulation order.  The product measure's
 vector sweep gives the floats of its scalar product, modulus by hypot.
 Of the CLI's commands only `report` and `sweep` load this module; numpy
-loads in the vector sweeps only, so ball masses and scalar transforms skip it.
+loads in the vector sweeps and the Frostman sup only, so single ball masses
+and scalar transforms skip it.
 """
 
 from __future__ import annotations
@@ -116,6 +117,18 @@ class PiecewiseUniformMeasure:
             np.array([index[p] for p in pairs]),
         )
 
+    @cached_property
+    def _chunks(self) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """Centres in turns (c / 2pi), pieces grouped by pair, and the first piece and
+        pair of each chunk: a pair's run cut at the multiples of 256."""
+        import numpy as np
+
+        centers, _, _, index = self._arrays
+        order = np.argsort(index, kind="stable")
+        pair = index[order]
+        starts = np.flatnonzero((np.diff(pair, prepend=-1) != 0) | (np.arange(len(pair)) % 256 == 0))
+        return centers[order] / _TWO_PI, starts, pair[starts]
+
     def __repr__(self) -> str:
         return f"PiecewiseUniformMeasure({len(self.weights)} pieces)"
 
@@ -172,13 +185,15 @@ class PiecewiseUniformMeasure:
         """Approximate |mu^(xi)| and a slack bounding its distance from
         `fourier_modulus_many(xi)`; one piece gives that modulus, slack 0.
 
-        Slack (e = 2^-52, n pieces, weights sum to 1; envelopes w sinc(xi h)
-        shared).  Kernel phase fl(xi c): e/2 |xi c|, libm 4 ulp.  Screen phase
-        2 pi p, p = fl(xi fl(c / fl(2 pi))): 2e |xi c|; p - rint(p) exact; times
-        fl(2 pi): pi e; float32 cast: pi 2^-24; float32 cos/sin: 8 ulp <= 2^-20.
-        Products and n-term sums: e (n + 1).  A component is then within 2^-20 +
-        pi 2^-24 + 2.5e |xi| max|c| + e (n + 9), a modulus within sqrt 2 times
-        that + 2e (hypot, abs): under 2^-18 + e (16 |xi| max|c| + 2n).
+        Each chunk sums float32 cos and sin, times its pair's float64 envelope
+        w sinc(xi h).  Slack (e = 2^-52, u = 2^-24, n pieces, weights sum to 1),
+        as complex errors.  Kernel phase fl(xi c): e/2 |xi c|, libm 4 ulp.  Screen
+        phase 2 pi p, p = fl(xi fl(c / fl(2 pi))): 2e |xi c|; p - rint(p) exact;
+        float32 cast and times float32(2 pi): 3 pi u; float32 cos/sin: 8 ulp <=
+        2^-20 each; sums of m <= 256 of them: 255 u m.  Float64 products and sums:
+        e (n + 9) per component.  So 255 u + sqrt 2 2^-20 + 3 pi u < 2^-16 + 2^-18
+        - 2^-20, plus 2.5 e |xi| max|c|, sqrt 2 e (n + 9) and 2e (hypot, abs):
+        under 2^-16 + 2^-18 + e (16 |xi| max|c| + 2n).
         """
         import numpy as np
 
@@ -186,22 +201,21 @@ class PiecewiseUniformMeasure:
         if len(self.weights) == 1:  # the phase is unimodular: w |sinc| is the modulus
             D, (l,), (r,) = self.int_ends
             return self.weights[0] * np.abs(np.sinc(xis * ((r - l) / (2 * D)) / np.pi)), np.zeros(len(xis))
-        centers, halves, weights, index = self._arrays
+        centers, halves, weights, _ = self._arrays
+        turns, starts, pair = self._chunks
+        rows = max(1, 2**15 // len(turns))
         out = np.empty(len(xis))
-        for r in range(0, len(xis), 128):
-            x = xis[r:r + 128, None]
-            envelope = weights * np.sinc(x * halves / np.pi)
-            re, im = np.zeros(len(x)), np.zeros(len(x))
-            for start in range(0, len(centers), 512):
-                sl = slice(start, start + 512)
-                p = x * (centers[sl] / _TWO_PI)
-                p -= np.rint(p)
-                t = (p * _TWO_PI).astype(np.float32)
-                ws = envelope[:, index[sl]]
-                re += np.einsum("ij,ij->i", ws, np.cos(t), dtype=float)
-                im += np.einsum("ij,ij->i", ws, np.sin(t), dtype=float)
-            out[r:r + 128] = np.hypot(re, im)
-        return out, 2.0**-18 + 2.0**-52 * (16 * np.abs(xis) * np.max(np.abs(centers)) + 2 * len(centers))
+        for r in range(0, len(xis), rows):
+            x = xis[r:r + rows]
+            envelope = (weights * np.sinc(x[:, None] * halves / np.pi))[:, pair]
+            p = np.einsum("i,j->ij", x, turns)  # the outer product, faster than broadcasting
+            p -= np.rint(p)
+            t = p.astype(np.float32)
+            t *= np.float32(_TWO_PI)
+            re = (envelope * np.add.reduceat(np.cos(t), starts, axis=1)).sum(axis=1)
+            im = (envelope * np.add.reduceat(np.sin(t), starts, axis=1)).sum(axis=1)
+            out[r:r + rows] = np.hypot(re, im)
+        return out, 2.0**-16 + 2.0**-18 + 2.0**-52 * (16 * np.abs(xis) * np.max(np.abs(centers)) + 2 * len(centers))
 
     def sample(self, xi: float) -> FourierSample:
         return FourierSample(xi, self.fourier_eval(xi))
@@ -216,8 +230,8 @@ class PiecewiseUniformMeasure:
             by_len: dict[float, float] = {}
             D, lefts, rights = self.int_ends
             for l, r, w in zip(lefts, rights, self.weights):
-                if r > l:
-                    key = (r - l) / D
+                key = (r - l) / D
+                if key > 0:  # a length whose float underflows has no peak to probe
                     by_len[key] = by_len.get(key, 0.0) + w
             self._lengths = sorted(by_len, key=by_len.get, reverse=True)[:8]
         out: list[float] = []
@@ -285,36 +299,57 @@ class PiecewiseUniformMeasure:
     def max_ball_masses(self, centers: Sequence, radii: Sequence) -> list[float]:
         """max(ball_mass(c, r) for c in centers) for each r in radii, the same floats.
 
-        Endpoints, centers and radii are rescaled once to ints over
-        E = lcm(D, their denominators), so each query is two bisects and a
-        few int operations.  The pieces a ball can touch bound its mass by
-        their total weight (each boundary term is at most its w), so exact
-        masses are taken in order of decreasing bound and stop once a bound
-        is below the best mass by more than 1e-9, far above the few-ulp
-        error of the prefix sums: the skipped centres cannot hold the max.
+        One numpy pass brackets every ball's mass from float piece ends c -+ h
+        (running maxima, so sorted) and ball ends lo, hi.  The margin d = 2^-48
+        max|end| + 2^-1000 exceeds their float errors: pieces past the runs
+        within d of lo and of hi miss the ball, pieces between them count
+        through the prefix sums, a run of one piece counts its float overlap to
+        w min(1, 8d / length) and a longer run 0 to its weight.  A centre whose
+        upper bracket reaches the best lower one minus 1e-9 (far above the prefix
+        sums' error) is kept: a ball with no piece within d of its ends covers
+        whole pieces and takes `_mass`'s float in numpy, the others run `_mass`
+        with e = E / D, E = lcm(D, den centers, den radii).
         """
+        import numpy as np
+
         cs = [as_fraction(c) for c in centers]
         rs = [as_fraction(r) for r in radii]
         if any(r <= 0 for r in rs):
             raise MeasureError("radius must be positive")
         D, lefts, rights = self.int_ends
         E = math.lcm(D, *(q.denominator for q in cs + rs))
-        s = E // D
-        lefts, rights = [a * s for a in lefts], [b * s for b in rights]
-        cn = [c.numerator * (E // c.denominator) for c in cs]
-        cumw, bl, br = self._cumw, bisect.bisect_left, bisect.bisect_right
+        e = E // D
+        cn, rn = ([q.numerator * (E // q.denominator) for q in qs] for qs in (cs, rs))
+        mid, halves, weights, index = self._arrays
+        h, w, cw = halves[index], weights[index], np.array(self._cumw)
+        A, B = np.maximum.accumulate(mid - h), np.maximum.accumulate(mid + h)
+        xf, rf = np.array([c / E for c in cn]), np.array([q / E for q in rn])[:, None]  # floats of the rationals
+        lo, hi = xf - rf, xf + rf
+        d = 2.0**-48 * max(-A[0], B[-1], np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0)) + 2.0**-1000
+        p0, q0 = np.searchsorted(B, lo - d), np.searchsorted(B, hi - d)
+        p1, q1 = np.searchsorted(A, lo + d, "right"), np.searchsorted(A, hi + d, "right")
+        cross = q0 < p1  # one run of pieces near both ends
+        est, err = np.where(cross, 0.0, cw[q0] - cw[p1]), 0.0
+        for s0, s1 in ((p0, np.where(cross, q1, p1)), (np.where(cross, q1, q0), q1)):
+            k = np.minimum(s0, len(w) - 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f = np.fmin(np.fmax((np.minimum(B[k], hi) - np.maximum(A[k], lo)) / (2 * h[k]), 0.0), 1.0)
+                tol = np.fmin(4 * d / h[k], 1.0)
+            lone, half = s1 - s0 == 1, (cw[s1] - cw[s0]) / 2
+            est, err = est + np.where(lone, w[k] * f, half), err + np.where(lone, w[k] * tol, half)
+        keep = est + err >= (est - err).max(axis=1, initial=-np.inf)[:, None] - 1e-9
+        # ends in gaps: the ball covers pieces a..b whole, and `_mass` adds their
+        # weights as (cumw[b] - cumw[a + 1]) + w_a + w_b, or w_a alone for a = b
+        a, b, gaps = p1, q0 - 1, (p0 == p1) & (q0 == q1)
+        wa, wb = w.take(a, mode="clip"), w.take(b, mode="clip")
+        whole = np.where(b > a, cw.take(b, mode="clip") - cw.take(a + 1, mode="clip") + wa + wb, (b == a) * wa)
         out = []
-        for r in rs:
-            rn = r.numerator * (E // r.denominator)
-            I = [bl(rights, c - rn) for c in cn]
-            J = [br(lefts, c + rn) - 1 for c in cn]
-            bounds = [cumw[j + 1] - cumw[i] if j >= i else 0.0 for i, j in zip(I, J)]
-            masses, best = [], 0.0
-            for m in sorted(range(len(cn)), key=bounds.__getitem__, reverse=True):
-                if masses and bounds[m] + 1e-9 < best:
-                    break
-                masses.append(self._mass(lefts, rights, I[m], J[m], cn[m] - rn, cn[m] + rn, 1))
-                best = max(best, masses[-1])
+        for q, kept, gap, exact in zip(rn, keep, gaps, whole):
+            masses = exact[kept & gap].tolist()
+            for m in np.flatnonzero(kept & ~gap).tolist():
+                ln, hn = cn[m] - q, cn[m] + q
+                i, j = bisect.bisect_left(rights, -(-ln // e)), bisect.bisect_right(lefts, hn // e) - 1
+                masses.append(self._mass(lefts, rights, i, j, ln, hn, e))
             out.append(max(masses))
         return out
 

@@ -92,6 +92,18 @@ def test_layer_error_is_exit_three_without_traceback(argv, message, tmp_path):
     assert out.stderr == message + "\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "jarnik:1000", "--stage", "3"],
+    ["report", "salpha:1000", "--stage", "3"],
+    ["report", "salemgap:0.6:rows=(10);(1)", "--stage", "8"],
+], ids=["jarnik", "salpha", "salemgap"])
+def test_diameters_below_the_float_range_end_without_traceback(argv, tmp_path):
+    """Stage diameters and piece lengths whose floats underflow to 0: the fits take
+    their logs from the exact rationals and the resonances skip them."""
+    out = _child(["-m", "salemlab.cli", *argv, "--seed", "1", "--out", "r"], tmp_path)
+    assert out.returncode in (0, 3) and "Traceback" not in out.stderr, out.stderr
+
+
 def test_package_import_loads_no_layer(tmp_path):
     out = _child(["-c", "import sys, salemlab; print(sorted(m for m in sys.modules if 'salemlab' in m))"],
                  tmp_path)

@@ -1,10 +1,10 @@
 """Property tests: integer ball masses and Frostman sups, transform bounds, the
 vector transform kernels against the scalar and per-pair references, the
-Fourier screen within its slack and the screened fit against the per-band
-reference, the stage-report memo, the exact geometry queries (point distance, Hausdorff
+Fourier screen within its slack (also across its 256-piece chunks) and the
+screened fit against the per-band reference, the stage-report memo, the exact geometry queries (point distance, Hausdorff
 metric, radial lift, grid partition), the integer endpoint view and
 one-pass constructors, the integer stage builders and the pruned
-Frostman sup, and the endpoints stored only as integers (lazy pieces,
+Frostman sup (also below the float spacing of its brackets), and the endpoints stored only as integers (lazy pieces,
 integer metric, partition and JSON, integer Jarnik and gcantor builders),
 against the Fraction formulas, sorting constructors, eager unions and
 unpruned maxima they replaced; a guard that reports never read the
@@ -320,6 +320,29 @@ def test_screen_is_within_its_slack_of_the_exact_kernel(mu, xs):
     assert np.all(np.abs(approx - exact) <= slack)
     if len(mu.pieces) == 1:  # one piece answers with the exact modulus
         assert approx.tobytes() == exact.tobytes() and not slack.any()
+
+
+@st.composite
+def chunked_measures(draw):
+    """The screen's chunk edges: one pair over 257 or 1,025 pieces, or up to 40
+    pairs interleaved over 513 to 1,300 pieces, so 256-piece chunks end inside
+    pair runs and a call's frequencies span several row blocks."""
+    rng = draw(st.randoms(use_true_random=False))
+    den = draw(st.integers(1, 97))
+    if draw(st.booleans()):
+        n, length = draw(st.sampled_from([257, 1025])), draw(st.sampled_from([0, 1, 3]))
+        return PiecewiseUniformMeasure([(F(4 * k, den), F(4 * k + length, den), 1 / n) for k in range(n)])
+    n = draw(st.integers(513, 1300))
+    pairs = [(rng.randrange(4), rng.randint(1, 10)) for _ in range(n)]
+    total = sum(v for _, v in pairs)
+    return PiecewiseUniformMeasure([(F(4 * k, den), F(4 * k + L, den), v / total) for k, (L, v) in enumerate(pairs)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunked_measures(), st.lists(screen_xis, min_size=1, max_size=300))
+def test_chunked_screen_is_within_its_slack_of_the_exact_kernel(mu, xs):
+    approx, slack = mu.fourier_screen(np.array(xs))
+    assert np.all(np.abs(approx - mu.fourier_modulus_many(np.array(xs))) <= slack)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1118,6 +1141,38 @@ TIED = (PiecewiseUniformMeasure([(F(2 * k, 10), F(2 * k + 1, 10), v / 13) for k,
 @given(st.one_of(tied_frostman_cases(), frostman_cases()))
 @example(TIED)
 def test_pruned_sup_equals_max_over_every_centre(case):
+    mu, centers, radii = case
+    assert mu.max_ball_masses(centers, radii) == [max(mu.ball_mass(c, r) for c in centers) for r in radii]
+
+
+@st.composite
+def float_edge_frostman_cases(draw):
+    """What the sup's float brackets cannot resolve: clusters of pieces and atoms
+    narrower than the float spacing where they sit (widths 2^-70 near 1/3),
+    denominators above 300 bits, and balls whose ends lie within a few ulps of
+    piece ends or between the pieces of a cluster."""
+    base = draw(st.sampled_from([F(1, 3), F(1, 3**200), F(-2, 3) + F(1, 2**310), F(5, 7)]))
+    unit = draw(st.sampled_from([F(1, 2**70), F(1, 2**40), F(1, 7**120)]))
+    pieces, at = ([(F(2), F(3))] if draw(st.booleans()) else []), base
+    for _ in range(draw(st.integers(1, 10))):
+        at += draw(st.integers(0, 3)) * unit  # touching or gapped
+        pieces.append((at, at + draw(st.sampled_from([0, 1, 2])) * unit))  # atoms among them
+        at = pieces[-1][1]
+    raw = draw(st.lists(st.integers(1, 1000), min_size=len(pieces), max_size=len(pieces)))
+    mu = PiecewiseUniformMeasure([(a, b, v / sum(raw)) for (a, b), v in zip(pieces, raw)])
+    ends = [e for p in pieces for e in p]
+    ball_end = st.one_of(
+        st.sampled_from(ends),
+        st.builds(lambda e, k: e + k * F(math.ulp(float(e))), st.sampled_from(ends), st.integers(-3, 3)),
+        st.builds(lambda e, k: e + k * unit / 3, st.sampled_from(ends), st.integers(-4, 4)),
+    )
+    balls = draw(st.lists(st.tuples(ball_end, ball_end), min_size=1, max_size=5))
+    return mu, [(a + b) / 2 for a, b in balls], [abs(b - a) / 2 or unit / 5 for a, b in balls]
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_edge_frostman_cases())
+def test_sup_brackets_hold_below_the_float_spacing(case):
     mu, centers, radii = case
     assert mu.max_ball_masses(centers, radii) == [max(mu.ball_mass(c, r) for c in centers) for r in radii]
 
