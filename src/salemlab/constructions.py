@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitseq import BitMatrix, BitSequence, ZERO_SEQ, p3_member, phi_transform, q2_member
 from .geometry import ONE, ZERO, BoxUnion, IntervalUnion, as_fraction
@@ -738,8 +738,9 @@ def weihrauch_encode(
 # ---------------------------------------------------------------------------
 
 
-def radial_lift(A: IntervalUnion, d: int = 2, resolution=Fraction(1, 16)) -> BoxUnion:
-    """Grid-box cover of {x : |x| in A} at the given cell side.
+def _radial_cells(A: IntervalUnion, d: int, resolution) -> Iterator[tuple[int, int]]:
+    """Grid indices (i, j), i then j ascending, of the cells [i res, (i+1) res] x [j res, (j+1) res]
+    of [-n res, n res]² (n = ceil(1/res)) that meet {x : |x| in A}.
 
     Cells are tested exactly.  A cell spans the squared norms res²·[L, H],
     where L and H are integer sums of squared grid indices, so it meets the
@@ -756,25 +757,29 @@ def radial_lift(A: IntervalUnion, d: int = 2, resolution=Fraction(1, 16)) -> Box
     den = (D * res.numerator) ** 2  # e²/res² = (n * den res)² / den for an endpoint e = n/D
     kept = [(max(l, 0) * res.denominator, r * res.denominator) for l, r in zip(lefts, rights) if r >= 0]
     floors = [b * b // den for _, b in kept]
-    ceils = [-(a * a // -den) for a, _ in kept]
+    ceils = [-(a * a // -den) for a, _ in kept] + [math.inf]  # past the last floor no piece is met
     n = math.ceil(1 / res)
-    cols = []  # per grid column: its side, squared grid index of its end nearer 0 and farther
-    for i in range(-n, n):
-        m = i if i >= 0 else -i - 1
-        cols.append(((i * res, (i + 1) * res), m * m, (m + 1) * (m + 1)))
-    boxes = []
-    for x, lx, hx in cols:
-        for y, ly, hy in cols:
-            k = bisect_left(floors, lx + ly)
-            if k < len(floors) and hx + hy >= ceils[k]:
-                boxes.append((x, y))
-    return BoxUnion(2, boxes, absorb=False)
+    # per grid column: its index, squared grid index of its end nearer 0 and farther
+    cols = [(i, min(i * i, (i + 1) ** 2), max(i * i, (i + 1) ** 2)) for i in range(-n, n)]
+    for i, lx, hx in cols:
+        for j, ly, hy in cols:
+            if hx + hy >= ceils[bisect_left(floors, lx + ly)]:
+                yield i, j
+
+
+def radial_lift(A: IntervalUnion, d: int = 2, resolution=Fraction(1, 16)) -> BoxUnion:
+    """Grid-box cover of {x : |x| in A} at the given cell side: the cells of `_radial_cells`."""
+    cells = list(_radial_cells(A, d, resolution))
+    res = as_fraction(resolution)
+    n = math.ceil(1 / res)
+    side = {i: (i * res, (i + 1) * res) for i in range(-n, n)}
+    return BoxUnion(2, [(side[i], side[j]) for i, j in cells], absorb=False)
 
 
 def radial_reports(
     A: IntervalUnion, exponents: Iterable[int], d: int = 2
 ) -> list[StageReport]:
-    """Box-cover counts of the radial lift at cell sides 2^-j.
+    """Box-cover counts of the radial lift at cell sides 2^-j, counted without building boxes.
 
     The reported scale is the cell side (the diagonal differs by a constant
     factor, which a log-log slope does not see).
@@ -782,6 +787,5 @@ def radial_reports(
     out = []
     for j in exponents:
         res = Fraction(1, 2**j)
-        cover = radial_lift(A, d, res)
-        out.append(StageReport(j, len(cover), res, res))
+        out.append(StageReport(j, sum(1 for _ in _radial_cells(A, d, res)), res, res))
     return out

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, le, lt
 from typing import Iterable, Sequence, Union
@@ -37,6 +36,17 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not a rational: {x!r}")
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(n, d) with x = n/d: a canonical "n/d" string (ASCII digits, d != 0) as two ints, any other x via Fraction."""
+    if isinstance(x, str):
+        n, _, d = x.partition("/")
+        m = n[1:] if n[:1] == "-" else n
+        if m.isascii() and m.isdigit() and d.isascii() and d.isdigit() and d.strip("0"):
+            return int(n), int(d)
+    f = Fraction(x)
+    return f.numerator, f.denominator
 
 
 def format_fraction(x: Fraction) -> str:
@@ -67,23 +77,43 @@ def view_pieces(ints: tuple[int, list[int], list[int]], *columns: Iterable) -> t
     return tuple(zip([Fraction(l, D) for l in lefts], [Fraction(r, D) for r in rights], *columns))
 
 
-@dataclass(frozen=True)
 class HausdorffDistance:
     """Distance between two compact unions.
 
     `value` is a Fraction whenever `exact` is True (always the case in one
-    dimension); otherwise a float from vertex sampling.
+    dimension); otherwise a float from vertex sampling.  Immutable; equal
+    and hashed as the pair (value, exact).
     """
 
-    value: Union[Fraction, float]
-    exact: bool = True
+    __slots__ = ("value", "exact")
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
+    def __init__(self, value: Union[Fraction, float], exact: bool = True) -> None:
+        if value < 0:
             raise GeometryError("distance must be nonnegative")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "exact", exact)
+
+    def __setattr__(self, *_):
+        raise AttributeError("HausdorffDistance is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.exact) == (other.value, other.exact)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.exact))
+
+    def __repr__(self) -> str:
+        return f"HausdorffDistance(value={self.value!r}, exact={self.exact!r})"
 
     def __float__(self) -> float:
         return float(self.value)
+
+    def __reduce__(self):
+        return self.__class__, (self.value, self.exact)
 
 
 class IntervalUnion:
@@ -298,12 +328,14 @@ class IntervalUnion:
         """Inverse of `to_json`; a malformed document raises GeometryError."""
         try:
             obj = json.loads(text)
-            pieces = [(Fraction(a), Fraction(b)) for a, b in obj["pieces"]]
+            ends = [(_ratio(a), _ratio(b)) for a, b in obj["pieces"]]
             lo, hi = obj["space"]
             space = (Fraction(lo), Fraction(hi))
         except (ValueError, TypeError, KeyError, ArithmeticError, RecursionError) as e:
             raise GeometryError(f"malformed interval-union JSON: {e!r}") from None
-        return cls(pieces, space=space)
+        D = math.lcm(*(d for piece in ends for _, d in piece))
+        lefts, rights = [n * (D // d) for (n, d), _ in ends], [n * (D // d) for _, (n, d) in ends]
+        return cls._of_ints(D, lefts, rights, space)
 
 
 class BoxUnion:

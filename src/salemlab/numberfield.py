@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator
 
 from .constructions import ConstructionError, StageReport, _dyadic_pow
@@ -87,6 +88,26 @@ def normalized_center(q: GaussianInt, r: GaussianInt) -> tuple[Fraction, Fractio
     return (Fraction(q.a * r.a + q.b * r.b, n), Fraction(-q.b * r.a + q.a * r.b, n))
 
 
+def _residue_pairs(a: int, b: int) -> Iterator[tuple[int, int]]:
+    """The (x, y) with 0 <= a*x + b*y < N and 0 <= a*y - b*x < N, N = a^2 + b^2, x then y ascending.
+
+    All lie in the fundamental parallelogram of the lattice (a + bi)Z[i], so
+    |x|, |y| <= |a| + |b|.  For fixed x each condition 0 <= c*y + t < N holds
+    on one interval of y, found by a ceiling and a floor division; for c = 0
+    it holds for every y or for none.
+    """
+    n, bound = a * a + b * b, abs(a) + abs(b)
+    for x in range(-bound, bound + 1):
+        lo, hi = -bound, bound
+        for c, t in ((b, a * x), (a, -b * x)):
+            if c:
+                p, r = (-t, n - 1 - t) if c > 0 else (n - 1 - t, -t)  # y in [p/c, r/c]
+                lo, hi = max(lo, -(-p // c)), min(hi, r // c)
+            elif not 0 <= t < n:
+                hi = lo - 1
+        yield from zip(repeat(x), range(lo, hi + 1))
+
+
 def residue_system(q: GaussianInt) -> list[GaussianInt]:
     """The N(q) residue representatives r with A_q^-1 r in the half-open unit square.
 
@@ -97,16 +118,7 @@ def residue_system(q: GaussianInt) -> list[GaussianInt]:
     if q.is_zero:
         raise ConstructionError("residue system of zero is undefined")
     n = norm(q)
-    bound = abs(q.a) + abs(q.b)
-    out = []
-    for x in range(-bound, bound + 1):
-        ax = q.a * x
-        bx = -q.b * x
-        for y in range(-bound, bound + 1):
-            u = ax + q.b * y
-            v = bx + q.a * y
-            if 0 <= u < n and 0 <= v < n:
-                out.append(GaussianInt(x, y))
+    out = [GaussianInt(x, y) for x, y in _residue_pairs(q.a, q.b)]
     assert len(out) == n, f"residue count {len(out)} != N(q) = {n}"
     return out
 
@@ -155,9 +167,9 @@ def _reduced_centers(alpha: float, j: int) -> dict[tuple[int, int, int, int], Fr
             half = Fraction(1, n ** ((2 + int(alpha)) // 2))
         else:
             half = _dyadic_pow(float(n), -(2.0 + alpha) / 2.0)
-        for r in residue_system(q):
+        for rx, ry in _residue_pairs(q.a, q.b):
             # the numerators of normalized_center(q, r), over n
-            x, y = q.a * r.a + q.b * r.b, q.a * r.b - q.b * r.a
+            x, y = q.a * rx + q.b * ry, q.a * ry - q.b * rx
             gx, gy = math.gcd(x, n), math.gcd(y, n)
             key = (x // gx, n // gx, y // gy, n // gy)
             old = centers.get(key)

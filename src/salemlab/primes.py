@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import compress
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Deterministic Miller-Rabin witness sets (valid for n below the listed bounds).
@@ -47,16 +50,37 @@ def is_prime(n: int) -> bool:
     return not any(_mr_witness(n, a) for a in witnesses)
 
 
+_SIEVE_BITS = 384  # from about this size on, sieving saves more Miller-Rabin work than it costs
+
+
 def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
+    """Smallest prime strictly greater than n.
+
+    Odd candidates are taken in windows; from `_SIEVE_BITS` bits on, a window
+    is first sieved by the odd primes below 2^16 (all below the window), so
+    only candidates without a small factor reach `is_prime`.
+    """
     k = n + 1
     if k <= 2:
         return 2
-    if k % 2 == 0:
-        k += 1
-    while not is_prime(k):
-        k += 2
-    return k
+    k |= 1
+    width = k.bit_length()  # odd candidates k + 2i per window, about 1.4 mean prime gaps
+    sieve = _sieve_primes() if width >= _SIEVE_BITS else ()
+    while True:
+        alive = bytearray(b"\x01") * width
+        for p in sieve:
+            i = -k % p * ((p + 1) // 2) % p  # the first i with p | k + 2i
+            alive[i::p] = bytes(len(range(i, width, p)))
+        for i in compress(range(width), alive):
+            if is_prime(k + 2 * i):
+                return k + 2 * i
+        k += 2 * width
+
+
+@cache
+def _sieve_primes() -> list[int]:
+    """The odd primes below 2^16, sieved once."""
+    return primes_in_range(3, 1 << 16)
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

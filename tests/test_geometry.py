@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -7,6 +9,7 @@ import pytest
 from salemlab.geometry import (
     BoxUnion,
     GeometryError,
+    HausdorffDistance,
     IntervalUnion,
     diameter,
     disjoint_from_compact,
@@ -301,3 +304,37 @@ class TestBoxHausdorffApprox:
         # corners (0,0) and (1,1) are each sqrt(1/2) from the other box
         assert abs(float(d) - 2**0.5 / 2) < 0.05
         assert hausdorff_metric_boxes(A, A).value == 0.0
+
+
+class TestHausdorffDistanceValue:
+    def test_constructor_fields_and_float(self):
+        d = HausdorffDistance(F(1, 4))
+        assert (d.value, d.exact, float(d)) == (F(1, 4), True, 0.25)
+        e = HausdorffDistance(value=0.5, exact=False)
+        assert (e.value, e.exact, float(e)) == (0.5, False, 0.5)
+
+    def test_negative_value_raises(self):
+        with pytest.raises(GeometryError, match="distance must be nonnegative"):
+            HausdorffDistance(F(-1, 3))
+
+    def test_equal_and_hashed_as_the_pair(self):
+        assert HausdorffDistance(F(1, 2)) == HausdorffDistance(F(1, 2), True)
+        assert HausdorffDistance(F(1, 2)) != HausdorffDistance(F(1, 2), exact=False)
+        assert HausdorffDistance(F(1, 2)) != HausdorffDistance(F(1, 3))
+        assert HausdorffDistance(F(1, 2)) != (F(1, 2), True)
+        assert hash(HausdorffDistance(F(1, 2))) == hash((F(1, 2), True))
+        assert len({HausdorffDistance(F(1, 2)), HausdorffDistance(F(2, 4))}) == 1
+
+    def test_repr_names_both_fields(self):
+        assert repr(HausdorffDistance(F(1, 2))) == "HausdorffDistance(value=Fraction(1, 2), exact=True)"
+        assert repr(HausdorffDistance(0.5, exact=False)) == "HausdorffDistance(value=0.5, exact=False)"
+
+    def test_immutable_but_copied_and_pickled(self):
+        d = HausdorffDistance(F(1, 2))
+        with pytest.raises(AttributeError):
+            d.value = F(1, 3)
+        with pytest.raises(AttributeError):
+            del d.exact
+        with pytest.raises(AttributeError):
+            d.other = 1
+        assert copy.copy(d) == d and copy.deepcopy(d) == d and pickle.loads(pickle.dumps(d)) == d

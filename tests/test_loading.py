@@ -47,6 +47,12 @@ def test_cli_import_loads_geometry_alone(tmp_path):
     assert _probe([], tmp_path) == (None, {"salemlab", "salemlab.cli", "salemlab.geometry"})
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    out = _child(["-c", "import sys, salemlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+                 tmp_path)
+    assert out.returncode == 0 and out.stdout.strip() == "[]", out.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "cantor:3", "--stage", "3", "--out", "s"],
     ["metric", "a.json", "b.json"],

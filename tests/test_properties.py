@@ -8,7 +8,10 @@ Frostman sup (also below the float spacing of its brackets), and the endpoints s
 integer metric, partition and JSON, integer Jarnik and gcantor builders),
 against the Fraction formulas, sorting constructors, eager unions and
 unpruned maxima they replaced; a guard that reports never read the
-Fraction pieces; and ball-mass additivity on adjacent balls."""
+Fraction pieces; ball-mass additivity on adjacent balls; and the geometry
+queries on integers (radial cell counts, residues by y-interval, JSON
+endpoints as integer pairs) and the sieved `next_prime` against the code
+they replaced."""
 
 from __future__ import annotations
 
@@ -16,18 +19,22 @@ import bisect
 import cmath
 import json
 import math
+import random
 from contextlib import contextmanager
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from salemlab import primes
 from salemlab.bitseq import BitSequence
 from salemlab.cli import parse_scheme
 from salemlab.constructions import (
+    ConstructionError,
     FpScheme,
     GeneralizedCantorScheme,
     IntervalScheme,
@@ -35,9 +42,11 @@ from salemlab.constructions import (
     SAlphaScheme,
     SalemGapScheme,
     StageReport,
+    _dyadic_pow,
     _jarnik_stage_cached,
     _radius,
     radial_lift,
+    radial_reports,
     shrink_cap,
 )
 from salemlab.dimension import default_frostman_centers, default_frostman_radii, fourier_decay_fit, salem_report
@@ -52,7 +61,16 @@ from salemlab.geometry import (
     simplex_partition_1d,
 )
 from salemlab.measures import MeasureError, PiecewiseUniformMeasure, SelfSimilarProductMeasure, natural_measure
-from salemlab.primes import next_prime, primes_in_range
+from salemlab.numberfield import (
+    GaussianInt,
+    _residue_pairs,
+    gaussian_block_reports,
+    gaussian_primes_norm_range,
+    norm,
+    normalized_center,
+    residue_system,
+)
+from salemlab.primes import is_prime, next_prime, primes_in_range
 from test_dimension import FIT_MEASURES, reference_band_fit
 
 
@@ -1491,3 +1509,221 @@ def test_ball_mass_is_additive_on_adjacent_balls(case):
     mass = lambda a, b: mu.ball_mass((a + b) / 2, (b - a) / 2)
     assert abs(mass(lo, x) + mass(x, hi) - mass(lo, hi)) <= 8.5 * math.ulp(1.0)
 
+
+
+# -- geometry queries on integers ------------------------------------------
+#
+# The references below are the code the integer queries replaced: the
+# radial lift that built a box per kept cell, the lattice scan of
+# `residue_system`, the Gaussian blocks keyed on Fraction centres,
+# `from_json` through the Fraction string parser, and `next_prime` by
+# trial division alone.
+
+
+def reference_radial_lift(A: IntervalUnion, res: F) -> tuple:
+    """The pieces of the radial lift as built box by box, with the lattice test inlined."""
+    D, lefts, rights = A.int_ends
+    den = (D * res.numerator) ** 2
+    kept = [(max(l, 0) * res.denominator, r * res.denominator) for l, r in zip(lefts, rights) if r >= 0]
+    floors = [b * b // den for _, b in kept]
+    ceils = [-(a * a // -den) for a, _ in kept]
+    n = math.ceil(1 / res)
+    cols = []
+    for i in range(-n, n):
+        m = i if i >= 0 else -i - 1
+        cols.append(((i * res, (i + 1) * res), m * m, (m + 1) * (m + 1)))
+    boxes = []
+    for x, lx, hx in cols:
+        for y, ly, hy in cols:
+            k = bisect.bisect_left(floors, lx + ly)
+            if k < len(floors) and hx + hy >= ceils[k]:
+                boxes.append((x, y))
+    return BoxUnion(2, boxes, absorb=False).pieces
+
+
+@settings(max_examples=40, deadline=None)
+@given(radial_cases())
+def test_radial_report_counts_equal_the_any_rule(case):
+    A, _ = case
+    expected = [StageReport(j, len(reference_radial_cover(A, F(1, 2**j))), F(1, 2**j), F(1, 2**j)) for j in range(1, 5)]
+    assert radial_reports(A, range(1, 5)) == expected
+
+
+@st.composite
+def signed_radial_cases(draw):
+    """A union in (-1, 1), pieces below 0 and across it among them, with ends often on +-k*res."""
+    res = draw(st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 3), F(3, 16)]))
+    grid = [s * k * res for k in range(math.ceil(1 / res) + 1) if k * res < 1 for s in (1, -1)]
+    signed = st.builds(lambda x, s: s * x, unit_rationals, st.sampled_from([1, -1])).filter(lambda x: -1 < x < 1)
+    ends = sorted(set(draw(st.lists(st.one_of(signed, st.sampled_from(grid)), max_size=10))))
+    pieces, k = [], 0
+    while k < len(ends):
+        if k + 1 < len(ends) and draw(st.booleans()):
+            pieces.append((ends[k], ends[k + 1]))
+            k += 2
+        else:
+            pieces.append((ends[k], ends[k]))
+            k += 1
+    return IntervalUnion(pieces, space=(-1, 1)), res
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_radial_cases())
+def test_radial_lift_and_counts_equal_the_box_by_box_lift(case):
+    A, res = case
+    expected = reference_radial_lift(A, res)
+    assert radial_lift(A, 2, res).pieces == expected
+    if res.numerator == 1 and res.denominator & (res.denominator - 1) == 0:
+        j = res.denominator.bit_length() - 1
+        assert radial_reports(A, [j])[0].piece_count == len(expected)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: radial_lift(IntervalUnion([(0, 1)]), 3),
+    lambda: radial_lift(IntervalUnion([(0, 1)]), 2, 0),
+    lambda: radial_lift(IntervalUnion([(0, 1)]), 2, F(-1, 4)),
+    lambda: radial_reports(IntervalUnion([(0, 1)]), [1], 3),
+], ids=["lift-d", "lift-zero", "lift-negative", "reports-d"])
+def test_radial_paths_keep_their_errors(call):
+    with pytest.raises(ConstructionError):
+        call()
+
+
+def reference_residue_system(q: GaussianInt) -> list[tuple[int, int]]:
+    """The (x, y) of every lattice point of the box |x|, |y| <= |a| + |b| in the parallelogram, x then y."""
+    n, bound = norm(q), abs(q.a) + abs(q.b)
+    out = []
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            u, v = q.a * x + q.b * y, -q.b * x + q.a * y
+            if 0 <= u < n and 0 <= v < n:
+                out.append((x, y))
+    return out
+
+
+def test_residue_system_equals_the_lattice_scan_in_order():
+    for a in range(-9, 10):
+        for b in range(-9, 10):
+            if a or b:
+                q = GaussianInt(a, b)
+                assert [(r.a, r.b) for r in residue_system(q)] == reference_residue_system(q), q
+
+
+def test_residue_pairs_equal_the_lattice_scan_for_every_small_q():
+    """Every q != 0 with |a|, |b| <= 40, axes and negative parts included; the scan
+    runs in numpy over the same box, points in the same x-then-y order."""
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            if a or b:
+                n, s = a * a + b * b, abs(a) + abs(b)
+                x, y = np.meshgrid(np.arange(-s, s + 1), np.arange(-s, s + 1), indexing="ij")
+                u, v = a * x + b * y, a * y - b * x
+                inside = (0 <= u) & (u < n) & (0 <= v) & (v < n)
+                got = np.fromiter(chain.from_iterable(_residue_pairs(a, b)), dtype=np.int64)
+                assert np.array_equal(got, np.stack([x[inside], y[inside]], axis=1).ravel()), (a, b)
+
+
+def reference_gaussian_block_reports(alpha: float, blocks: range) -> list[StageReport]:
+    """Per-block reports from Fraction centres of the scanned residues, smaller half kept per centre."""
+    out = []
+    for j in blocks:
+        centers, halves = {}, []
+        for q in gaussian_primes_norm_range(4**j, 4 ** (j + 1)):
+            n = norm(q)
+            if float(alpha).is_integer() and (2 + int(alpha)) % 2 == 0:
+                half = F(1, n ** ((2 + int(alpha)) // 2))
+            else:
+                half = _dyadic_pow(float(n), -(2.0 + alpha) / 2.0)
+            halves.append(half)
+            for x, y in reference_residue_system(q):
+                c = normalized_center(q, GaussianInt(x, y))
+                centers[c] = min(centers.get(c, half), half)
+        out.append(StageReport(j, len(centers), 2 * min(halves), 2 * max(halves)))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0, 0.5, 1, 2])
+def test_gaussian_block_reports_equal_the_fraction_centres(alpha):
+    assert gaussian_block_reports(alpha, range(1, 5)) == reference_gaussian_block_reports(alpha, range(1, 5))
+
+
+def reference_from_json(text: str) -> tuple:
+    """`from_json` through the Fraction string parser and the sorting constructor."""
+    try:
+        obj = json.loads(text)
+        pieces = [(F(a), F(b)) for a, b in obj["pieces"]]
+        lo, hi = obj["space"]
+        space = (F(lo), F(hi))
+    except (ValueError, TypeError, KeyError, ArithmeticError, RecursionError) as e:
+        raise GeometryError(f"malformed interval-union JSON: {e!r}") from None
+    return reference_union(pieces, space)
+
+
+def parsed_json(text: str) -> tuple:
+    U = IntervalUnion.from_json(text)
+    assert_view(U)
+    return U.space, U.pieces
+
+
+# endpoint tokens: canonical and other forms Fraction reads, and forms it rejects
+JSON_ENDS = ['"2/4"', '"007/9"', '"-0/3"', '"1/3"', '"-1/2"', '"3"', '"0"', '"0.5"', '"1e-3"', '" 1/4 "',
+             '"+1/5"', "0", "1", "0.25", "1e-3", "true", '"1/0"', '"0/00"', '"1/ 2"', '"1//2"', '"½"',
+             '"١/2"', '"1/-2"', '"-"', '"/2"', '""', "null", "[]", "NaN", "Infinity"]
+
+
+@st.composite
+def json_documents(draw):
+    """A `to_json` output, or a hand-made document: endpoint tokens in well-formed
+    or broken structure, with reversed, overlapping and out-of-space pieces among them."""
+    if draw(st.booleans()):
+        return draw(spaced_unions()).to_json()
+    end = st.sampled_from(JSON_ENDS)
+    piece = st.one_of(st.builds(lambda a, b: f"[{a}, {b}]", end, end),
+                      st.sampled_from(['["1/2"]', '["0", "1/2", "1"]', '"01"', "{}", "3"]))
+    pieces = "[" + ", ".join(draw(st.lists(piece, max_size=4))) + "]"
+    space = draw(st.sampled_from(['["0/1", "1/1"]', '["-1", "1"]', '["0", "1/2"]', '["1", "0"]', '["0"]', '"01"']))
+    return draw(st.sampled_from([
+        f'{{"space": {space}, "pieces": {pieces}}}', f'{{"pieces": {pieces}}}', f'{{"space": {space}}}',
+        f"[{pieces}]", pieces + "x",
+    ]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_documents())
+@example('{"space": ["0/1", "1/1"], "pieces": [["2/4", "007/9"], ["-0/3", "0"]]}')
+@example('{"space": ["0/1", "1/1"], "pieces": [["1/2", "1/3"]]}')
+@example('{"space": ["0/1", "1/1"], "pieces": [["0", "1/2"], ["1/3", "1"]]}')
+@example('{"space": ["0/1", "1/1"], "pieces": [["-1/2", "1/2"]]}')
+@example('{"space": ["0/1", "1/1"], "pieces": [["1/2", "3/2"]]}')
+def test_from_json_equals_the_fraction_parser(text):
+    assert outcome(parsed_json, text) == outcome(reference_from_json, text)
+
+
+def reference_next_prime(n: int) -> int:
+    k = n + 1
+    if k <= 2:
+        return 2
+    if k % 2 == 0:
+        k += 1
+    while not is_prime(k):
+        k += 2
+    return k
+
+
+def test_next_prime_equals_trial_division_below_ten_to_the_five():
+    assert all(next_prime(n) == reference_next_prime(n) for n in range(-3, 10**5))
+
+
+def test_next_prime_equals_trial_division_on_seeded_large_arguments():
+    rng = random.Random("next_prime")
+    for bits in range(64, 513, 16):
+        for n in (rng.getrandbits(bits) | 1 << (bits - 1), 1 << bits):
+            assert next_prime(n) == reference_next_prime(n), n
+
+
+def test_sieved_next_prime_equals_trial_division_on_small_windows(monkeypatch):
+    """The window sieve from 17 bits on, where every sieve prime is below the window."""
+    monkeypatch.setattr(primes, "_SIEVE_BITS", 17)
+    rng = random.Random("sieved next_prime")
+    for n in [2**16 - 1, 2**16, 2**17 + 1] + [rng.randrange(2**16, 2**48) for _ in range(120)]:
+        assert next_prime(n) == reference_next_prime(n), n
