@@ -19,7 +19,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitseq import BitMatrix, BitSequence, ZERO_SEQ, p3_member, phi_transform, q2_member
@@ -87,6 +86,21 @@ def _dyadic_pow(base: float, exponent: float, bits: int = 48) -> Fraction:
     frac = 2.0 ** (e - k)
     mant = Fraction(round(frac * (1 << bits)), 1 << bits)
     return mant * (Fraction(2) ** k)
+
+
+def _memo(build: Callable[..., IntervalUnion]) -> Callable[..., IntervalUnion]:
+    """A scheme's `stage(k)`: stage k is built once, by `build(self, k)`, and kept by k in the
+    scheme's stage memo, so a builder reads earlier stages through `self.stage`."""
+
+    def stage(self, k: int) -> IntervalUnion:
+        memo: dict[int, IntervalUnion] = vars(self).setdefault("_stage_memo", {})
+        if k not in memo:
+            if k < 0:
+                raise ConstructionError("stage must be nonnegative")
+            memo[k] = build(self, k)
+        return memo[k]
+
+    return stage
 
 
 class Scheme:
@@ -165,6 +179,7 @@ class CantorScheme(Scheme):
         self.declared_hdim = math.log(2) / math.log(n)
         self.declared_fdim = 0.0
 
+    @_memo
     def stage(self, k: int) -> IntervalUnion:
         return cantor_stage(self.n, k)
 
@@ -189,7 +204,6 @@ class GeneralizedCantorScheme(Scheme):
         self.name = name
         self._sched = lengths
         self._lengths: list[Fraction] = [Fraction(1)]
-        self._stages: list[tuple[int, list[int]]] = [(1, [0])]  # D and the left numerators over D
 
     @classmethod
     def for_dimension(cls, p: float) -> "GeneralizedCantorScheme":
@@ -207,19 +221,15 @@ class GeneralizedCantorScheme(Scheme):
             j = len(self._lengths)
             self._lengths.append(min(self._sched(j), self._lengths[j - 1] / 2))
 
-    def _ensure(self, k: int) -> None:
+    @_memo
+    def stage(self, k: int) -> IntervalUnion:
         """A parent [a, a + P] spawns the left ends a and a + P - L, over E = lcm(D, den L)."""
         self._ensure_lengths(k)
-        while len(self._stages) <= k:
-            j = len(self._stages)
-            D, lefts = self._stages[-1]
+        D, lefts = 1, [0]
+        for j in range(1, k + 1):
             E = math.lcm(D, self._lengths[j].denominator)
             s, step = E // D, int((self._lengths[j - 1] - self._lengths[j]) * E)
-            self._stages.append((E, [m for a in lefts for m in (a * s, a * s + step)]))
-
-    def stage(self, k: int) -> IntervalUnion:
-        self._ensure(k)
-        D, lefts = self._stages[k]
+            D, lefts = E, [m for a in lefts for m in (a * s, a * s + step)]
         L = int(self._lengths[k] * D)
         return IntervalUnion._merged([(D, lefts, [a + L for a in lefts])], (ZERO, ONE))
 
@@ -247,6 +257,7 @@ class IntervalScheme(Scheme):
     declared_hdim = 1.0
     declared_fdim = 1.0
 
+    @_memo
     def stage(self, k: int) -> IntervalUnion:
         return IntervalUnion.full()
 
@@ -273,11 +284,6 @@ def jarnik_stage(alpha: float, j: int) -> IntervalUnion:
     closed intervals [p/q - q^-(2+alpha), p/q + q^-(2+alpha)], clamped to
     [0, 1] and merged where they overlap.
     """
-    return _jarnik_stage_cached(float(alpha), j)
-
-
-@lru_cache(maxsize=64)
-def _jarnik_stage_cached(alpha: float, j: int) -> IntervalUnion:
     if alpha < 0:
         raise ConstructionError("alpha must be nonnegative")
     if j < 1:
@@ -309,6 +315,7 @@ class JarnikScheme(Scheme):
         self.declared_hdim = 2.0 / (2.0 + alpha)
         self.declared_fdim = 2.0 / (2.0 + alpha)
 
+    @_memo
     def stage(self, j: int) -> IntervalUnion:
         if j == 0:
             return IntervalUnion.full()
@@ -344,9 +351,7 @@ class SAlphaScheme(Scheme):
         ratio = _dyadic_pow(float(branching), -1.0 / self.p)
         cap = Fraction(1, branching) * Fraction(63, 64)
         self._ratio = min(ratio, cap)
-        self._lengths: list[Fraction] = [Fraction(1)]
-        self._primes: list[int] = [0]
-        self._stages: list[IntervalUnion] = [IntervalUnion.full()]
+        self._primes: dict[int, int] = {0: 0}  # the prime of each built stage
 
     def _refine(self, parent: IntervalUnion, ell: Fraction) -> tuple[IntervalUnion, int]:
         """Children of every parent piece, centred at i/q with i the round-half-even
@@ -378,35 +383,20 @@ class SAlphaScheme(Scheme):
                 out_r.append(c + fH)
         return IntervalUnion._of_ints(F, out_l, out_r), q
 
-    def _ensure(self, k: int) -> None:
-        while len(self._stages) <= k:
-            ell = self._lengths[-1] * self._ratio
-            union, q = self._refine(self._stages[-1], ell)
-            if union.is_empty:
-                raise ConstructionError("refinement produced an empty stage")
-            self._stages.append(union)
-            self._lengths.append(ell)
-            self._primes.append(q)
-
+    @_memo
     def stage(self, k: int) -> IntervalUnion:
-        if k < 0:
-            raise ConstructionError("stage must be nonnegative")
-        self._ensure(k)
-        return self._stages[k]
+        """Stage k - 1 refined at the child length ratio^k."""
+        if k == 0:
+            return IntervalUnion.full()
+        union, q = self._refine(self.stage(k - 1), self._ratio**k)
+        if union.is_empty:
+            raise ConstructionError("refinement produced an empty stage")
+        self._primes[k] = q
+        return union
 
     def stage_prime(self, k: int) -> int:
-        self._ensure(k)
+        self.stage(k)
         return self._primes[k]
-
-
-_SALPHA_CACHE: dict[tuple[float, int], SAlphaScheme] = {}
-
-
-def _shared_salpha(alpha: float, branching: int) -> SAlphaScheme:
-    key = (alpha, branching)  # exact: a rounded key hands one alpha's stages to its neighbours
-    if key not in _SALPHA_CACHE:
-        _SALPHA_CACHE[key] = SAlphaScheme(alpha, branching)
-    return _SALPHA_CACHE[key]
 
 
 def s_alpha_stage(
@@ -416,7 +406,7 @@ def s_alpha_stage(
     lo, hi = as_fraction(target[0]), as_fraction(target[1])
     if lo >= hi:
         raise ConstructionError("target interval must be nondegenerate")
-    unit = _shared_salpha(alpha, 3).stage(k)
+    unit = SAlphaScheme(alpha, 3).stage(k)
     if (lo, hi) == (Fraction(0), Fraction(1)):
         return unit
     return unit.map_onto((lo, hi))
@@ -468,55 +458,41 @@ class FpScheme(Scheme):
         self.name = f"fp:{p:g}:x={x}"
         self.declared_hdim = p if x.is_eventually_zero else 0.0
         self.declared_fdim = self.declared_hdim
-        self._sal = _shared_salpha(self.alpha, branching)
-        self._stages: list[IntervalUnion] = [IntervalUnion.full()]
-        self._base = self._stages[0]
-        self._depth_since_reset = 0
-        self._shrinks: list[tuple[int, int, Fraction]] = []
+        self._sal = SAlphaScheme(self.alpha, branching)
 
-    def _ensure(self, k: int) -> None:
-        while len(self._stages) <= k:
-            s = len(self._stages) - 1  # current stage index
-            cur = self._stages[-1]
-            if self.x.bit(s + 1) == 1:
-                n = len(cur)
-                cap = shrink_cap(s, n)
-                D, lefts, rights = cur.int_ends
-                L = math.lcm(D, cap.denominator)
-                u, c = L // D, cap.numerator * (L // cap.denominator)
-                pairs = [(a * u, b * u) for a, b in zip(lefts, rights)]
-                # over 2L: a piece no longer than the cap stays, a longer one keeps its centre a + b
-                ends = [(2 * a, 2 * b) if b - a <= c else (a + b - c, a + b + c) for a, b in pairs]
-                nxt = IntervalUnion._of_ints(2 * L, [a for a, _ in ends], [b for _, b in ends])
-                self._base = nxt
-                self._depth_since_reset = 0
-                self._shrinks.append((s, n, cap))
-            else:
-                self._depth_since_reset += 1
-                unit = self._sal.stage(self._depth_since_reset)
-                if self._base == self._stages[0]:
-                    nxt = unit
-                else:
-                    # the unit's x/Du onto the base piece [A, B]/Db: (A*Du + x*(B - A)) / (Db*Du)
-                    Db, bl, br = self._base.int_ends
-                    Du, ul, ur = unit.int_ends
-                    nxt = IntervalUnion._of_ints(
-                        Db * Du,
-                        [A * Du + x * (B - A) for A, B in zip(bl, br) for x in ul],
-                        [A * Du + x * (B - A) for A, B in zip(bl, br) for x in ur],
-                    )
-            self._stages.append(nxt)
-
+    @_memo
     def stage(self, k: int) -> IntervalUnion:
-        if k < 0:
-            raise ConstructionError("stage must be nonnegative")
-        self._ensure(k)
-        return self._stages[k]
+        """A 1-bit at k shrinks stage k - 1; a 0-bit maps S_alpha stage k - r onto stage r, the
+        last reset (the last j < k with a 1-bit, else 0)."""
+        if k == 0:
+            return IntervalUnion.full()
+        if self.x.bit(k) == 1:
+            cur = self.stage(k - 1)
+            cap = shrink_cap(k - 1, len(cur))
+            D, lefts, rights = cur.int_ends
+            L = math.lcm(D, cap.denominator)
+            u, c = L // D, cap.numerator * (L // cap.denominator)
+            pairs = [(a * u, b * u) for a, b in zip(lefts, rights)]
+            # over 2L: a piece no longer than the cap stays, a longer one keeps its centre a + b
+            ends = [(2 * a, 2 * b) if b - a <= c else (a + b - c, a + b + c) for a, b in pairs]
+            return IntervalUnion._of_ints(2 * L, [a for a, _ in ends], [b for _, b in ends])
+        r = next((j for j in range(k - 1, 0, -1) if self.x.bit(j) == 1), 0)
+        base, unit = self.stage(r), self._sal.stage(k - r)
+        if base == IntervalUnion.full():
+            return unit
+        # the unit's x/Du onto the base piece [A, B]/Db: (A*Du + x*(B - A)) / (Db*Du)
+        Db, bl, br = base.int_ends
+        Du, ul, ur = unit.int_ends
+        return IntervalUnion._of_ints(
+            Db * Du,
+            [A * Du + x * (B - A) for A, B in zip(bl, br) for x in ul],
+            [A * Du + x * (B - A) for A, B in zip(bl, br) for x in ur],
+        )
 
     def shrink_events(self, k: int) -> list[tuple[int, int, Fraction]]:
         """(stage, piece count, cap) for every 1-bit processed up to stage k."""
-        self._ensure(k)
-        return [e for e in self._shrinks if e[0] < k]
+        counts = {s: len(self.stage(s)) for s in range(k) if self.x.bit(s + 1) == 1}
+        return [(s, n, shrink_cap(s, n)) for s, n in counts.items()]
 
 
 def f_p_stage(
@@ -569,9 +545,8 @@ class BlockTower(Scheme):
             return IntervalUnion.empty()
         return blk.stage(k).map_onto(block_interval(m))
 
+    @_memo
     def stage(self, k: int) -> IntervalUnion:
-        if k < 0:
-            raise ConstructionError("stage must be nonnegative")
         return _tower((2 ** (k + 1), [0], [1]), (self.block_union(m, k) for m in range(k, -1, -1)))
 
     def report_of(self, k: int, union: IntervalUnion) -> StageReport:
@@ -645,7 +620,7 @@ class SalemGapScheme(BlockTower):
         return self.block_union(0, k)
 
 
-def salem_gap_stage(p: float, x: BitMatrix, k: int, branching: int = 3) -> IntervalUnion:
+def salem_gap_stage(p: float, x: BitMatrix, k: int, branching: int = 2) -> IntervalUnion:
     return SalemGapScheme(p, x, branching).stage(k)
 
 
@@ -717,9 +692,8 @@ class WeihrauchScheme(Scheme):
     def block_union(self, k: int, depth: int) -> IntervalUnion:
         return self._blocks[k].stage(depth).map_onto(block_interval(k))
 
+    @_memo
     def stage(self, depth: int) -> IntervalUnion:
-        if depth < 0:
-            raise ConstructionError("depth must be nonnegative")
         blocks = (self.block_union(k, depth) for k in range(len(self._blocks) - 1, -1, -1))
         return _tower((1, [0], [0]), blocks)
 

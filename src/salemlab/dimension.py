@@ -291,8 +291,8 @@ def salem_report_with_measure(
 ) -> tuple[DimensionReport, Measure]:
     """`salem_report` and the decay measure its Fourier fit used.
 
-    The stage set and its natural measure are built once per call and kept
-    nowhere after it: the scheme holds no stage sets between reports.
+    The stage set and its natural measure are built once per call.  The
+    scheme keeps every stage it has built (one memo) and keeps no measure.
     """
     stage_set = scheme.stage(stage)
     reports = scheme.reports(fit_lo, stage, stage_set)

@@ -24,6 +24,7 @@ from salemlab.constructions import (
     radial_lift,
     radial_reports,
     s_alpha_stage,
+    salem_gap_stage,
     shrink_bound_holds,
     weihrauch_dimension_target,
     weihrauch_encode,
@@ -82,7 +83,7 @@ class TestGeneralizedCantor:
     def test_decay_measure_reads_the_schedule_without_building_stages(self):
         sch = GeneralizedCantorScheme.for_dimension(0.5)
         mu = sch.decay_measure(8)
-        assert len(sch._stages) <= 9
+        assert len(vars(sch).get("_stage_memo", {})) <= 9
         assert mu.contractions == (F(1, 4),) * 24
 
     def test_contractions_match_the_stage_lengths(self):
@@ -304,6 +305,11 @@ class TestSalemGap:
         sch = SalemGapScheme(0.7, BitMatrix.zero())
         for k in range(4):
             assert sch.stage(k + 1).subset_of(sch.stage(k))
+
+    @pytest.mark.parametrize("p, rows, k", [(0.63, "1;0", 4), (math.log(2) / math.log(3), "(10);0", 3), (0.8, "0", 2)])
+    def test_function_wrapper_builds_the_scheme_stage(self, p, rows, k):
+        x = BitMatrix.from_rows([BitSequence.from_string(r) for r in rows.split(";")])
+        assert salem_gap_stage(p, x, k) == SalemGapScheme(p, x).stage(k)
 
 
 class TestWeihrauch:

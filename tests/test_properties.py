@@ -43,8 +43,8 @@ from salemlab.constructions import (
     SalemGapScheme,
     StageReport,
     _dyadic_pow,
-    _jarnik_stage_cached,
     _radius,
+    jarnik_stage,
     radial_lift,
     radial_reports,
     shrink_cap,
@@ -433,6 +433,14 @@ def test_memoised_reports_equal_fresh_scheme_reports(case):
     scheme = parse_scheme(spec)
     for lo, hi in calls:
         assert scheme.reports(lo, hi) == [fresh_report(spec, k) for k in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("spec", sorted(SPECS))
+def test_negative_stage_is_refused_after_a_built_stage(spec):
+    scheme = parse_scheme(spec)
+    scheme.stage(2)
+    with pytest.raises(ConstructionError, match="^stage must be nonnegative$"):
+        scheme.stage(-1)
 
 
 # -- exact geometry queries ------------------------------------------------
@@ -965,8 +973,13 @@ def reference_salpha_stages(scheme: SAlphaScheme, k: int) -> tuple[list, list[in
 def test_salpha_stages_equal_the_fraction_refinement(alpha, branching, k):
     scheme = SAlphaScheme(alpha, branching)
     stages, primes = reference_salpha_stages(scheme, k)
-    assert [built(scheme.stage(j)) for j in range(k + 1)] == [reference_union(p) for p in stages]
+    order = list(range(k + 1))  # stages built in a drawn order, each reading the memo for its parent
+    random.Random(f"{alpha} {branching}").shuffle(order)
+    got = {j: built(scheme.stage(j)) for j in order}
+    assert [got[j] for j in range(k + 1)] == [reference_union(p) for p in stages]
     assert [scheme.stage_prime(j) for j in range(k + 1)] == primes
+    fresh = SAlphaScheme(alpha, branching)
+    assert [fresh.stage_prime(j) for j in order] == [primes[j] for j in order]
     assert scheme.stage(k) is scheme.stage(k)  # built once and kept
 
 
@@ -1051,11 +1064,14 @@ def reference_fp_stages(scheme: FpScheme, k: int) -> tuple[list[tuple], list]:
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([0.3, 0.5, 0.8, 1.0]), st.lists(st.integers(0, 1), max_size=6),
-       st.sampled_from([(0,), (1,), (0, 1)]), st.integers(0, 5))
-def test_fp_stages_equal_the_fraction_shrink_and_map(p, prefix, period, k):
-    scheme = FpScheme(p, BitSequence(prefix, period))
-    stages, events = reference_fp_stages(scheme, k)
-    assert [built(scheme.stage(j)) for j in range(k + 1)] == stages
+       st.sampled_from([(0,), (1,), (0, 1)]), st.integers(0, 5), st.data())
+def test_fp_stages_equal_the_fraction_shrink_and_map(p, prefix, period, k, data):
+    x = BitSequence(prefix, period)
+    stages, events = reference_fp_stages(FpScheme(p, x), k)
+    scheme = FpScheme(p, x)  # fresh: no stage of it or of its S_alpha unit is built yet
+    order = data.draw(st.permutations(range(k + 1)), label="build order")
+    got = {j: built(scheme.stage(j)) for j in order}
+    assert [got[j] for j in range(k + 1)] == stages
     assert scheme.shrink_events(k) == events
 
 
@@ -1299,9 +1315,9 @@ def test_stage_builders_read_like_the_eager_union(spec):
         for k in range(SPECS[spec] + 1):
             scheme.stage(k)
         if spec.startswith("jarnik"):
-            _jarnik_stage_cached.__wrapped__(1.0, 5)  # past the stage cache
+            jarnik_stage(1.0, 5)  # past the scheme's stage memo
         if spec.startswith("salpha"):
-            SAlphaScheme(0.5, 2).stage(4)  # past the shared cache
+            SAlphaScheme(0.5, 2).stage(4)  # a second alpha and branching
     assert_reads_like_the_eager_union(calls)
 
 
@@ -1335,7 +1351,7 @@ def test_checked_constructors_make_no_fraction(U, rng):
 
 
 def test_stage_builders_make_no_fraction_per_piece():
-    jarnik = _jarnik_stage_cached.__wrapped__
+    jarnik = jarnik_stage
     gcantor = GeneralizedCantorScheme.for_dimension(0.5)
     gcantor._ensure_lengths(10)  # its length schedule is Fraction arithmetic, once per stage
     with pytest.MonkeyPatch.context() as m:
@@ -1436,7 +1452,7 @@ def reference_jarnik(alpha: float, j: int) -> tuple:
 @pytest.mark.parametrize("alpha", [0, 0.5, 1, 2])
 def test_integer_jarnik_blocks_equal_the_fraction_blocks(alpha):
     for j in range(1, 7):
-        assert built(_jarnik_stage_cached.__wrapped__(float(alpha), j)) == reference_jarnik(alpha, j)
+        assert built(jarnik_stage(float(alpha), j)) == reference_jarnik(alpha, j)
 
 
 def reference_gcantor_stages(scheme: GeneralizedCantorScheme, k: int) -> list[tuple]:
