@@ -100,6 +100,7 @@ def _memo(build: Callable[..., IntervalUnion]) -> Callable[..., IntervalUnion]:
             memo[k] = build(self, k)
         return memo[k]
 
+    stage.__doc__ = build.__doc__
     return stage
 
 
@@ -491,8 +492,8 @@ class FpScheme(Scheme):
 
     def shrink_events(self, k: int) -> list[tuple[int, int, Fraction]]:
         """(stage, piece count, cap) for every 1-bit processed up to stage k."""
-        counts = {s: len(self.stage(s)) for s in range(k) if self.x.bit(s + 1) == 1}
-        return [(s, n, shrink_cap(s, n)) for s, n in counts.items()]
+        sizes = ((s, len(self.stage(s))) for s in range(k) if self.x.bit(s + 1) == 1)
+        return [(s, n, shrink_cap(s, n)) for s, n in sizes]
 
 
 def f_p_stage(

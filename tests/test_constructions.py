@@ -83,7 +83,7 @@ class TestGeneralizedCantor:
     def test_decay_measure_reads_the_schedule_without_building_stages(self):
         sch = GeneralizedCantorScheme.for_dimension(0.5)
         mu = sch.decay_measure(8)
-        assert len(vars(sch).get("_stage_memo", {})) <= 9
+        assert max(vars(sch).get("_stage_memo", {}), default=0) <= 8
         assert mu.contractions == (F(1, 4),) * 24
 
     def test_contractions_match_the_stage_lengths(self):
