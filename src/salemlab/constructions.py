@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bitseq import BitMatrix, BitSequence, ZERO_SEQ, p3_member, phi_transform, q2_member
 from .geometry import ONE, ZERO, BoxUnion, IntervalUnion, as_fraction
@@ -56,8 +55,7 @@ class ConstructionError(ValueError):
     """Raised when a staged construction cannot proceed (empty stage, bad parameter)."""
 
 
-@dataclass(frozen=True)
-class StageReport:
+class StageReport(NamedTuple):
     """Piece statistics of one stage: count and diameter range."""
 
     stage: int

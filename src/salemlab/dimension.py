@@ -1,23 +1,27 @@
 """Estimators for box-counting, covering-sum, ball-mass and Fourier-decay exponents.
 
 A Fourier fit screens all its bands' frequencies in one cheap sweep and runs
-the exact kernel only where a band's supremum can be.  SALEMLAB_THREADS > 1
-splits the screen into contiguous slices on a thread pool; every frequency
-is computed on its own, so identical parameters and seed give identical
-output regardless of pool size.  numpy and the pool load where a sweep runs.
+the exact kernel only where a band's supremum can be; the jittered lattice
+is computed once for every band, and the bands' best screened values, keep
+mask and sups come from reductions over the band offsets.  SALEMLAB_THREADS
+> 1 splits the screen into contiguous slices on a thread pool; every
+frequency is computed on its own, so identical parameters and seed give
+identical output regardless of pool size.  numpy and the pool load where a
+sweep runs.  A report's Frostman fit takes its default centres and radii as
+integer numerators over one denominator (`_frostman_grid`) and builds no
+Fraction; the public Fraction functions convert to and from that rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import thread_count
 from .constructions import Scheme, StageReport
-from .geometry import IntervalUnion, diameter
-from .measures import Measure, PiecewiseUniformMeasure, natural_measure
+from .geometry import IntervalUnion, as_fraction, diameter
+from .measures import Measure, PiecewiseUniformMeasure, _common_numerators, natural_measure
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,8 +33,7 @@ class FitError(ValueError):
     """Raised when a regression is underdetermined or a gate fails."""
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """Fitted power-law exponent with regression diagnostics.
 
     The multiplicative constant of the fitted law is exp(intercept).
@@ -43,8 +46,7 @@ class DecayFit:
     sample_count: int
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     scheme: str
     stage: int
     piece_count: int
@@ -80,9 +82,13 @@ def _least_squares(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, flo
     return slope, my - slope * mx, 1.0 - ssr / sst
 
 
-def _log(q: Fraction) -> float:
-    """log q > 0: of its float, or of its integers where the float underflows to 0."""
-    return math.log(float(q)) if float(q) > 0 else math.log(q.numerator) - math.log(q.denominator)
+def _log(n: int, d: int) -> float:
+    """log(n / d) > 0: of its float, or of its reduced integers where the float underflows to 0."""
+    q = n / d
+    if q > 0:
+        return math.log(q)
+    g = math.gcd(n, d)
+    return math.log(n // g) - math.log(d // g)
 
 
 def clamp_dimension(raw: float, d: int = 1) -> float:
@@ -119,7 +125,7 @@ def box_count_fit(reports: Sequence[StageReport], scale: str = "max") -> DecayFi
         delta = rep.max_diam if scale == "max" else rep.min_diam
         if delta <= 0 or rep.piece_count < 1:
             continue
-        xs.append(-_log(delta))
+        xs.append(-_log(delta.numerator, delta.denominator))
         ys.append(math.log(rep.piece_count))
     if len(set(xs)) < 2:
         raise FitError("need at least two distinct scales")
@@ -142,11 +148,16 @@ def frostman_fit(
         raise FitError("need at least four distinct radii")
     if radii[0] <= 0:
         raise FitError("radii must be positive")
+    return _frostman_fit(mu, *_common_numerators(mu.int_ends[0], [as_fraction(c) for c in centers], radii), ambient_dim)
+
+
+def _frostman_fit(mu: PiecewiseUniformMeasure, E: int, cn: list[int], rn: list[int], ambient_dim: int = 1) -> DecayFit:
+    """`frostman_fit` of the centres cn / E and the increasing radii rn / E > 0, where D divides E."""
     xs, ys = [], []
-    for r, sup in zip(radii, mu.max_ball_masses(centers, radii)):
+    for r, sup in zip(rn, mu._max_ball_masses(E, cn, rn)):
         if sup <= 0.0:
             continue
-        xs.append(_log(r))
+        xs.append(_log(r, E))
         ys.append(math.log(sup))
     if len(xs) < 2:
         raise FitError("ball masses vanished at every scale")
@@ -154,8 +165,17 @@ def frostman_fit(
     return DecayFit(clamp_dimension(slope, ambient_dim), intercept, r2, (min(xs), max(xs)), len(xs))
 
 
-def default_frostman_centers(mu: PiecewiseUniformMeasure, cap: int = 128) -> list[Fraction]:
-    """Piece endpoints and midpoints, evenly thinned to the cap; numerators over 2D until then."""
+def _frostman_grid(mu: PiecewiseUniformMeasure, cap: int = 128, min_scales: int = 6) -> tuple[int, list[int], list[int]]:
+    """The default centres and radii as numerators over one denominator E = 2D 2^J.
+
+    Centres: piece endpoints and midpoints, evenly thinned to the cap.  Radii:
+    J of them, from diam/4 halving down to the smallest piece length, at least
+    max(min_scales, 4) and at most 40, so span 2^(J-1-i) / E for i < J (span
+    the support's numerator length; 1/4, 1/8, ... for a single point); the
+    list is increasing.  Radii below the finest piece scale are excluded:
+    there the stage set is interval-like and every mass reading saturates at
+    slope 1; without intervals the floor is diam / 2^10.
+    """
     D, lefts, rights = mu.int_ends
     pts: list[int] = []
     for l, r in zip(lefts, rights):
@@ -169,32 +189,29 @@ def default_frostman_centers(mu: PiecewiseUniformMeasure, cap: int = 128) -> lis
     if len(pts) > cap:
         step = (len(pts) - 1) / (cap - 1)
         pts = [pts[round(i * step)] for i in range(cap)]
-    return [Fraction(n, 2 * D) for n in pts]
+    span = rights[-1] - lefts[0]
+    floor = min((r - l for l, r in zip(lefts, rights) if r > l), default=0)
+    # the radii span / (D 2^(2+i)) at or above the floor: i <= log2(span / floor) - 2
+    above = min((span // floor).bit_length() - 2, 40) if floor else 9 if span else 0
+    J = max(above, min_scales, 4)
+    return 2 * D << J, [p << J for p in pts], [(span or D) << i for i in range(J)]
+
+
+def default_frostman_centers(mu: PiecewiseUniformMeasure, cap: int = 128) -> list[Fraction]:
+    """Piece endpoints and midpoints, evenly thinned to the cap (see `_frostman_grid`)."""
+    E, cn, _ = _frostman_grid(mu, cap)
+    return [Fraction(c, E) for c in cn]
 
 
 def default_frostman_radii(mu: PiecewiseUniformMeasure, min_scales: int = 6) -> list[Fraction]:
-    """Geometric radii from diam/4 down to the smallest piece diameter.
-
-    Radii below the finest piece scale are excluded: there the stage set is
-    interval-like and every mass reading saturates at slope 1.
-    """
-    diam = mu.diameter()
-    if diam <= 0:
-        return [Fraction(1, 2**j) for j in range(2, 2 + max(min_scales, 4))]
-    D, lefts, rights = mu.int_ends
-    floor = Fraction(min((r - l for l, r in zip(lefts, rights) if r > l), default=diam * D / 2**10), D)
-    radii = []
-    r = diam / 4
-    while r >= floor and len(radii) < 40:
-        radii.append(r)
-        r /= 2
-    while len(radii) < max(min_scales, 4):
-        radii.append(radii[-1] / 2 if radii else diam / 4)
-    return radii
+    """Geometric radii from diam/4 down to the smallest piece diameter (see `_frostman_grid`)."""
+    E, _, rn = _frostman_grid(mu, min_scales=min_scales)
+    return [Fraction(r, E) for r in reversed(rn)]
 
 
-def _band_samples(lo: float, hi: float, count: int, seed: int) -> "np.ndarray":
-    """Logarithmic lattice with seeded low-discrepancy jitter.
+def _band_grid(count: int, seed: int) -> "np.ndarray":
+    """Logarithmic lattice on [1, 2) with seeded low-discrepancy jitter; a
+    dyadic band [lo, 2 lo) samples lo times it.
 
     The jitter keeps the lattice incommensurate with self-similar frequency
     ladders that a bare geometric grid could alias against.
@@ -204,8 +221,7 @@ def _band_samples(lo: float, hi: float, count: int, seed: int) -> "np.ndarray":
     u0 = (seed * _GOLDEN) % 1.0
     i = np.arange(count)
     jitter = (u0 + i * _GOLDEN) % 1.0
-    frac = (i + jitter) / count
-    return lo * (hi / lo) ** frac
+    return 2.0 ** ((i + jitter) / count)
 
 
 def fourier_decay_fit(
@@ -223,8 +239,10 @@ def fourier_decay_fit(
     measure's resonant candidates.  One `fourier_screen` call (one per thread)
     brackets each modulus; one `fourier_modulus_many` call on the frequencies
     whose upper end reaches their band's best lower end, the arg-max among
-    them, gives each supremum as the exact kernel's float.  The fitted exponent
-    is the raw decay rate (-2 * slope); clamp it with `clamp_dimension`.
+    them, gives each supremum as the exact kernel's float; a screen with slack
+    0 (product measures, one piece) already gave those floats, so its band
+    maxima are the suprema.  The fitted exponent is the raw decay rate
+    (-2 * slope); clamp it with `clamp_dimension`.
     """
     if bands < 4:
         raise FitError("need at least four bands")
@@ -236,11 +254,10 @@ def fourier_decay_fit(
     import numpy as np
 
     edges = [(2.0**j, 2.0 ** (j + 1)) for j in range(j_hi - bands, j_hi)]
-    per_band = []
-    for lo, hi in edges:
-        resonant = np.array(mu.resonant_frequencies(lo, hi), dtype=float)
-        per_band.append(np.concatenate([_band_samples(lo, hi, samples_per_band, seed), resonant]))
-    xis = np.concatenate(per_band)
+    grid = _band_grid(samples_per_band, seed)
+    resonant = [mu.resonant_frequencies(lo, hi) for lo, hi in edges]
+    xis = np.concatenate([part for (lo, _), res in zip(edges, resonant) for part in (lo * grid, res)])
+    starts = np.cumsum([0] + [samples_per_band + len(res) for res in resonant[:-1]])
     threads = thread_count()
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -250,12 +267,14 @@ def fourier_decay_fit(
         approx, slack = (np.concatenate(p) for p in zip(*parts))
     else:
         approx, slack = mu.fourier_screen(xis)
-    cuts = np.cumsum([len(b) for b in per_band])[:-1]
-    keep = [a + s >= np.max(a - s) for a, s in zip(np.split(approx, cuts), np.split(slack, cuts))]
-    mods = mu.fourier_modulus_many(xis[np.concatenate(keep)])
-    sups = [float(np.max(m)) for m in np.split(mods, np.cumsum([np.count_nonzero(k) for k in keep])[:-1])]
+    # each band's best lower end; where the screen is exact (slack 0) these are the sups
+    sups = np.maximum.reduceat(approx - slack, starts)
+    if slack.any():  # keep a frequency where its upper end reaches its band's best lower end
+        keep = approx + slack >= np.repeat(sups, np.diff(starts, append=len(xis)))
+        kept = np.cumsum(keep)[starts] - keep[starts]  # each band's first kept frequency; every band keeps its arg-max
+        sups = np.maximum.reduceat(mu.fourier_modulus_many(xis[keep]), kept)
     xs = [math.log(math.sqrt(lo * hi)) for lo, hi in edges]
-    ys = [math.log(max(sup, 1e-300)) for sup in sups]
+    ys = [math.log(max(sup, 1e-300)) for sup in sups.tolist()]
     slope, intercept, r2 = _least_squares(xs, ys)
     return DecayFit(-2.0 * slope, intercept, r2, (min(xs), max(xs)), len(xs))
 
@@ -307,7 +326,7 @@ def salem_report_with_measure(
     else:
         hdim = box.exponent
     mu_nat = natural_measure(stage_set)
-    fro = frostman_fit(mu_nat, default_frostman_centers(mu_nat), default_frostman_radii(mu_nat))
+    fro = _frostman_fit(mu_nat, *_frostman_grid(mu_nat))
     mu_dec = scheme.decay_measure(stage, mu_nat)
     fou = fourier_decay_fit(mu_dec, xi_max, bands, samples_per_band, seed)
     fdim = clamp_dimension(fou.exponent, 1)

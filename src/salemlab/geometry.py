@@ -77,7 +77,41 @@ def view_pieces(ints: tuple[int, list[int], list[int]], *columns: Iterable) -> t
     return tuple(zip([Fraction(l, D) for l in lefts], [Fraction(r, D) for r in rights], *columns))
 
 
-class HausdorffDistance:
+class _Record:
+    """Immutable record of the names in `__slots__`, read like a frozen dataclass:
+    equal within one class and hashed as the tuple of their values, repr
+    name=value, copied and pickled by value."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self.__slots__, self._values()))})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class HausdorffDistance(_Record):
     """Distance between two compact unions.
 
     `value` is a Fraction whenever `exact` is True (always the case in one
@@ -90,30 +124,10 @@ class HausdorffDistance:
     def __init__(self, value: Union[Fraction, float], exact: bool = True) -> None:
         if value < 0:
             raise GeometryError("distance must be nonnegative")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "exact", exact)
-
-    def __setattr__(self, *_):
-        raise AttributeError("HausdorffDistance is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.exact) == (other.value, other.exact)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.exact))
-
-    def __repr__(self) -> str:
-        return f"HausdorffDistance(value={self.value!r}, exact={self.exact!r})"
+        super().__init__(value, exact)
 
     def __float__(self) -> float:
         return float(self.value)
-
-    def __reduce__(self):
-        return self.__class__, (self.value, self.exact)
 
 
 class IntervalUnion:

@@ -17,14 +17,13 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import le
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .geometry import IntervalUnion, as_fraction, format_ratio, integer_ends, view_pieces
+from .geometry import IntervalUnion, _Record, as_fraction, format_ratio, integer_ends, view_pieces
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,15 +39,14 @@ def _sinc(t: float) -> float:
     return 1.0 if t == 0.0 else math.sin(t) / t
 
 
-@dataclass(frozen=True)
-class FourierSample:
+class FourierSample(_Record):
     """One transform evaluation; probability measures keep |value| <= 1."""
 
-    xi: float
-    value: complex
+    __slots__ = ("xi", "value")
 
-    def __post_init__(self) -> None:
-        if abs(self.value) > 1.0 + 1e-9:
+    def __init__(self, xi: float, value: complex) -> None:
+        super().__init__(xi, value)
+        if abs(value) > 1.0 + 1e-9:
             raise MeasureError("transform modulus exceeds total mass")
 
     @property
@@ -204,17 +202,23 @@ class PiecewiseUniformMeasure:
         centers, halves, weights, _ = self._arrays
         turns, starts, pair = self._chunks
         rows = max(1, 2**15 // len(turns))
+        envelope = (weights * np.sinc(xis[:, None] * halves / np.pi))[:, pair]
+        # one set of buffers per call; a short last block uses their leading rows
+        p, near = np.empty((2, min(rows, len(xis)), len(turns)))
+        t, trig = np.empty((2, *p.shape), dtype=np.float32)
+        sums, terms = np.empty((len(p), len(pair)), dtype=np.float32), np.empty((len(p), len(pair)))
         out = np.empty(len(xis))
         for r in range(0, len(xis), rows):
             x = xis[r:r + rows]
-            envelope = (weights * np.sinc(x[:, None] * halves / np.pi))[:, pair]
-            p = np.einsum("i,j->ij", x, turns)  # the outer product, faster than broadcasting
-            p -= np.rint(p)
-            t = p.astype(np.float32)
-            t *= np.float32(_TWO_PI)
-            re = (envelope * np.add.reduceat(np.cos(t), starts, axis=1)).sum(axis=1)
-            im = (envelope * np.add.reduceat(np.sin(t), starts, axis=1)).sum(axis=1)
-            out[r:r + rows] = np.hypot(re, im)
+            m, env = len(x), envelope[r:r + rows]
+            np.einsum("i,j->ij", x, turns, out=p[:m])  # the outer product, faster than broadcasting
+            np.subtract(p[:m], np.rint(p[:m], out=near[:m]), out=p[:m])
+            np.multiply(p[:m], np.float32(_TWO_PI), out=t[:m], dtype=np.float32)  # cast, then times float32(2 pi)
+            parts = []
+            for f in (np.cos, np.sin):
+                np.add.reduceat(f(t[:m], out=trig[:m]), starts, axis=1, out=sums[:m])
+                parts.append(np.multiply(env, sums[:m], out=terms[:m]).sum(axis=1))
+            np.hypot(*parts, out=out[r:r + rows])
         return out, 2.0**-16 + 2.0**-18 + 2.0**-52 * (16 * np.abs(xis) * np.max(np.abs(centers)) + 2 * len(centers))
 
     def sample(self, xi: float) -> FourierSample:
@@ -297,7 +301,15 @@ class PiecewiseUniformMeasure:
         return self._mass(lefts, rights, i, j, ln, hn, e)
 
     def max_ball_masses(self, centers: Sequence, radii: Sequence) -> list[float]:
-        """max(ball_mass(c, r) for c in centers) for each r in radii, the same floats.
+        """max(ball_mass(c, r) for c in centers) for each r in radii, the same floats."""
+        cs = [as_fraction(c) for c in centers]
+        rs = [as_fraction(r) for r in radii]
+        if any(r <= 0 for r in rs):
+            raise MeasureError("radius must be positive")
+        return self._max_ball_masses(*_common_numerators(self.int_ends[0], cs, rs))
+
+    def _max_ball_masses(self, E: int, cn: list[int], rn: list[int]) -> list[float]:
+        """`max_ball_masses` of the centres cn / E and radii rn / E > 0, where D divides E.
 
         One numpy pass brackets every ball's mass from float piece ends c -+ h
         (running maxima, so sorted) and ball ends lo, hi.  The margin d = 2^-48
@@ -308,18 +320,13 @@ class PiecewiseUniformMeasure:
         upper bracket reaches the best lower one minus 1e-9 (far above the prefix
         sums' error) is kept: a ball with no piece within d of its ends covers
         whole pieces and takes `_mass`'s float in numpy, the others run `_mass`
-        with e = E / D, E = lcm(D, den centers, den radii).
+        with e = E / D.  The floats and `_mass`'s ratios are those of the
+        rationals, so they do not depend on which common denominator E is.
         """
         import numpy as np
 
-        cs = [as_fraction(c) for c in centers]
-        rs = [as_fraction(r) for r in radii]
-        if any(r <= 0 for r in rs):
-            raise MeasureError("radius must be positive")
         D, lefts, rights = self.int_ends
-        E = math.lcm(D, *(q.denominator for q in cs + rs))
         e = E // D
-        cn, rn = ([q.numerator * (E // q.denominator) for q in qs] for qs in (cs, rs))
         mid, halves, weights, index = self._arrays
         h, w, cw = halves[index], weights[index], np.array(self._cumw)
         A, B = np.maximum.accumulate(mid - h), np.maximum.accumulate(mid + h)
@@ -550,6 +557,12 @@ class SelfSimilarProductMeasure:
 
 
 Measure = PiecewiseUniformMeasure | SelfSimilarProductMeasure
+
+
+def _common_numerators(D: int, *groups: Sequence[Fraction]) -> tuple:
+    """E = lcm(D, every denominator), then each group's numerators over E."""
+    E = math.lcm(D, *(q.denominator for qs in groups for q in qs))
+    return (E, *([q.numerator * (E // q.denominator) for q in qs] for qs in groups))
 
 
 def natural_measure(A: IntervalUnion) -> PiecewiseUniformMeasure:

@@ -8,22 +8,22 @@ comparisons throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterator
 
 from .constructions import ConstructionError, StageReport, _dyadic_pow
-from .geometry import BoxUnion
+from .geometry import BoxUnion, _Record
 from .primes import is_prime
 
 
-@dataclass(frozen=True)
-class GaussianInt:
-    """a + b*i with integer coefficients."""
+class GaussianInt(_Record):
+    """a + b*i with integer coefficients; immutable, equal and hashed as the pair (a, b)."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        super().__init__(a, b)
 
     def __add__(self, o: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.a + o.a, self.b + o.b)

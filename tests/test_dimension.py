@@ -206,6 +206,17 @@ class TestCountableUnionSup:
         assert countable_union_sup([rep], True) == rep.hdim_est
 
 
+def reference_band_samples(lo: float, hi: float, count: int, seed: int):
+    """The jittered log-lattice on [lo, hi), computed per band."""
+    import numpy as np
+
+    u0 = (seed * dimension._GOLDEN) % 1.0
+    i = np.arange(count)
+    jitter = (u0 + i * dimension._GOLDEN) % 1.0
+    frac = (i + jitter) / count
+    return lo * (hi / lo) ** frac
+
+
 def reference_band_fit(mu, seed: int, xi_max: float = 2.0**16, bands: int = 10, samples: int = 128) -> DecayFit:
     """fourier_decay_fit as one sweep per band: the vector kernel for piecewise
     measures, the scalar transform for product measures."""
@@ -215,7 +226,7 @@ def reference_band_fit(mu, seed: int, xi_max: float = 2.0**16, bands: int = 10, 
     xs, ys = [], []
     for j in range(j_hi - bands, j_hi):
         lo, hi = 2.0**j, 2.0 ** (j + 1)
-        xis = dimension._band_samples(lo, hi, samples, seed)
+        xis = reference_band_samples(lo, hi, samples, seed)
         resonant = mu.resonant_frequencies(lo, hi)
         if isinstance(mu, SelfSimilarProductMeasure):
             sup = max(mu.fourier_modulus(x) for x in [*xis, *resonant])
@@ -232,6 +243,10 @@ FIT_MEASURES = {
     "natural jarnik:1.0 stage 4": lambda: natural_measure(JarnikScheme(1.0).stage(4)),
     "cantor:3 product": lambda: CantorScheme(3).decay_measure(6),
     "gcantor:0.5 product": lambda: cli.parse_scheme("gcantor:0.5").decay_measure(6),
+    "single atom": lambda: measures.PiecewiseUniformMeasure([(F(1, 3), F(1, 3), 1.0)]),
+    # 400 distinct lengths k / N on [k^2, k^2 + k] / N: 400 pairs, so 400 chunks in the screen
+    "natural 400 lengths": lambda: natural_measure(IntervalUnion([(F(k * k, 160801), F(k * k + k, 160801))
+                                                                  for k in range(1, 401)])),
 }
 
 

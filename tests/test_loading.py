@@ -20,12 +20,12 @@ from salemlab.geometry import IntervalUnion
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # runs the CLI with the given arguments (none: import only), then prints the exit
-# code and the loaded salemlab and numpy modules as the last line
+# code and the loaded salemlab, numpy, dataclasses and inspect modules as the last line
 _PROBE = (
     "import json, sys\n"
     "from salemlab import cli\n"
     "code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None\n"
-    "mods = sorted(m for m in sys.modules if m.split('.')[0] in ('salemlab', 'numpy'))\n"
+    "mods = sorted(m for m in sys.modules if m.split('.')[0] in ('salemlab', 'numpy', 'dataclasses', 'inspect'))\n"
     "print(json.dumps([code, mods]))\n"
 )
 
@@ -64,11 +64,22 @@ def test_commands_without_measures_load_neither_measures_nor_numpy(argv, tmp_pat
     code, mods = _probe(argv, tmp_path)
     assert code == 0
     assert not mods & {"numpy", "salemlab.measures", "salemlab.dimension", "salemlab.numberfield"}
+    assert not mods & {"dataclasses", "inspect"}
 
 
 def test_report_loads_the_fits(tmp_path):
     code, mods = _probe(["report", "cantor:3", "--stage", "3", "--seed", "1", "--out", "r"], tmp_path)
     assert code == 0 and {"numpy", "salemlab.measures", "salemlab.dimension"} <= mods
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "jarnik:1.0", "--stage", "3", "--seed", "1", "--out", "r"],
+    ["sweep", "jarnik:1.0", "--stage", "3", "--seed", "1", "--out", "s"],
+], ids=lambda argv: argv[0])
+def test_fourier_commands_do_not_load_dataclasses(argv, tmp_path):
+    """numpy itself loads `inspect`, so only `dataclasses` is checked here."""
+    code, mods = _probe(argv, tmp_path)
+    assert code == 0 and "salemlab.measures" in mods and "dataclasses" not in mods
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,9 @@
 """Property tests: integer ball masses and Frostman sups, transform bounds, the
 vector transform kernels against the scalar and per-pair references, the
-Fourier screen within its slack (also across its 256-piece chunks) and the
-screened fit against the per-band reference, the stage-report memo, the exact geometry queries (point distance, Hausdorff
+Fourier screen within its slack (also across its 256-piece chunks) and bit
+for bit against its per-block form, the screened fit against the per-band
+reference, the report's integer Frostman path against the Fraction fit, the
+stage-report memo, the exact geometry queries (point distance, Hausdorff
 metric, radial lift, grid partition), the integer endpoint view and
 one-pass constructors, the integer stage builders and the pruned
 Frostman sup (also below the float spacing of its brackets), and the endpoints stored only as integers (lazy pieces,
@@ -30,7 +32,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from salemlab import primes
+from salemlab import dimension, primes
 from salemlab.bitseq import BitSequence
 from salemlab.cli import parse_scheme
 from salemlab.constructions import (
@@ -49,7 +51,16 @@ from salemlab.constructions import (
     radial_reports,
     shrink_cap,
 )
-from salemlab.dimension import default_frostman_centers, default_frostman_radii, fourier_decay_fit, salem_report
+from salemlab.dimension import (
+    DecayFit,
+    _least_squares,
+    clamp_dimension,
+    default_frostman_centers,
+    default_frostman_radii,
+    fourier_decay_fit,
+    frostman_fit,
+    salem_report,
+)
 from salemlab.geometry import (
     BoxUnion,
     GeometryError,
@@ -361,6 +372,41 @@ def chunked_measures(draw):
 def test_chunked_screen_is_within_its_slack_of_the_exact_kernel(mu, xs):
     approx, slack = mu.fourier_screen(np.array(xs))
     assert np.all(np.abs(approx - mu.fourier_modulus_many(np.array(xs))) <= slack)
+
+
+def reference_screen(mu: PiecewiseUniformMeasure, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The screen with its envelope and temporaries made block by block."""
+    if len(mu.weights) == 1:
+        (a, b, w), = mu.pieces
+        return w * np.abs(np.sinc(xis * float((b - a) / 2) / np.pi)), np.zeros(len(xis))
+    centers, halves, weights, _ = mu._arrays
+    turns, starts, pair = mu._chunks
+    rows = max(1, 2**15 // len(turns))
+    out = np.empty(len(xis))
+    for r in range(0, len(xis), rows):
+        x = xis[r:r + rows]
+        envelope = (weights * np.sinc(x[:, None] * halves / np.pi))[:, pair]
+        p = np.einsum("i,j->ij", x, turns)
+        p -= np.rint(p)
+        t = p.astype(np.float32)
+        t *= np.float32(2.0 * math.pi)
+        re = (envelope * np.add.reduceat(np.cos(t), starts, axis=1)).sum(axis=1)
+        im = (envelope * np.add.reduceat(np.sin(t), starts, axis=1)).sum(axis=1)
+        out[r:r + rows] = np.hypot(re, im)
+    return out, 2.0**-16 + 2.0**-18 + 2.0**-52 * (16 * np.abs(xis) * np.max(np.abs(centers)) + 2 * len(centers))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(screened_measures(), chunked_measures()), st.sampled_from(["1", "rows-1", "rows", "rows+1", "blocks"]),
+       st.randoms(use_true_random=False))
+def test_screen_is_bit_identical_to_the_per_block_reference(mu, count, rng):
+    """Counts around the block of 2^15 // n rows: one frequency, one block short
+    of, at and past a full one, and several blocks with a short last one."""
+    rows = max(1, 2**15 // len(mu.weights))
+    n = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1, "blocks": 3 * rows + rng.randint(1, rows)}[count]
+    xis = np.array([rng.choice([-1.0, 1.0]) * 2.0 ** rng.uniform(-4, 40) for _ in range(max(n, 1))])
+    got, want = mu.fourier_screen(xis), reference_screen(mu, xis)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1215,7 +1261,63 @@ def test_pruned_sup_of_no_centre_raises_as_max_does():
     mu = PiecewiseUniformMeasure([(F(0), F(1), 1.0)])
     with pytest.raises(ValueError, match=r"max\(\) arg is an empty sequence"):
         mu.max_ball_masses([], [F(1, 2)])
-    assert mu.max_ball_masses([], []) == []
+    with pytest.raises(ValueError, match=r"max\(\) arg is an empty sequence"):
+        mu._max_ball_masses(2, [], [1])  # the integer sup the report calls
+    assert mu.max_ball_masses([], []) == [] == mu._max_ball_masses(2, [], [])
+
+
+def reference_log(q: F) -> float:
+    return math.log(float(q)) if float(q) > 0 else math.log(q.numerator) - math.log(q.denominator)
+
+
+def reference_frostman_fit(mu: PiecewiseUniformMeasure) -> DecayFit:
+    """The default Frostman fit on Fractions: the reference centres and radii,
+    per-ball reference masses, and the logs of the reduced radii."""
+    centers, xs, ys = reference_centers(mu), [], []
+    for r in sorted(reference_radii(mu)):
+        sup = max(reference_ball_mass(mu, c, r) for c in centers)
+        if sup > 0.0:
+            xs.append(reference_log(r))
+            ys.append(math.log(sup))
+    slope, intercept, r2 = _least_squares(xs, ys)
+    return DecayFit(clamp_dimension(slope), intercept, r2, (min(xs), max(xs)), len(xs))
+
+
+@st.composite
+def underflow_measures(draw):
+    """Pieces and atoms within a few units of 2^-1100 or 3^-700 of a point, so the
+    radii span / (D 2^(2+i)) have floats that underflow to 0; one atom alone
+    has span 0."""
+    unit = draw(st.sampled_from([F(1, 2**1100), F(1, 3**700), F(5, 7**400)]))
+    at, pieces = draw(st.sampled_from([F(0), F(1, 3), F(-2, 5)])), []
+    for _ in range(draw(st.integers(1, 6))):
+        at += draw(st.integers(0, 3)) * unit
+        pieces.append((at, at + draw(st.sampled_from([0, 1, 2])) * unit))
+        at = pieces[-1][1]
+    raw = draw(st.lists(st.integers(1, 1000), min_size=len(pieces), max_size=len(pieces)))
+    return PiecewiseUniformMeasure([(a, b, v / sum(raw)) for (a, b), v in zip(pieces, raw)])
+
+
+ATOM = PiecewiseUniformMeasure([(F(2, 7), F(2, 7), 1.0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(measures(), touching_measures(), underflow_measures(), many_piece_measures()))
+@example(ATOM)
+def test_integer_frostman_sup_path_equals_the_fraction_fit(mu):
+    """The report's integer centres, radii and sup give the public Fraction fit and its reference."""
+    fit = dimension._frostman_fit(mu, *dimension._frostman_grid(mu))
+    assert fit == frostman_fit(mu, default_frostman_centers(mu), default_frostman_radii(mu))
+    if len(mu.weights) <= 40:  # the reference masses run on Fractions, ball by ball
+        assert fit == reference_frostman_fit(mu)
+
+
+def test_integer_frostman_sup_reads_underflowing_radii_from_reduced_ratios():
+    mu = PiecewiseUniformMeasure([(F(0), F(1, 2**1100), 0.5), (F(3, 2**1100), F(4, 2**1100), 0.5)])
+    E, cn, rn = dimension._frostman_grid(mu)
+    assert all(r / E == 0.0 for r in rn)
+    fit = dimension._frostman_fit(mu, E, cn, rn)
+    assert fit.scale_range[1] == reference_log(F(4, 2**1100) / 4) and fit == reference_frostman_fit(mu)
 
 
 # -- endpoints stored as integers ------------------------------------------
