@@ -4,8 +4,6 @@ Each public name loads its module on first access (PEP 562), so a caller pays
 only for the layers it uses: ``import salemlab.cli`` loads geometry alone.
 """
 
-import os
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -38,7 +36,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-def thread_count() -> int:
-    """Fourier-sweep pool size from SALEMLAB_THREADS: default 1, values below 1 mean 1."""
-    return max(1, int(os.environ.get("SALEMLAB_THREADS", "1")))

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import thread_count
 from .geometry import GeometryError, IntervalUnion, format_fraction, hausdorff_metric
 
 if TYPE_CHECKING:
@@ -100,6 +99,8 @@ def parse_scheme(spec: str) -> Scheme:
                 raise SpecParseError("usage: gcantor:<p>")
             return cons.GeneralizedCantorScheme.for_dimension(_finite(parts[1]))
         if kind == "interval":
+            if len(parts) != 1:
+                raise SpecParseError("usage: interval")
             return cons.IntervalScheme()
         if kind == "jarnik":
             if len(parts) != 2:
@@ -151,7 +152,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     cfg = config_hash(args, ["spec", "stage"])
     out = Path(args.out)
     out.with_suffix(".json").write_text(stage_set.to_json())
-    _write_stage_csv(out.with_suffix(".csv"), scheme.reports(1, args.stage, stage_set), cfg)
+    _write_stage_csv(out.with_suffix(".csv"), scheme.reports(1, args.stage), cfg)
     print(f"wrote {out.with_suffix('.json')} ({len(stage_set)} pieces) and {out.with_suffix('.csv')}")
     return 0
 
@@ -216,15 +217,10 @@ def cmd_report(args: argparse.Namespace) -> int:
            _fmt(rep.hdim_est), _fmt(rep.frostman_est), _fmt(rep.fourier_raw),
            _fmt(rep.fourier_dim), _fmt(rep.salem_defect),
            _fmt(rep.box_fit.r_squared), _fmt(rep.fourier_fit.r_squared), cfg]
-    if args.format == "json":
-        out.with_suffix(".json").write_text(
-            json.dumps(dict(zip(_REPORT_COLUMNS, row)), indent=2)
-        )
-    else:
-        with out.with_suffix(".csv").open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_REPORT_COLUMNS)
-            w.writerow(row)
+    with out.with_suffix(".csv").open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(_REPORT_COLUMNS)
+        w.writerow(row)
     _write_sweep(out.parent / (out.stem + "_sweep.csv"), mu, args, cfg)
     print(
         f"{rep.scheme} stage {rep.stage}: hdim_est={_fmt(rep.hdim_est)} "
@@ -299,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(64), default=128)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="report")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_report)
 
     s = sub.add_parser("sweep", help="Fourier transform sweep CSV")
@@ -338,12 +333,8 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
         if args.command == "report" and args.stage - args.fit_lo < 1:
             ap.error("report fits a ladder of at least two stages: --stage must exceed --fit-lo")
-        thread_count()
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    except ValueError as e:
-        print(f"error: SALEMLAB_THREADS: {e}", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, MemoryError, OSError) as e:

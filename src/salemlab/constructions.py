@@ -1,8 +1,9 @@
 """Stagewise fractal builders and reduction-map schemes.
 
 Every scheme emits nested IntervalUnion stages together with per-stage
-piece statistics.  Stage generation is deterministic and pure; distinct
-schemes and distinct stages can be built concurrently.
+piece statistics.  Stage generation is deterministic; each scheme keeps
+the stages it built in one per-instance memo, which a builder reads its
+earlier stages through.
 
 The nested refinement used by the well-approximable-number schemes places
 children at rational centers i/q with q drawn from dyadic prime blocks,
@@ -120,15 +121,12 @@ class Scheme:
     def stage_report(self, k: int) -> StageReport:
         return self.report_of(k, self.stage(k))
 
-    def reports(self, lo: int, hi: int, top: IntervalUnion | None = None) -> list[StageReport]:
-        """Stage reports lo..hi, each built once per scheme and kept by stage.
-
-        `top`, when given, is stage hi already built by the caller.
-        """
+    def reports(self, lo: int, hi: int) -> list[StageReport]:
+        """Stage reports lo..hi, each built once per scheme and kept by stage."""
         memo: dict[int, StageReport] = vars(self).setdefault("_report_memo", {})
         for k in range(lo, hi + 1):
             if k not in memo:
-                memo[k] = self.report_of(k, top if k == hi and top is not None else self.stage(k))
+                memo[k] = self.report_of(k, self.stage(k))
         return [memo[k] for k in range(lo, hi + 1)]
 
     def decay_measure(self, k: int, natural=None):

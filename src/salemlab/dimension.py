@@ -3,11 +3,8 @@
 A Fourier fit screens all its bands' frequencies in one cheap sweep and runs
 the exact kernel only where a band's supremum can be; the jittered lattice
 is computed once for every band, and the bands' best screened values, keep
-mask and sups come from reductions over the band offsets.  SALEMLAB_THREADS
-> 1 splits the screen into contiguous slices on a thread pool; every
-frequency is computed on its own, so identical parameters and seed give
-identical output regardless of pool size.  numpy and the pool load where a
-sweep runs.  A report's Frostman fit takes its default centres and radii as
+mask and sups come from reductions over the band offsets.  numpy loads where
+a sweep runs.  A report's Frostman fit takes its default centres and radii as
 integer numerators over one denominator (`_frostman_grid`) and builds no
 Fraction; the public Fraction functions convert to and from that rule.
 """
@@ -18,7 +15,6 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import thread_count
 from .constructions import Scheme, StageReport
 from .geometry import IntervalUnion, as_fraction, diameter
 from .measures import Measure, PiecewiseUniformMeasure, _common_numerators, natural_measure
@@ -236,8 +232,8 @@ def fourier_decay_fit(
 
     Bands are the top `bands` dyadic intervals below xi_max; within each,
     the supremum is taken over jittered log-lattice samples plus the
-    measure's resonant candidates.  One `fourier_screen` call (one per thread)
-    brackets each modulus; one `fourier_modulus_many` call on the frequencies
+    measure's resonant candidates.  One `fourier_screen` call brackets each
+    modulus; one `fourier_modulus_many` call on the frequencies
     whose upper end reaches their band's best lower end, the arg-max among
     them, gives each supremum as the exact kernel's float; a screen with slack
     0 (product measures, one piece) already gave those floats, so its band
@@ -251,6 +247,8 @@ def fourier_decay_fit(
     j_hi = math.floor(math.log2(xi_max))
     if j_hi - bands < 1:
         raise FitError("xi_max too small for the requested band count")
+    if j_hi > 512:  # the top band's lo * hi = 2^(2 j_hi - 1) overflows the abscissa's float
+        raise FitError("xi_max too large: it must stay below 2^513")
     import numpy as np
 
     edges = [(2.0**j, 2.0 ** (j + 1)) for j in range(j_hi - bands, j_hi)]
@@ -258,15 +256,7 @@ def fourier_decay_fit(
     resonant = [mu.resonant_frequencies(lo, hi) for lo, hi in edges]
     xis = np.concatenate([part for (lo, _), res in zip(edges, resonant) for part in (lo * grid, res)])
     starts = np.cumsum([0] + [samples_per_band + len(res) for res in resonant[:-1]])
-    threads = thread_count()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(mu.fourier_screen, np.array_split(xis, threads)))
-        approx, slack = (np.concatenate(p) for p in zip(*parts))
-    else:
-        approx, slack = mu.fourier_screen(xis)
+    approx, slack = mu.fourier_screen(xis)
     # each band's best lower end; where the screen is exact (slack 0) these are the sups
     sups = np.maximum.reduceat(approx - slack, starts)
     if slack.any():  # keep a frequency where its upper end reaches its band's best lower end
@@ -314,7 +304,7 @@ def salem_report_with_measure(
     scheme keeps every stage it has built (one memo) and keeps no measure.
     """
     stage_set = scheme.stage(stage)
-    reports = scheme.reports(fit_lo, stage, stage_set)
+    reports = scheme.reports(fit_lo, stage)
     box = box_count_fit(reports)
     ladders = scheme.block_ladders(stage)
     if ladders:

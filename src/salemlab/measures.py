@@ -88,7 +88,6 @@ class PiecewiseUniformMeasure:
             raise MeasureError(f"weights sum to {total}, not 1")
         self.int_ends = ints  # common denominator D and the endpoint numerators over D
         self.weights = weights
-        self._lengths: list[float] | None = None  # see resonant_frequencies
         self._cumw = [0.0, *accumulate(weights)]
 
     @cached_property
@@ -224,32 +223,38 @@ class PiecewiseUniformMeasure:
     def sample(self, xi: float) -> FourierSample:
         return FourierSample(xi, self.fourier_eval(xi))
 
+    @cached_property
+    def _lengths(self) -> list[float]:
+        """The at most eight most heavily weighted piece lengths, heaviest first."""
+        by_len: dict[float, float] = {}
+        D, lefts, rights = self.int_ends
+        for l, r, w in zip(lefts, rights, self.weights):
+            key = (r - l) / D
+            if key > 0:  # a length whose float underflows has no peak to probe
+                by_len[key] = by_len.get(key, 0.0) + w
+        return sorted(by_len, key=by_len.get, reverse=True)[:8]
+
     def resonant_frequencies(self, lo: float, hi: float, cap: int = 24) -> list[float]:
-        """Envelope peaks (2k+1)pi/L of the dominant piece lengths in [lo, hi).
+        """Envelope peaks (2k+1)pi/L of the dominant piece lengths in [lo, hi),
+        at most cap per length.
 
         Only the most heavily weighted lengths are probed; for measures with
         thousands of distinct lengths the generic lattice carries the sweep.
+        The walk over k is bounded: while consecutive peaks are distinct
+        floats, the rounded start leaves only a few of them below lo; where
+        one step of k is below the float spacing, the bound still ends it.
         """
-        if self._lengths is None:
-            by_len: dict[float, float] = {}
-            D, lefts, rights = self.int_ends
-            for l, r, w in zip(lefts, rights, self.weights):
-                key = (r - l) / D
-                if key > 0:  # a length whose float underflows has no peak to probe
-                    by_len[key] = by_len.get(key, 0.0) + w
-            self._lengths = sorted(by_len, key=by_len.get, reverse=True)[:8]
         out: list[float] = []
         for L in self._lengths:
-            k = max(0, int(lo * L / _TWO_PI) - 1)
+            k0 = max(0, int(lo * L / _TWO_PI) - 1)
             added = 0
-            while added < cap:
+            for k in range(k0, k0 + cap + 8):
                 xi = (2 * k + 1) * math.pi / L
-                if xi >= hi:
+                if xi >= hi or added == cap:
                     break
                 if xi >= lo:
                     out.append(xi)
                     added += 1
-                k += 1
         return out
 
     # -- mass ----------------------------------------------------------------

@@ -29,7 +29,7 @@ class TestSchemeParsing:
     def test_bad_specs_raise(self):
         from salemlab.cli import SpecParseError
 
-        for spec in ("cantor:2", "cantor", "nope:1", "fp:0.5", "jarnik:-1"):
+        for spec in ("cantor:2", "cantor", "nope:1", "fp:0.5", "jarnik:-1", "interval:1"):
             with pytest.raises(SpecParseError):
                 parse_scheme(spec)
 
@@ -174,19 +174,6 @@ class TestSweepCommand:
         assert head == "xi,re,im,modulus,config"
 
 
-@pytest.mark.parametrize("spec,stage", [("jarnik:1.0", "5"), ("cantor:3", "8")])
-def test_report_and_sweep_files_do_not_depend_on_the_thread_count(spec, stage, tmp_path, monkeypatch):
-    outputs = []
-    for threads in ("1", "2", "3", "4"):  # 3 gives uneven slices
-        monkeypatch.setenv("SALEMLAB_THREADS", threads)
-        d = tmp_path / threads
-        d.mkdir()
-        assert run(["report", spec, "--stage", stage, "--seed", "5", "--out", str(d / "rep")]) == 0
-        assert run(["sweep", spec, "--stage", stage, "--seed", "5", "--out", str(d / "sweep.csv")]) == 0
-        outputs.append([(d / name).read_bytes() for name in ("rep.csv", "rep_sweep.csv", "sweep.csv")])
-    assert all(out == outputs[0] for out in outputs[1:])
-
-
 class TestExitCodes:
     def test_numeric_error_is_exit_three(self, tmp_path, capsys):
         # band count too large for the frequency ceiling -> fit error
@@ -206,12 +193,6 @@ class TestExitCodes:
         assert run(["build", "cantor:3", "--stage", "2", "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-
-    def test_malformed_thread_count_is_exit_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SALEMLAB_THREADS", "abc")
-        code = run(["report", "cantor:3", "--stage", "3", "--seed", "1", "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "SALEMLAB_THREADS" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["missing", "file"])
     @pytest.mark.parametrize("argv", [
@@ -254,6 +235,7 @@ class TestExitCodes:
         ["report", "cantor:3", "--stage", "3", "--samples", "63", "--seed", "1"],
         ["sweep", "cantor:3", "--stage", "3", "--samples", "0", "--seed", "1"],
         ["sweep", "cantor:3", "--stage", "3", "--samples", "-5", "--seed", "1"],
+        ["report", "cantor:3", "--stage", "3", "--seed", "1", "--format", "json"],
     ], ids=lambda argv: " ".join(argv))
     def test_integer_flag_out_of_range_is_exit_two(self, argv, tmp_path, capsys):
         assert run([*argv, "--out", str(tmp_path / "x")]) == 2

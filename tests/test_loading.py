@@ -30,10 +30,9 @@ _PROBE = (
 )
 
 
-def _child(args: list[str], cwd: Path, threads: str = "1") -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""),
-           "SALEMLAB_THREADS": threads}
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+def _child(args: list[str], cwd: Path, timeout: float | None = None) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def _probe(argv: list[str], cwd: Path) -> tuple[int | None, set[str]]:
@@ -89,11 +88,22 @@ def test_fourier_commands_do_not_load_dataclasses(argv, tmp_path):
     ["report", "cantor:3", "--stage", "3", "--seed", "1"],
     ["sweep", "cantor:3", "--seed", "1"],
 ], ids=lambda argv: argv[0])
-def test_malformed_thread_count_is_exit_two_for_every_command(argv, tmp_path):
-    out = _child(["-m", "salemlab.cli", *argv], tmp_path, threads="abc")
-    assert out.returncode == 2
-    assert out.stderr.startswith("error: SALEMLAB_THREADS:") and "Traceback" not in out.stderr
-    assert not list(tmp_path.iterdir())
+def test_thread_variable_changes_nothing_for_every_command(argv, tmp_path, monkeypatch):
+    """SALEMLAB_THREADS once sized a Fourier-screen pool; the program now ignores it."""
+    runs = []
+    for value in (None, "abc"):
+        if value is None:
+            monkeypatch.delenv("SALEMLAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SALEMLAB_THREADS", value)
+        cwd = tmp_path / str(value)
+        cwd.mkdir()
+        (cwd / "a.json").write_text(IntervalUnion([(0, 1)]).to_json())
+        (cwd / "b.json").write_text(IntervalUnion([(0, Fraction(1, 2))]).to_json())
+        out = _child(["-m", "salemlab.cli", *argv], cwd)
+        assert out.returncode == 0, out.stderr
+        runs.append((out.stdout, out.stderr, {f.name: f.read_bytes() for f in cwd.iterdir()}))
+    assert runs[1] == runs[0]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -102,7 +112,12 @@ def test_malformed_thread_count_is_exit_two_for_every_command(argv, tmp_path):
      "numeric error: xi_max too small for the requested band count"),
     # a dimension target above 1 reaches the scheme: a ConstructionError
     (["reduce", "--map", "fp", "--p", "2"], "error: dimension parameter must lie in (0, 1]"),
-], ids=["fit", "construction"])
+    # frequency ceilings whose band abscissae overflow: FitErrors
+    (["report", "cantor:3", "--stage", "3", "--seed", "1", "--xi-max", "3e154"],
+     "numeric error: xi_max too large: it must stay below 2^513"),
+    (["report", "cantor:3", "--stage", "3", "--seed", "1", "--xi-max", "1e200"],
+     "numeric error: xi_max too large: it must stay below 2^513"),
+], ids=["fit", "construction", "xi-max-3e154", "xi-max-1e200"])
 def test_layer_error_is_exit_three_without_traceback(argv, message, tmp_path):
     out = _child(["-m", "salemlab.cli", *argv], tmp_path)
     assert out.returncode == 3
@@ -118,6 +133,13 @@ def test_diameters_below_the_float_range_end_without_traceback(argv, tmp_path):
     """Stage diameters and piece lengths whose floats underflow to 0: the fits take
     their logs from the exact rationals and the resonances skip them."""
     out = _child(["-m", "salemlab.cli", *argv, "--seed", "1", "--out", "r"], tmp_path)
+    assert out.returncode in (0, 3) and "Traceback" not in out.stderr, out.stderr
+
+
+def test_resonances_below_the_float_spacing_end(tmp_path):
+    """At xi ~ 1e37 one step of the resonance walk is below the float spacing; the walk still ends."""
+    argv = ["report", "jarnik:1.0", "--stage", "3", "--seed", "1", "--xi-max", "1e40", "--out", "r"]
+    out = _child(["-m", "salemlab.cli", *argv], tmp_path, timeout=60)
     assert out.returncode in (0, 3) and "Traceback" not in out.stderr, out.stderr
 
 
@@ -147,8 +169,3 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no_such_name"):
             salemlab.no_such_name
         assert not hasattr(salemlab, "no_such_name")
-
-    def test_one_thread_count_parser(self):
-        from salemlab import dimension
-
-        assert dimension.thread_count is salemlab.thread_count

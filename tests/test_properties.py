@@ -443,6 +443,50 @@ def test_screened_fit_equals_the_per_band_reference(mu, seed, xi_max):
     assert fourier_decay_fit(mu, xi_max, seed=seed) == reference_band_fit(mu, seed, xi_max)
 
 
+def reference_resonances(mu: PiecewiseUniformMeasure, lo: float, hi: float, cap: int = 24) -> list[float] | None:
+    """The unbounded walk over k that `resonant_frequencies` replaced; None once two
+    consecutive peaks round to one float, where that walk may never end."""
+    by_len: dict[float, float] = {}
+    D, lefts, rights = mu.int_ends
+    for l, r, w in zip(lefts, rights, mu.weights):
+        if (r - l) / D > 0:
+            by_len[(r - l) / D] = by_len.get((r - l) / D, 0.0) + w
+    out: list[float] = []
+    for L in sorted(by_len, key=by_len.get, reverse=True)[:8]:
+        k = max(0, int(lo * L / (2.0 * math.pi)) - 1)
+        added, last = 0, None
+        while added < cap:
+            xi = (2 * k + 1) * math.pi / L
+            if xi == last:
+                return None
+            last = xi
+            if xi >= hi:
+                break
+            if xi >= lo:
+                out.append(xi)
+                added += 1
+            k += 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(measures(), touching_measures(), many_piece_measures()),
+    st.floats(-8, 60),
+    st.floats(0, 8),
+    st.sampled_from([1, 3, 24]),
+)
+@example(PiecewiseUniformMeasure([(F(0), F(1, 3), 1.0)]), 126.0, 1.0, 24)  # the 1e37 band of a cold report
+def test_bounded_resonance_walk_equals_the_unbounded_loop(mu, log_lo, log_width, cap):
+    lo = 2.0**log_lo
+    hi = lo * 2.0**log_width
+    got = mu.resonant_frequencies(lo, hi, cap)
+    assert len(got) <= cap * len(mu._lengths) and all(lo <= xi < hi for xi in got)
+    want = reference_resonances(mu, lo, hi, cap)
+    if want is not None:
+        assert got == want
+
+
 SPECS = {
     "cantor:3": 6,
     "gcantor:0.5": 6,
