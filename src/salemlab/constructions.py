@@ -744,7 +744,10 @@ def radial_lift(A: IntervalUnion, d: int = 2, resolution=Fraction(1, 16)) -> Box
     res = as_fraction(resolution)
     n = math.ceil(1 / res)
     side = {i: (i * res, (i + 1) * res) for i in range(-n, n)}
-    return BoxUnion(2, [(side[i], side[j]) for i, j in cells], absorb=False)
+    box = BoxUnion.__new__(BoxUnion)  # (i, j) order: the boxes are distinct, ascending and not reversed
+    object.__setattr__(box, "dimension", 2)
+    object.__setattr__(box, "pieces", tuple((side[i], side[j]) for i, j in cells))
+    return box
 
 
 def radial_reports(

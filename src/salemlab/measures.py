@@ -241,8 +241,8 @@ class PiecewiseUniformMeasure:
         Only the most heavily weighted lengths are probed; for measures with
         thousands of distinct lengths the generic lattice carries the sweep.
         The walk over k is bounded: while consecutive peaks are distinct
-        floats, the rounded start leaves only a few of them below lo; where
-        one step of k is below the float spacing, the bound still ends it.
+        floats, the rounded start leaves few of them below lo; where one step
+        of k is below the float spacing, the bound ends it and repeats drop.
         """
         out: list[float] = []
         for L in self._lengths:
@@ -253,7 +253,8 @@ class PiecewiseUniformMeasure:
                 if xi >= hi or added == cap:
                     break
                 if xi >= lo:
-                    out.append(xi)
+                    if out[-1:] != [xi]:  # a repeat of the last peak still counts toward cap
+                        out.append(xi)
                     added += 1
         return out
 
@@ -324,10 +325,13 @@ class PiecewiseUniformMeasure:
         w min(1, 8d / length) and a longer run 0 to its weight.  A centre whose
         upper bracket reaches the best lower one minus 1e-9 (far above the prefix
         sums' error) is kept: a ball with no piece within d of its ends covers
-        whole pieces and takes `_mass`'s float in numpy, the others run `_mass`
-        with e = E / D.  The floats and `_mass`'s ratios are those of the
-        rationals, so they do not depend on which common denominator E is.
+        whole pieces and takes `_mass`'s float in numpy (a masked row max per
+        radius), the others run `_mass` with e = E / D in one loop over all
+        radii.  The floats and `_mass`'s ratios are those of the rationals, so
+        they do not depend on which common denominator E is.
         """
+        if not cn:
+            return [max(()) for _ in rn]  # max()'s empty-sequence error, as over no ball
         import numpy as np
 
         D, lefts, rights = self.int_ends
@@ -355,14 +359,12 @@ class PiecewiseUniformMeasure:
         a, b, gaps = p1, q0 - 1, (p0 == p1) & (q0 == q1)
         wa, wb = w.take(a, mode="clip"), w.take(b, mode="clip")
         whole = np.where(b > a, cw.take(b, mode="clip") - cw.take(a + 1, mode="clip") + wa + wb, (b == a) * wa)
-        out = []
-        for q, kept, gap, exact in zip(rn, keep, gaps, whole):
-            masses = exact[kept & gap].tolist()
-            for m in np.flatnonzero(kept & ~gap).tolist():
-                ln, hn = cn[m] - q, cn[m] + q
-                i, j = bisect.bisect_left(rights, -(-ln // e)), bisect.bisect_right(lefts, hn // e) - 1
-                masses.append(self._mass(lefts, rights, i, j, ln, hn, e))
-            out.append(max(masses))
+        # masses are never -0.0 or nan, so max only selects one of its values, in any order
+        out = np.where(keep & gaps, whole, -np.inf).max(axis=1, initial=-np.inf).tolist()
+        for r, m in zip(*(ix.tolist() for ix in np.nonzero(keep & ~gaps))):
+            ln, hn = cn[m] - rn[r], cn[m] + rn[r]
+            i, j = bisect.bisect_left(rights, -(-ln // e)), bisect.bisect_right(lefts, hn // e) - 1
+            out[r] = max(out[r], self._mass(lefts, rights, i, j, ln, hn, e))
         return out
 
     def affine_pushforward(self, a, t) -> "PiecewiseUniformMeasure":
@@ -483,28 +485,38 @@ class SelfSimilarProductMeasure:
         The scalar path's float operations run in CPython's order: phase
         sums start from 0.0, 1/b multiplies as (1/b, 0.0) and each stage as
         (ar*tr - ai*ti, ar*ti + ai*tr), in real arithmetic since numpy's
-        complex product may fuse multiply-adds.  xi past its depth (a
-        searchsorted on the schedule) is left untouched.
+        complex product may fuse multiply-adds.  Sorted deepest first once
+        (depth: a searchsorted on the schedule), stage j runs only on the
+        prefix of depth > j; elementwise floats do not depend on position.
+        A zero offset adds cos(+-0) = 1.0 to the real sum and skips sin(+-0)
+        = +-0, which leaves the imaginary sum as it is: that sum starts at
+        +0.0 and is never -0.0.
         """
         import numpy as np
 
         nxi = -np.asarray(xis, dtype=float)
         tail = np.array(self._sched[199:7:-1])  # s_199 .. s_8, ascending
         depth = 200 - np.searchsorted(tail, 1e-3 / np.maximum(np.abs(nxi), 1.0))
+        order = np.argsort(-depth, kind="stable")
+        nxi, live = nxi[order], np.searchsorted(-depth[order], -np.arange(depth.max(initial=0)))  # live[j]: depths > j
         theta = 0.0 + nxi * self._tf
         ar, ai = np.cos(theta), np.sin(theta)
         inv_b = 1.0 / self.branching
         sgn = 1.0 if self._sf > 0 else -1.0
-        for j in range(int(depth.max(initial=0))):
-            s = self._sched[j] * sgn
+        for j, n in enumerate(live.tolist()):
+            s, x = self._sched[j] * sgn, nxi[:n]
             R = I = 0.0
             for o in self._of[j % len(self._of)]:
-                t = nxi * o * s
-                R, I = R + np.cos(t), I + np.sin(t)
+                if o == 0:
+                    R = R + 1.0
+                else:
+                    t = x * o * s
+                    R, I = R + np.cos(t), I + np.sin(t)
             tr, ti = inv_b * R - 0.0 * I, inv_b * I + 0.0 * R
-            live = depth > j
-            ar, ai = np.where(live, ar * tr - ai * ti, ar), np.where(live, ar * ti + ai * tr, ai)
-        return np.column_stack([ar, ai]).view(complex)[:, 0]  # ar + 1j * ai may lose a zero sign
+            ar[:n], ai[:n] = ar[:n] * tr - ai[:n] * ti, ar[:n] * ti + ai[:n] * tr
+        out = np.empty((len(nxi), 2))  # ar + 1j * ai may lose a zero sign
+        out[order, 0], out[order, 1] = ar, ai
+        return out.view(complex)[:, 0]
 
     def fourier_modulus_many(self, xis: "np.ndarray") -> "np.ndarray":
         """abs(fourier_eval(xi)) for each xi: hypot, as abs() takes it; np.abs may differ by an ulp."""
