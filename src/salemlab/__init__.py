@@ -9,15 +9,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bitseq": "BitMatrix BitSequence p3_member phi_transform q2_member",
     "constructions": "CantorScheme ConstructionError FpScheme GeneralizedCantorScheme IntervalScheme JarnikScheme"
-    " Pi03Scheme SAlphaScheme SalemGapScheme StageReport WeihrauchScheme cantor_stage f_p_stage jarnik_stage"
-    " pi03_stage radial_lift radial_reports s_alpha_stage salem_gap_stage shrink_bound_holds weihrauch_encode"
-    " weihrauch_dimension_target",
+    " Pi03Scheme SAlphaScheme SalemGapScheme StageReport WeihrauchScheme cantor_stage jarnik_stage radial_lift"
+    " radial_reports shrink_bound_holds weihrauch_dimension_target",
     "dimension": "DecayFit DimensionReport FitError box_count_fit clamp_dimension countable_union_sup covering_sum"
     " fourier_decay_fit frostman_fit salem_report",
     "geometry": "BoxUnion GeometryError HausdorffDistance IntervalUnion diameter disjoint_from_compact"
     " hausdorff_metric hausdorff_metric_boxes intersects_open simplex_partition_1d subset_of_open",
-    "measures": "FourierSample MeasureError PiecewiseUniformMeasure SelfSimilarProductMeasure affine_pushforward"
-    " ball_mass fourier_eval fourier_eval_product natural_measure",
+    "measures": "MeasureError PiecewiseUniformMeasure SelfSimilarProductMeasure affine_pushforward ball_mass"
+    " natural_measure",
     "numberfield": "GaussianInt gaussian_block_reports gaussian_jarnik_stage is_gaussian_prime mult_matrix"
     " mult_matrix_inv norm residue_system",
 }

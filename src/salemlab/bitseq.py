@@ -50,18 +50,6 @@ class BitSequence:
         return cls()
 
     @classmethod
-    def from_positions(cls, ones: Iterable[int]) -> "BitSequence":
-        """Finite-support sequence with 1s exactly at the given positions."""
-        pos = sorted(set(int(i) for i in ones))
-        if not pos:
-            return cls()
-        n = pos[-1] + 1
-        bits = [0] * n
-        for i in pos:
-            bits[i] = 1
-        return cls(bits)
-
-    @classmethod
     def from_string(cls, text: str) -> "BitSequence":
         """Parse '110', '11(01)' or '(10)'; a trailing '^w' is tolerated."""
         s = text.strip().replace("^w", "").replace("^ω", "").replace("ω", "")
@@ -108,16 +96,6 @@ class BitSequence:
     @property
     def is_zero(self) -> bool:
         return self.is_eventually_zero and all(b == 0 for b in self.prefix)
-
-    def last_one(self) -> int | None:
-        """Largest position carrying a 1, None if the sequence is zero.
-
-        Only defined for eventually-zero sequences.
-        """
-        if not self.is_eventually_zero:
-            raise ValueError("sequence has infinitely many 1s")
-        ones = [i for i, b in enumerate(self.prefix) if b]
-        return ones[-1] if ones else None
 
     def __or__(self, other: "BitSequence") -> "BitSequence":
         """Pointwise max, closed on the eventually-periodic representation."""

@@ -186,11 +186,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         print(json.dumps({"rows": rows, "tail": str(out.tail)}))
         return 0
     if args.map == "fp":
-        scheme = cons.FpScheme(args.p, parse_bits(args.x or "0"))
-    elif args.map == "pi03":
-        scheme = cons.Pi03Scheme(args.p, parse_rows(args.rows or ""))
+        scheme = cons.FpScheme(args.p, parse_bits(args.x))
     else:
-        raise SpecParseError(f"unknown reduction map {args.map!r}")
+        scheme = cons.Pi03Scheme(args.p, parse_rows(args.rows))
     stage_set = scheme.stage(args.stage)
     Path(args.out).with_suffix(".json").write_text(stage_set.to_json())
     print(f"wrote {Path(args.out).with_suffix('.json')} ({len(stage_set)} pieces)")
@@ -280,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reduce", help="drive the reduction maps (fp, phi, pi03)")
     r.add_argument("--map", choices=("fp", "phi", "pi03"), required=True)
     r.add_argument("--p", type=_positive_float, default=0.5)
-    r.add_argument("--x", help="bit sequence for fp")
-    r.add_argument("--rows", help="semicolon-separated rows for phi/pi03")
+    r.add_argument("--x", default="0", help="bit sequence for fp")
+    r.add_argument("--rows", default="", help="semicolon-separated rows for phi/pi03")
     r.add_argument("--stage", type=_int_at_least(0), default=4)
     r.add_argument("--out", default="reduced")
     r.set_defaults(fn=cmd_reduce)

@@ -21,36 +21,9 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .bitseq import BitMatrix, BitSequence, ZERO_SEQ, p3_member, phi_transform, q2_member
+from .bitseq import BitMatrix, BitSequence, ZERO_SEQ, p3_member, phi_transform  # noqa: F401 (read by the CLI's phi map)
 from .geometry import ONE, ZERO, BoxUnion, IntervalUnion, as_fraction
 from .primes import next_prime, primes_in_range
-
-__all__ = [
-    "StageReport",
-    "Scheme",
-    "CantorScheme",
-    "GeneralizedCantorScheme",
-    "IntervalScheme",
-    "JarnikScheme",
-    "SAlphaScheme",
-    "FpScheme",
-    "Pi03Scheme",
-    "SalemGapScheme",
-    "WeihrauchScheme",
-    "cantor_stage",
-    "jarnik_stage",
-    "s_alpha_stage",
-    "f_p_stage",
-    "pi03_stage",
-    "salem_gap_stage",
-    "weihrauch_encode",
-    "weihrauch_dimension_target",
-    "radial_lift",
-    "radial_reports",
-    "shrink_cap",
-    "shrink_bound_holds",
-]
-
 
 class ConstructionError(ValueError):
     """Raised when a staged construction cannot proceed (empty stage, bad parameter)."""
@@ -117,9 +90,6 @@ class Scheme:
     def report_of(self, k: int, union: IntervalUnion) -> StageReport:
         """Statistics of `union`, the already built stage k."""
         return StageReport.of(k, union)
-
-    def stage_report(self, k: int) -> StageReport:
-        return self.report_of(k, self.stage(k))
 
     def reports(self, lo: int, hi: int) -> list[StageReport]:
         """Stage reports lo..hi, each built once per scheme and kept by stage."""
@@ -396,19 +366,6 @@ class SAlphaScheme(Scheme):
         return self._primes[k]
 
 
-def s_alpha_stage(
-    alpha: float, k: int, target: tuple = (Fraction(0), Fraction(1))
-) -> IntervalUnion:
-    """Stage k of the nested approximation scheme, affinely scaled to target."""
-    lo, hi = as_fraction(target[0]), as_fraction(target[1])
-    if lo >= hi:
-        raise ConstructionError("target interval must be nondegenerate")
-    unit = SAlphaScheme(alpha, 3).stage(k)
-    if (lo, hi) == (Fraction(0), Fraction(1)):
-        return unit
-    return unit.map_onto((lo, hi))
-
-
 # ---------------------------------------------------------------------------
 # the dimension-control map on binary sequences
 # ---------------------------------------------------------------------------
@@ -492,12 +449,6 @@ class FpScheme(Scheme):
         return [(s, n, shrink_cap(s, n)) for s, n in sizes]
 
 
-def f_p_stage(
-    p: float, x: BitSequence, k: int, branching: int = 3
-) -> IntervalUnion:
-    return FpScheme(p, x, branching).stage(k)
-
-
 # ---------------------------------------------------------------------------
 # dyadic block towers
 # ---------------------------------------------------------------------------
@@ -519,12 +470,13 @@ class BlockTower(Scheme):
     [0, 2^-(k+1)]: the tail holds the accumulation point and the blocks not
     yet started, which keeps the stages nested as new blocks appear."""
 
-    def __init__(self, kind: str, p: float, x: BitMatrix, branching: int) -> None:
+    branching: int  # of every sequence-controlled block
+
+    def __init__(self, kind: str, p: float, x: BitMatrix) -> None:
         if not 0 < p <= 1:
             raise ConstructionError("dimension parameter must lie in (0, 1]")
         self.p = p
         self.x = x
-        self.branching = branching
         self.name = f"{kind}:{p:g}"
         self._blocks: dict[int, Scheme | None] = {}
 
@@ -568,8 +520,10 @@ class Pi03Scheme(BlockTower):
     dimension target p(1 - 2^-m).
     """
 
-    def __init__(self, p: float, x: BitMatrix, branching: int = 3) -> None:
-        super().__init__("pi03", p, x, branching)
+    branching = 3
+
+    def __init__(self, p: float, x: BitMatrix) -> None:
+        super().__init__("pi03", p, x)
         good = [self.q_m(m) for m in range(x.max_row + 2) if x.row(m).is_eventually_zero]
         self.declared_hdim = p if x.tail.is_eventually_zero else (max(good) if good else 0.0)
         self.declared_fdim = self.declared_hdim
@@ -581,10 +535,6 @@ class Pi03Scheme(BlockTower):
         return self._blocks[m]
 
 
-def pi03_stage(p: float, x: BitMatrix, k: int, branching: int = 3) -> IntervalUnion:
-    return Pi03Scheme(p, x, branching).stage(k)
-
-
 class SalemGapScheme(BlockTower):
     """Block tower whose head block pins the Hausdorff dimension at p.
 
@@ -594,11 +544,13 @@ class SalemGapScheme(BlockTower):
     Salem-like exactly when every row is eventually zero.
     """
 
-    def __init__(self, p: float, x: BitMatrix, branching: int = 2) -> None:
-        # binary branching throughout: the head block is binary by design,
-        # and a uniform count rate across blocks keeps the union ladder
-        # readable (count and diameter then track the same dominant block)
-        super().__init__("salemgap", p, x, branching)
+    # binary branching throughout: the head block is binary by design,
+    # and a uniform count rate across blocks keeps the union ladder
+    # readable (count and diameter then track the same dominant block)
+    branching = 2
+
+    def __init__(self, p: float, x: BitMatrix) -> None:
+        super().__init__("salemgap", p, x)
         if abs(p - math.log(2) / math.log(3)) < 1e-9:
             self._head: Scheme = CantorScheme(3)
         else:
@@ -613,32 +565,10 @@ class SalemGapScheme(BlockTower):
             self._blocks[n] = FpScheme(self.q_m(n), self.x.row(n - 1), self.branching)
         return self._blocks[n]
 
-    def head_union(self, k: int) -> IntervalUnion:
-        return self.block_union(0, k)
-
-
-def salem_gap_stage(p: float, x: BitMatrix, k: int, branching: int = 2) -> IntervalUnion:
-    return SalemGapScheme(p, x, branching).stage(k)
-
 
 # ---------------------------------------------------------------------------
 # encoding of sequence families through block dimensions
 # ---------------------------------------------------------------------------
-
-
-def _default_index_sets(count: int) -> list[frozenset[int]]:
-    """Nonempty subsets of {1..n} in binary counting order.
-
-    Indices start at 1 so that every subset weight sum stays within (0, 1]
-    and the encoded set fits in one dimension.
-    """
-    n = 1
-    while 2**n - 1 < count:
-        n += 1
-    out = []
-    for code in range(1, count + 1):
-        out.append(frozenset(i + 1 for i in range(n) if code >> i & 1))
-    return out
 
 
 def weihrauch_dimension_target(flags: Sequence[bool]) -> float:
@@ -652,35 +582,24 @@ class WeihrauchScheme(Scheme):
     Block k carries the construction at dimension p_k = sum(2^-i, i in F_k)
     driven by y_k, the pointwise max of the sequences indexed by F_k, so
     the encoded dimension reads the weight of the eventually-zero part of
-    the family.  The singleton {0} closes the block tower.
+    the family.  The F_k are the nonempty subsets of {1..n} in binary
+    counting order; indices start at 1 so that every weight sum stays within
+    (0, 1] and the encoded set fits in one dimension.  The singleton {0}
+    closes the block tower.
     """
 
-    def __init__(
-        self,
-        xs: Sequence[BitSequence],
-        p_sets: Sequence[Iterable[int]] | None = None,
-        branching: int = 3,
-    ) -> None:
+    def __init__(self, xs: Sequence[BitSequence]) -> None:
         self.xs = tuple(xs)
-        if p_sets is None:
-            sets = _default_index_sets(2 ** len(xs) - 1) if xs else []
-        else:
-            sets = [frozenset(int(i) for i in f) for f in p_sets]
-            if any(not f for f in sets):
-                raise ConstructionError("index sets must be nonempty")
-        for f in sets:
-            if any(i < 1 or i > len(self.xs) for i in f):
-                raise ConstructionError("index set out of range for the sequence family")
-        self.index_sets = sets
-        self.branching = branching
-        self.name = f"weihrauch:n={len(self.xs)}"
+        n = len(self.xs)
+        self.index_sets = [frozenset(i + 1 for i in range(n) if code >> i & 1) for code in range(1, 2**n)]
+        self.name = f"weihrauch:n={n}"
         self._blocks: list[FpScheme] = []
-        for f in sets:
+        for f in self.index_sets:
             p_k = float(sum(Fraction(1, 2**i) for i in f))
             y = ZERO_SEQ
             for i in f:
                 y = y | self.xs[i - 1]
-            self._blocks.append(FpScheme(p_k, y, branching))
+            self._blocks.append(FpScheme(p_k, y))
         self.declared_hdim = weihrauch_dimension_target(
             [s.is_eventually_zero for s in self.xs]
         )
@@ -693,15 +612,6 @@ class WeihrauchScheme(Scheme):
     def stage(self, depth: int) -> IntervalUnion:
         blocks = (self.block_union(k, depth) for k in range(len(self._blocks) - 1, -1, -1))
         return _tower((1, [0], [0]), blocks)
-
-
-def weihrauch_encode(
-    p_sets: Sequence[Iterable[int]] | None,
-    xs: Sequence[BitSequence],
-    depth: int,
-    branching: int = 3,
-) -> IntervalUnion:
-    return WeihrauchScheme(xs, p_sets, branching).stage(depth)
 
 
 # ---------------------------------------------------------------------------

@@ -108,17 +108,15 @@ def covering_sum(cover, s: float) -> float:
     return math.fsum(d**s for d in diams)
 
 
-def box_count_fit(reports: Sequence[StageReport], scale: str = "max") -> DecayFit:
+def box_count_fit(reports: Sequence[StageReport]) -> DecayFit:
     """Least-squares slope of log N against -log delta over the stage ladder.
 
-    `scale` picks which per-stage diameter statistic anchors the abscissa.
-    Stages whose pieces are all degenerate are skipped.
+    delta is a stage's largest piece diameter.  Stages whose pieces are all
+    degenerate are skipped.
     """
-    if scale not in ("max", "min"):
-        raise FitError("scale must be 'max' or 'min'")
     xs, ys = [], []
     for rep in reports:
-        delta = rep.max_diam if scale == "max" else rep.min_diam
+        delta = rep.max_diam
         if delta <= 0 or rep.piece_count < 1:
             continue
         xs.append(-_log(delta.numerator, delta.denominator))
@@ -129,25 +127,20 @@ def box_count_fit(reports: Sequence[StageReport], scale: str = "max") -> DecayFi
     return DecayFit(slope, intercept, r2, (min(xs), max(xs)), len(xs))
 
 
-def frostman_fit(
-    mu: PiecewiseUniformMeasure,
-    centers: Sequence,
-    radii: Sequence,
-    ambient_dim: int = 1,
-) -> DecayFit:
+def frostman_fit(mu: PiecewiseUniformMeasure, centers: Sequence, radii: Sequence) -> DecayFit:
     """Fit the ball-mass growth sup_x mu(B(x, r)) ~ c r^s.
 
-    The exponent is clamped into [0, ambient_dim].
+    The exponent is clamped into [0, 1].
     """
     radii = sorted({Fraction(r) if not isinstance(r, Fraction) else r for r in radii})
     if len(radii) < 4:
         raise FitError("need at least four distinct radii")
     if radii[0] <= 0:
         raise FitError("radii must be positive")
-    return _frostman_fit(mu, *_common_numerators(mu.int_ends[0], [as_fraction(c) for c in centers], radii), ambient_dim)
+    return _frostman_fit(mu, *_common_numerators(mu.int_ends[0], [as_fraction(c) for c in centers], radii))
 
 
-def _frostman_fit(mu: PiecewiseUniformMeasure, E: int, cn: list[int], rn: list[int], ambient_dim: int = 1) -> DecayFit:
+def _frostman_fit(mu: PiecewiseUniformMeasure, E: int, cn: list[int], rn: list[int]) -> DecayFit:
     """`frostman_fit` of the centres cn / E and the increasing radii rn / E > 0, where D divides E."""
     xs, ys = [], []
     for r, sup in zip(rn, mu._max_ball_masses(E, cn, rn)):
@@ -158,7 +151,7 @@ def _frostman_fit(mu: PiecewiseUniformMeasure, E: int, cn: list[int], rn: list[i
     if len(xs) < 2:
         raise FitError("ball masses vanished at every scale")
     slope, intercept, r2 = _least_squares(xs, ys)
-    return DecayFit(clamp_dimension(slope, ambient_dim), intercept, r2, (min(xs), max(xs)), len(xs))
+    return DecayFit(clamp_dimension(slope), intercept, r2, (min(xs), max(xs)), len(xs))
 
 
 def _frostman_grid(mu: PiecewiseUniformMeasure, cap: int = 128, min_scales: int = 6) -> tuple[int, list[int], list[int]]:
@@ -226,7 +219,6 @@ def fourier_decay_fit(
     bands: int = 10,
     samples_per_band: int = 128,
     seed: int = 0,
-    ambient_dim: int = 1,
 ) -> DecayFit:
     """Power-law fit of per-band suprema of |mu^|.
 

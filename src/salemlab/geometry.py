@@ -355,19 +355,14 @@ class IntervalUnion:
 class BoxUnion:
     """Finite union of axis-aligned closed boxes with rational corners.
 
-    Boxes are deduplicated and boxes fully contained in another are
-    absorbed; partial overlaps are tolerated (block constructions prune
-    them where disjointness matters).
+    Boxes are deduplicated and sorted.  A box contained in another is kept,
+    and partial overlaps are tolerated (block constructions prune them
+    where disjointness matters).
     """
 
     __slots__ = ("dimension", "pieces")
 
-    def __init__(
-        self,
-        dimension: int,
-        pieces: Iterable[Sequence[tuple[RationalLike, RationalLike]]],
-        absorb: bool = True,
-    ) -> None:
+    def __init__(self, dimension: int, pieces: Iterable[Sequence[tuple[RationalLike, RationalLike]]]) -> None:
         if dimension < 1:
             raise GeometryError("dimension must be positive")
         norm = []
@@ -383,8 +378,6 @@ class BoxUnion:
             norm.append(tuple(cube))
         if not all(x < y for x, y in zip(norm, norm[1:])):  # strictly increasing boxes are distinct and in order
             norm = sorted(dict.fromkeys(norm))
-        if absorb and len(norm) > 1:
-            norm = _absorb_contained(norm)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "pieces", tuple(norm))
 
@@ -415,26 +408,7 @@ class BoxUnion:
     @classmethod
     def from_json(cls, text: str) -> "BoxUnion":
         obj = json.loads(text)
-        return cls(
-            obj["dimension"],
-            [[(Fraction(a), Fraction(b)) for a, b in box] for box in obj["pieces"]],
-            absorb=False,
-        )
-
-
-def _absorb_contained(boxes: list[tuple]) -> list[tuple]:
-    out = []
-    for box in boxes:
-        contained = False
-        for other in boxes:
-            if other is box or other == box:
-                continue
-            if all(oa <= a and b <= ob for (a, b), (oa, ob) in zip(box, other)):
-                contained = True
-                break
-        if not contained:
-            out.append(box)
-    return out
+        return cls(obj["dimension"], [[(Fraction(a), Fraction(b)) for a, b in box] for box in obj["pieces"]])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import le
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .geometry import IntervalUnion, _Record, as_fraction, format_ratio, integer_ends, view_pieces
+from .geometry import IntervalUnion, as_fraction, format_ratio, integer_ends, view_pieces
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,21 +37,6 @@ class MeasureError(ValueError):
 
 def _sinc(t: float) -> float:
     return 1.0 if t == 0.0 else math.sin(t) / t
-
-
-class FourierSample(_Record):
-    """One transform evaluation; probability measures keep |value| <= 1."""
-
-    __slots__ = ("xi", "value")
-
-    def __init__(self, xi: float, value: complex) -> None:
-        super().__init__(xi, value)
-        if abs(value) > 1.0 + 1e-9:
-            raise MeasureError("transform modulus exceeds total mass")
-
-    @property
-    def modulus(self) -> float:
-        return abs(self.value)
 
 
 class PiecewiseUniformMeasure:
@@ -219,9 +204,6 @@ class PiecewiseUniformMeasure:
                 parts.append(np.multiply(env, sums[:m], out=terms[:m]).sum(axis=1))
             np.hypot(*parts, out=out[r:r + rows])
         return out, 2.0**-16 + 2.0**-18 + 2.0**-52 * (16 * np.abs(xis) * np.max(np.abs(centers)) + 2 * len(centers))
-
-    def sample(self, xi: float) -> FourierSample:
-        return FourierSample(xi, self.fourier_eval(xi))
 
     @cached_property
     def _lengths(self) -> list[float]:
@@ -530,9 +512,6 @@ class SelfSimilarProductMeasure:
         mods = self.fourier_modulus_many(xis)
         return mods, 0.0 * mods
 
-    def sample(self, xi: float, depth: int | None = None) -> FourierSample:
-        return FourierSample(xi, self.fourier_eval(xi, depth))
-
     def resonant_frequencies(self, lo: float, hi: float, mmax: int = 24) -> list[float]:
         """Candidate extrema pi*m/s_k on the reciprocal lattice of the scales.
 
@@ -590,14 +569,6 @@ def natural_measure(A: IntervalUnion) -> PiecewiseUniformMeasure:
     mu = PiecewiseUniformMeasure.__new__(PiecewiseUniformMeasure)
     mu._set(A.int_ends, [1.0 / n] * n)  # the checks, on the union's view
     return mu
-
-
-def fourier_eval(mu: Measure, xi: float) -> complex:
-    return mu.fourier_eval(xi)
-
-
-def fourier_eval_product(mu: SelfSimilarProductMeasure, xi: float, depth: int) -> complex:
-    return mu.fourier_eval(xi, depth)
 
 
 def ball_mass(mu: PiecewiseUniformMeasure, x, r) -> float:

@@ -199,7 +199,7 @@ def gaussian_jarnik_stage(alpha: float, j: int) -> BoxUnion:
         x0, x1 = max(cx - half, Fraction(0)), min(cx + half, Fraction(1))
         y0, y1 = max(cy - half, Fraction(0)), min(cy + half, Fraction(1))
         boxes.append(((x0, x1), (y0, y1)))
-    return BoxUnion(2, boxes, absorb=False)
+    return BoxUnion(2, boxes)
 
 
 def gaussian_block_reports(alpha: float, blocks: range) -> list[StageReport]:

@@ -24,12 +24,6 @@ class TestBitSequence:
         assert BitSequence.from_string("1(11)") == BitSequence.from_string("(1)")
         assert BitSequence.from_string("0(10)") != BitSequence.from_string("(10)")
 
-    def test_from_positions(self):
-        s = BitSequence.from_positions([0, 1])
-        assert s == BitSequence.from_string("110")
-        assert s.last_one() == 1
-        assert BitSequence.zero().last_one() is None
-
     def test_q2_membership(self):
         assert q2_member(BitSequence.from_string("110000"))
         assert not q2_member(BitSequence.from_string("(10)"))
@@ -42,17 +36,13 @@ class TestBitSequence:
         for n in range(24):
             assert c.bit(n) == max(a.bit(n), b.bit(n))
 
-    def test_last_one_requires_eventual_zero(self):
-        with pytest.raises(ValueError):
-            BitSequence.from_string("(10)").last_one()
-
 
 class TestPhiTransform:
     def test_zero_matrix_fixed(self):
         assert phi_transform(BitMatrix.zero()) == BitMatrix.zero()
 
     def test_single_one_propagates_down_rows(self):
-        x = BitMatrix({0: BitSequence.from_positions([5])}, )
+        x = BitMatrix({0: BitSequence.from_string("000001")}, )
         y = phi_transform(x)
         for m in range(4):
             assert y.row(m).bit(5) == 1

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from salemlab.cli import main, parse_bits, parse_scheme
-from salemlab.constructions import cantor_stage, s_alpha_stage
+from salemlab.bitseq import BitMatrix
+from salemlab.constructions import Pi03Scheme, SAlphaScheme, cantor_stage
 from salemlab.geometry import IntervalUnion
 
 
@@ -53,7 +54,7 @@ class TestBuildCommand:
         out = tmp_path / "fp"
         assert run(["build", "fp:0.5:x=0^w", "--stage", "3", "--out", str(out)]) == 0
         stage = IntervalUnion.from_json(out.with_suffix(".json").read_text())
-        assert stage == s_alpha_stage(2.0, 3)
+        assert stage == SAlphaScheme(2.0).stage(3)
 
     def test_bad_spec_exit_code(self, tmp_path, capsys):
         assert run(["build", "cantor:2", "--out", str(tmp_path / "x")]) == 2
@@ -119,7 +120,19 @@ class TestReduceCommand:
              "--out", str(out)]
         ) == 0
         stage = IntervalUnion.from_json(out.with_suffix(".json").read_text())
-        assert stage == s_alpha_stage(2.0, 2)
+        assert stage == SAlphaScheme(2.0).stage(2)
+
+    def test_pi03_without_rows_reads_the_zero_matrix(self, tmp_path):
+        out = tmp_path / "p3"
+        assert run(["reduce", "--map", "pi03", "--p", "0.8", "--stage", "3", "--out", str(out)]) == 0
+        stage = IntervalUnion.from_json(out.with_suffix(".json").read_text())
+        assert stage == Pi03Scheme(0.8, BitMatrix.zero()).stage(3)
+
+    def test_fp_without_x_reads_the_zero_sequence(self, tmp_path):
+        out = tmp_path / "red"
+        assert run(["reduce", "--map", "fp", "--p", "0.5", "--stage", "2", "--out", str(out)]) == 0
+        stage = IntervalUnion.from_json(out.with_suffix(".json").read_text())
+        assert stage == SAlphaScheme(2.0).stage(2)
 
 
 class TestReportCommand:

@@ -18,16 +18,11 @@ from salemlab.constructions import (
     StageReport,
     WeihrauchScheme,
     cantor_stage,
-    f_p_stage,
     jarnik_stage,
-    pi03_stage,
     radial_lift,
     radial_reports,
-    s_alpha_stage,
-    salem_gap_stage,
     shrink_bound_holds,
     weihrauch_dimension_target,
-    weihrauch_encode,
 )
 from salemlab.geometry import IntervalUnion, hausdorff_metric
 from salemlab.primes import primes_in_range
@@ -127,7 +122,7 @@ class TestJarnik:
 
 class TestSAlpha:
     def test_stage_zero_full(self):
-        assert s_alpha_stage(1.0, 0) == IntervalUnion.full()
+        assert SAlphaScheme(1.0).stage(0) == IntervalUnion.full()
 
     def test_nesting_and_refinement(self):
         sch = SAlphaScheme(1.0)
@@ -139,8 +134,8 @@ class TestSAlpha:
                 assert any(a <= c and d <= b for c, d in nxt.pieces)
 
     def test_affine_scaling_identity(self):
-        unit = s_alpha_stage(1.0, 2)
-        scaled = s_alpha_stage(1.0, 2, (F(1, 2), F(3, 4)))
+        unit = SAlphaScheme(1.0).stage(2)
+        scaled = unit.map_onto((F(1, 2), F(3, 4)))
         mapped = [(F(1, 2) + a / 4, F(1, 2) + b / 4) for a, b in unit.pieces]
         assert list(scaled.pieces) == mapped
 
@@ -164,10 +159,6 @@ class TestSAlpha:
         assert abs(fit.exponent - 0.5) < 0.02
         assert fit.r_squared > 0.999
 
-    def test_degenerate_target_rejected(self):
-        with pytest.raises(ConstructionError):
-            s_alpha_stage(1.0, 1, (F(1, 2), F(1, 2)))
-
 
 class TestFp:
     def test_domain_error(self):
@@ -179,7 +170,7 @@ class TestFp:
     def test_zero_sequence_reduces_to_plain_scheme(self):
         f = FpScheme(0.5, BitSequence.zero())
         for k in range(4):
-            assert f.stage(k) == s_alpha_stage(2.0 / 0.5 - 2.0, k)
+            assert f.stage(k) == SAlphaScheme(2.0 / 0.5 - 2.0).stage(k)
 
     def test_shrink_bound_exact_at_one_bits(self):
         rng = random.Random(23)
@@ -229,9 +220,6 @@ class TestFp:
                 d = hausdorff_metric(fx.stage(m), fy.stage(m))
                 assert d.value <= bound
 
-    def test_function_wrapper(self):
-        assert f_p_stage(0.5, BitSequence.zero(), 2) == s_alpha_stage(2.0, 2)
-
 
 class TestPi03:
     def test_stage_contains_zero_and_nests(self):
@@ -273,16 +261,23 @@ class TestPi03:
         sch = Pi03Scheme(0.8, x)
         assert sch.declared_hdim < 0.8
 
-    def test_function_wrapper(self):
-        st = pi03_stage(0.5, BitMatrix.zero(), 3)
-        assert st.contains_point(0)
+    def test_zero_matrix_stage_contains_zero(self):
+        assert Pi03Scheme(0.5, BitMatrix.zero()).stage(3).contains_point(0)
+
+
+@pytest.mark.parametrize("cls, branching", [(Pi03Scheme, 3), (SalemGapScheme, 2)])
+def test_block_tower_branching_reaches_every_sequence_block(cls, branching):
+    sch = cls(0.8, BitMatrix.from_rows([BitSequence.zero(), BitSequence.from_string("(10)")]))
+    assert sch.branching == branching
+    for m in range(1, 4):
+        assert sch.block(m).branching == branching
 
 
 class TestSalemGap:
     def test_head_block_is_middle_third_for_matching_p(self):
         p = math.log(2) / math.log(3)
         sch = SalemGapScheme(p, BitMatrix.zero())
-        head = sch.head_union(2)
+        head = sch.block_union(0, 2)
         expect = cantor_stage(3, 2).map_onto((F(1, 2), F(1)))
         assert list(head.pieces) == list(expect.pieces)
 
@@ -307,14 +302,16 @@ class TestSalemGap:
             assert sch.stage(k + 1).subset_of(sch.stage(k))
 
     @pytest.mark.parametrize("p, rows, k", [(0.63, "1;0", 4), (math.log(2) / math.log(3), "(10);0", 3), (0.8, "0", 2)])
-    def test_function_wrapper_builds_the_scheme_stage(self, p, rows, k):
+    def test_stage_holds_zero_and_nests_for_any_rows(self, p, rows, k):
         x = BitMatrix.from_rows([BitSequence.from_string(r) for r in rows.split(";")])
-        assert salem_gap_stage(p, x, k) == SalemGapScheme(p, x).stage(k)
+        sch = SalemGapScheme(p, x)
+        assert sch.stage(k).contains_point(0)
+        assert sch.stage(k).subset_of(sch.stage(k - 1))
 
 
 class TestWeihrauch:
     def test_empty_family_is_singleton_zero(self):
-        st = weihrauch_encode(None, [], 3)
+        st = WeihrauchScheme([]).stage(3)
         assert st.pieces == ((F(0), F(0)),)
 
     def test_dimension_target(self):
@@ -325,13 +322,14 @@ class TestWeihrauch:
         xs = [BitSequence.zero(), BitSequence.from_string("(10)")]
         sch = WeihrauchScheme(xs)
         assert sch.declared_hdim == pytest.approx(0.5)
-        assert len(sch.index_sets) == 3
+        assert sch.index_sets == [{1}, {2}, {1, 2}]
 
-    def test_explicit_index_sets_validated(self):
-        with pytest.raises(ConstructionError):
-            WeihrauchScheme([BitSequence.zero()], p_sets=[[2]])
-        with pytest.raises(ConstructionError):
-            WeihrauchScheme([BitSequence.zero()], p_sets=[[]])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_index_sets_are_the_nonempty_subsets_in_counting_order(self, n):
+        sets = WeihrauchScheme([BitSequence.zero()] * n).index_sets
+        assert len(sets) == 2**n - 1 == len(set(sets))
+        assert all(f and f <= set(range(1, n + 1)) for f in sets)
+        assert [sum(2 ** (i - 1) for i in f) for f in sets] == list(range(1, 2**n))
 
     def test_stage_nests_and_holds_zero(self):
         xs = [BitSequence.zero(), BitSequence.from_string("1")]
@@ -351,7 +349,7 @@ class TestStageReports:
 
     def test_interval_scheme_reports_dyadic_cover(self):
         sch = IntervalScheme()
-        rep = sch.stage_report(3)
+        rep = sch.report_of(3, sch.stage(3))
         assert rep.piece_count == 8
         assert rep.min_diam == rep.max_diam == F(1, 8)
 

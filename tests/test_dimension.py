@@ -81,9 +81,12 @@ class TestBoxCountFit:
         with pytest.raises(FitError):
             box_count_fit(reps)
 
-    def test_min_scale_option(self):
-        fit = box_count_fit(JarnikScheme(1.0).reports(1, 6), scale="min")
-        assert 0.3 < fit.exponent < 0.9
+    def test_abscissa_is_the_largest_piece_diameter(self):
+        # N = 1/max_diam gives slope 1; the smallest diameters would give 1/2
+        reps = [StageReport(1, 4, F(1, 16), F(1, 4)), StageReport(2, 16, F(1, 256), F(1, 16))]
+        fit = box_count_fit(reps)
+        assert fit.exponent == pytest.approx(1.0)
+        assert fit.scale_range == pytest.approx((math.log(4), math.log(16)))
 
 
 class TestFrostmanFit:

@@ -265,6 +265,22 @@ class TestSimplexPartition:
             assert len(set(shared)) <= 1
 
 
+class TestBoxUnionNormalization:
+    def test_contained_box_is_kept(self):
+        inner = ((F(1, 4), F(1, 2)), (F(1, 4), F(1, 2)))
+        b = BoxUnion(2, [((0, 1), (0, 1)), inner])
+        assert len(b) == 2
+        assert inner in b.pieces
+
+    def test_duplicates_collapse_and_boxes_sort(self):
+        lo, hi = ((0, F(1, 2)), (0, 1)), ((F(1, 2), 1), (0, 1))
+        b = BoxUnion(2, [hi, lo, hi, ((F(1, 2), 1), (F(0), F(1)))])
+        assert b.pieces == (
+            ((F(0), F(1, 2)), (F(0), F(1))),
+            ((F(1, 2), F(1)), (F(0), F(1))),
+        )
+
+
 class TestBoxUnionJson:
     def test_round_trip(self):
         b = BoxUnion(2, [((0, F(1, 2)), (F(1, 3), F(2, 3)))])
@@ -282,15 +298,6 @@ class TestAffineImages:
     def test_zero_scale_rejected(self):
         with pytest.raises(GeometryError):
             IntervalUnion.full().affine(0, 0)
-
-
-class TestBoxAbsorption:
-    def test_contained_boxes_absorbed(self):
-        b = BoxUnion(
-            2,
-            [((0, 1), (0, 1)), ((F(1, 4), F(1, 2)), (F(1, 4), F(1, 2)))],
-        )
-        assert len(b) == 1
 
 
 class TestBoxHausdorffApprox:

@@ -143,6 +143,12 @@ def test_resonances_below_the_float_spacing_end(tmp_path):
     assert out.returncode in (0, 3) and "Traceback" not in out.stderr, out.stderr
 
 
+def test_reduce_phi_without_rows_reads_the_zero_matrix(tmp_path):
+    out = _child(["-m", "salemlab.cli", "reduce", "--map", "phi"], tmp_path)
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+    assert json.loads(out.stdout) == {"rows": [], "tail": "0"}
+
+
 def test_package_import_loads_no_layer(tmp_path):
     out = _child(["-c", "import sys, salemlab; print(sorted(m for m in sys.modules if 'salemlab' in m))"],
                  tmp_path)
@@ -169,3 +175,9 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no_such_name"):
             salemlab.no_such_name
         assert not hasattr(salemlab, "no_such_name")
+
+    def test_readme_library_tour_runs(self):
+        """The README's tour names only public API that still exists."""
+        readme = (SRC.parent / "README.md").read_text()
+        tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(tour, {})

@@ -14,8 +14,6 @@ from salemlab.measures import (
     SelfSimilarProductMeasure,
     affine_pushforward,
     ball_mass,
-    fourier_eval,
-    fourier_eval_product,
     natural_measure,
 )
 
@@ -93,11 +91,11 @@ class TestFourierEval:
     def test_total_mass_at_zero(self):
         rng = random.Random(2)
         for _ in range(10):
-            assert fourier_eval(random_measure(rng), 0.0) == pytest.approx(1.0)
+            assert random_measure(rng).fourier_eval(0.0) == pytest.approx(1.0)
 
     def test_uniform_at_two_pi_vanishes(self):
         mu = natural_measure(IntervalUnion.full())
-        got = fourier_eval(mu, 2 * math.pi)
+        got = mu.fourier_eval(2 * math.pi)
         oracle = quadrature_transform(mu, 2 * math.pi)
         assert abs(got) < 1e-12
         assert abs(got - oracle) < 1e-9
@@ -105,14 +103,14 @@ class TestFourierEval:
     def test_dirac_modulus_one(self):
         mu = natural_measure(IntervalUnion([(F(1, 2), F(1, 2))]))
         for xi in (0.5, 10.0, 999.0):
-            assert abs(fourier_eval(mu, xi)) == pytest.approx(1.0)
+            assert abs(mu.fourier_eval(xi)) == pytest.approx(1.0)
 
     def test_against_quadrature_on_random_pairs(self):
         rng = random.Random(29)
         for _ in range(100):
             mu = random_measure(rng)
             xi = rng.uniform(-1000.0, 1000.0)
-            got = fourier_eval(mu, xi)
+            got = mu.fourier_eval(xi)
             want = quadrature_transform(mu, xi)
             assert abs(got - want) < 1e-9
 
@@ -121,8 +119,8 @@ class TestFourierEval:
         for _ in range(20):
             mu = random_measure(rng)
             xi = rng.uniform(0.0, 500.0)
-            assert fourier_eval(mu, -xi) == pytest.approx(
-                fourier_eval(mu, xi).conjugate(), abs=1e-14
+            assert mu.fourier_eval(-xi) == pytest.approx(
+                mu.fourier_eval(xi).conjugate(), abs=1e-14
             )
 
     def test_modulus_bounded_by_one(self):
@@ -130,7 +128,7 @@ class TestFourierEval:
         for _ in range(50):
             mu = random_measure(rng)
             xi = rng.uniform(-5000.0, 5000.0)
-            assert abs(fourier_eval(mu, xi)) <= 1.0 + 1e-12
+            assert abs(mu.fourier_eval(xi)) <= 1.0 + 1e-12
 
     def test_vectorized_matches_scalar(self):
         import numpy as np
@@ -145,7 +143,7 @@ class TestFourierEval:
 
 class TestProductMeasure:
     def test_unit_mass_at_zero(self):
-        assert fourier_eval_product(MIDDLE_THIRD, 0.0, 30) == pytest.approx(1.0)
+        assert MIDDLE_THIRD.fourier_eval(0.0, 30) == pytest.approx(1.0)
 
     def test_middle_third_closed_form(self):
         # e^{-i xi/2} prod cos(xi 3^-j)
@@ -153,21 +151,21 @@ class TestProductMeasure:
             want = cmath.exp(-1j * xi / 2)
             for j in range(1, 60):
                 want *= math.cos(xi * 3.0**-j)
-            got = fourier_eval_product(MIDDLE_THIRD, xi, 60)
+            got = MIDDLE_THIRD.fourier_eval(xi, 60)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_no_decay_along_scale_powers(self):
-        base = abs(fourier_eval_product(MIDDLE_THIRD, 2 * math.pi, 60))
+        base = abs(MIDDLE_THIRD.fourier_eval(2 * math.pi, 60))
         for k in range(1, 9):
-            v = abs(fourier_eval_product(MIDDLE_THIRD, 3.0**k * 2 * math.pi, 60))
+            v = abs(MIDDLE_THIRD.fourier_eval(3.0**k * 2 * math.pi, 60))
             assert abs(v - base) < 1e-9
 
     def test_depth_convergence_geometric(self):
         xi = 50.0
         diffs = []
         for depth in range(8, 24):
-            a = fourier_eval_product(MIDDLE_THIRD, xi, depth)
-            b = fourier_eval_product(MIDDLE_THIRD, xi, depth + 1)
+            a = MIDDLE_THIRD.fourier_eval(xi, depth)
+            b = MIDDLE_THIRD.fourier_eval(xi, depth + 1)
             diffs.append(abs(a - b))
         assert all(d <= 1.0 for d in diffs)
         assert diffs[-1] < 1e-9
@@ -266,14 +264,3 @@ class TestProductModulusBound:
         for _ in range(50):
             xi = rng.uniform(-50000.0, 50000.0)
             assert abs(MIDDLE_THIRD.fourier_eval(xi, 40)) <= 1.0 + 1e-12
-
-
-class TestFourierSample:
-    def test_sample_carries_invariant(self):
-        from salemlab.measures import FourierSample
-
-        mu = natural_measure(IntervalUnion.full())
-        s = mu.sample(3.0)
-        assert s.modulus <= 1.0
-        with pytest.raises(MeasureError):
-            FourierSample(1.0, complex(2.0, 0.0))

@@ -68,7 +68,6 @@ from salemlab.geometry import (
     BoxUnion,
     GeometryError,
     IntervalUnion,
-    _absorb_contained,
     format_fraction,
     hausdorff_metric,
     one_sided_distance,
@@ -572,7 +571,8 @@ SPECS = {
 
 @lru_cache(maxsize=None)
 def fresh_report(spec: str, k: int):
-    return parse_scheme(spec).stage_report(k)
+    scheme = parse_scheme(spec)
+    return scheme.report_of(k, scheme.stage(k))
 
 
 @st.composite
@@ -769,7 +769,7 @@ def stage_sets(draw):
 def test_radial_lift_boxes_equal_the_checked_constructor(A, q):
     lift = radial_lift(A, 2, F(1, q))
     assert lift.dimension == 2
-    assert lift.pieces == BoxUnion(2, lift.pieces, absorb=False).pieces
+    assert lift.pieces == BoxUnion(2, lift.pieces).pieces
 
 
 grids = st.one_of(
@@ -1008,12 +1008,9 @@ def test_shuffled_measure_pieces_keep_exact_ball_masses(case):
     assert shuffled.ball_mass(x, r) == mu.ball_mass(x, r) == reference_ball_mass(mu, x, r)
 
 
-def reference_boxes(dimension: int, boxes, absorb: bool = True) -> tuple:
-    """BoxUnion pieces as built by hashing and sorting every input."""
-    norm = sorted(dict.fromkeys(tuple((F(a), F(b)) for a, b in box) for box in boxes))
-    if absorb and len(norm) > 1:
-        norm = _absorb_contained(norm)
-    return tuple(norm)
+def reference_boxes(dimension: int, boxes) -> tuple:
+    """BoxUnion pieces as built by hashing and sorting every input; contained boxes stay."""
+    return tuple(sorted(dict.fromkeys(tuple((F(a), F(b)) for a, b in box) for box in boxes)))
 
 
 small = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
@@ -1021,11 +1018,11 @@ sides = st.builds(lambda a, b: (min(a, b), max(a, b)), small, small)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(sides, sides), max_size=12), st.booleans(), st.booleans())
-def test_box_union_equals_the_sorting_path(boxes, increasing, absorb):
+@given(st.lists(st.tuples(sides, sides), max_size=12), st.booleans())
+def test_box_union_equals_the_sorting_path(boxes, increasing):
     if increasing:  # the form radial_lift builds: distinct boxes in order
         boxes = sorted(set(boxes))
-    assert BoxUnion(2, boxes, absorb).pieces == reference_boxes(2, boxes, absorb)
+    assert BoxUnion(2, boxes).pieces == reference_boxes(2, boxes)
 
 
 # -- integer stage builders and constructors -------------------------------
@@ -1820,7 +1817,7 @@ def reference_radial_lift(A: IntervalUnion, res: F) -> tuple:
             k = bisect.bisect_left(floors, lx + ly)
             if k < len(floors) and hx + hy >= ceils[k]:
                 boxes.append((x, y))
-    return BoxUnion(2, boxes, absorb=False).pieces
+    return BoxUnion(2, boxes).pieces
 
 
 @settings(max_examples=40, deadline=None)
