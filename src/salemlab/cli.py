@@ -3,6 +3,12 @@
 Exit codes: 0 success, 2 spec/argument parse error, 3 numeric or fit error.
 One experiment per invocation; identical arguments (including --seed) give
 byte-identical output files.  Each command imports the layers it runs.
+
+A command run as a program (`python -m salemlab.cli`, or the installed
+`salemlab` script) enters through `run`.  Once `main` has returned, every
+output file is closed; `run` flushes both streams and ends the process with
+`os._exit`, skipping the interpreter's teardown.  `main` called as a
+library function returns its exit code and leaves the interpreter alone.
 """
 
 from __future__ import annotations
@@ -11,9 +17,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .geometry import GeometryError, IntervalUnion, format_fraction, hausdorff_metric
 
@@ -308,8 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _failure(e: Exception) -> tuple[int, str] | None:
     """Exit code and stderr line for a command that raised e; None lets e propagate."""
-    if isinstance(e, MemoryError):  # a stage too large to build; checked before importing anything
+    # neither case needs the layers' error types, so neither imports them
+    if isinstance(e, MemoryError):  # a stage too large to build
         return 3, "error: out of memory"
+    if isinstance(e, OSError):  # an output that cannot be written (reads raise SpecParseError)
+        return 2, f"error: cannot write output: {e}"
     from .constructions import ConstructionError
     from .dimension import FitError
     from .measures import MeasureError
@@ -320,8 +330,6 @@ def _failure(e: Exception) -> tuple[int, str] | None:
         return 3, f"error: {e}"
     if isinstance(e, (FitError, ArithmeticError)):
         return 3, f"numeric error: {e}"
-    if isinstance(e, OSError):  # an output file that cannot be written (reads raise SpecParseError)
-        return 2, f"error: cannot write output: {e}"
     return None
 
 
@@ -343,5 +351,24 @@ def main(argv: list[str] | None = None) -> int:
         return failure[0]
 
 
+def run() -> NoReturn:
+    """Process entry: run `main`, flush stdout and stderr, and end the process.
+
+    Every output file is closed before `main` returns, and the program
+    registers no exit hook, so nothing is left for the interpreter's teardown
+    to do.  stdout is block-buffered when it is not a terminal: a write that
+    fails at this flush (a closed pipe) is exit 2, as it is inside `main`.
+    An exception escaping `main` is a bug and ends through the normal exit.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as e:
+        code, line = _failure(e)
+        print(line, file=sys.stderr)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

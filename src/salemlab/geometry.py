@@ -394,22 +394,6 @@ class BoxUnion:
     def __repr__(self) -> str:
         return f"BoxUnion(d={self.dimension}, {len(self.pieces)} boxes)"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dimension": self.dimension,
-                "pieces": [
-                    [[format_fraction(a), format_fraction(b)] for a, b in box]
-                    for box in self.pieces
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BoxUnion":
-        obj = json.loads(text)
-        return cls(obj["dimension"], [[(Fraction(a), Fraction(b)) for a, b in box] for box in obj["pieces"]])
-
 
 # ---------------------------------------------------------------------------
 # metric and hyperspace predicates

@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import le
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .geometry import IntervalUnion, as_fraction, format_ratio, integer_ends, view_pieces
+from .geometry import IntervalUnion, as_fraction, integer_ends, view_pieces
 
 if TYPE_CHECKING:
     import numpy as np
@@ -358,30 +358,6 @@ class PiecewiseUniformMeasure:
     def diameter(self) -> Fraction:
         D, lefts, rights = self.int_ends
         return Fraction(rights[-1] - lefts[0], D)
-
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self) -> str:
-        import json
-
-        D, lefts, rights = self.int_ends
-        return json.dumps(
-            {
-                "pieces": [
-                    {"a": format_ratio(l, D), "b": format_ratio(r, D), "w": w}
-                    for l, r, w in zip(lefts, rights, self.weights)
-                ]
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PiecewiseUniformMeasure":
-        import json
-
-        obj = json.loads(text)
-        return cls(
-            [(Fraction(p["a"]), Fraction(p["b"]), p["w"]) for p in obj["pieces"]]
-        )
 
 
 class SelfSimilarProductMeasure:

@@ -281,14 +281,6 @@ class TestBoxUnionNormalization:
         )
 
 
-class TestBoxUnionJson:
-    def test_round_trip(self):
-        b = BoxUnion(2, [((0, F(1, 2)), (F(1, 3), F(2, 3)))])
-        c = BoxUnion.from_json(b.to_json())
-        assert c.pieces == b.pieces
-        assert c.dimension == 2
-
-
 class TestAffineImages:
     def test_negative_scale_flips(self):
         u = IntervalUnion([(0, F(1, 4)), (F(1, 2), 1)])

@@ -30,9 +30,15 @@ _PROBE = (
 )
 
 
-def _child(args: list[str], cwd: Path, timeout: float | None = None) -> subprocess.CompletedProcess:
+def _child(args: list[str], cwd: Path, timeout: float | None = None, buffered: bool = False,
+           stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run a cold interpreter; `buffered` drops PYTHONUNBUFFERED, so stdout is block-buffered
+    into a pipe as it is for a user who has not set it."""
     env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=timeout)
 
 
 def _probe(argv: list[str], cwd: Path) -> tuple[int | None, set[str]]:
@@ -81,13 +87,25 @@ def test_fourier_commands_do_not_load_dataclasses(argv, tmp_path):
     assert code == 0 and "salemlab.measures" in mods and "dataclasses" not in mods
 
 
-@pytest.mark.parametrize("argv", [
+_EVERY_COMMAND = [
     ["build", "cantor:3"],
     ["metric", "a.json", "b.json"],
     ["reduce", "--map", "phi", "--rows", "1"],
     ["report", "cantor:3", "--stage", "3", "--seed", "1"],
     ["sweep", "cantor:3", "--seed", "1"],
-], ids=lambda argv: argv[0])
+]
+
+
+def _run_in(cwd: Path, args: list[str], buffered: bool = False) -> tuple:
+    """Exit code, stdout, stderr and every file of a cold child run in a fresh cwd holding two set files."""
+    cwd.mkdir()
+    (cwd / "a.json").write_text(IntervalUnion([(0, 1)]).to_json())
+    (cwd / "b.json").write_text(IntervalUnion([(0, Fraction(1, 2))]).to_json())
+    out = _child(args, cwd, buffered=buffered)
+    return out.returncode, out.stdout, out.stderr, {f.name: f.read_bytes() for f in cwd.iterdir()}
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
 def test_thread_variable_changes_nothing_for_every_command(argv, tmp_path, monkeypatch):
     """SALEMLAB_THREADS once sized a Fourier-screen pool; the program now ignores it."""
     runs = []
@@ -96,14 +114,47 @@ def test_thread_variable_changes_nothing_for_every_command(argv, tmp_path, monke
             monkeypatch.delenv("SALEMLAB_THREADS", raising=False)
         else:
             monkeypatch.setenv("SALEMLAB_THREADS", value)
-        cwd = tmp_path / str(value)
-        cwd.mkdir()
-        (cwd / "a.json").write_text(IntervalUnion([(0, 1)]).to_json())
-        (cwd / "b.json").write_text(IntervalUnion([(0, Fraction(1, 2))]).to_json())
-        out = _child(["-m", "salemlab.cli", *argv], cwd)
-        assert out.returncode == 0, out.stderr
-        runs.append((out.stdout, out.stderr, {f.name: f.read_bytes() for f in cwd.iterdir()}))
+        runs.append(_run_in(tmp_path / str(value), ["-m", "salemlab.cli", *argv]))
+        assert runs[-1][0] == 0, runs[-1][2]
     assert runs[1] == runs[0]
+
+
+# ends through sys.exit and the interpreter's teardown, as a library caller of main() does
+_MAIN_THEN_SYS_EXIT = "import sys\nfrom salemlab import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    *((argv, 0) for argv in _EVERY_COMMAND),
+    (["--help"], 0),
+    (["build", "cantor:x"], 2),  # spec parse error
+    (["report", "cantor:3", "--stage", "8", "--seed", "1", "--xi-max", "64", "--bands", "10"], 3),  # fit error
+], ids=[*(argv[0] for argv in _EVERY_COMMAND), "help", "parse-error", "fit-error"])
+def test_process_entry_ends_with_the_outputs_of_main(argv, code, tmp_path):
+    """`python -m salemlab.cli` ends through `run` and os._exit; with stdout block-buffered into a
+    pipe it gives the exit code, streams and files of main() ended by sys.exit."""
+    entry = _run_in(tmp_path / "entry", ["-m", "salemlab.cli", *argv], buffered=True)
+    library = _run_in(tmp_path / "library", ["-c", _MAIN_THEN_SYS_EXIT, *argv], buffered=True)
+    assert entry[0] == code, entry[2]
+    assert entry == library
+
+
+def test_closed_stdout_is_exit_two_without_traceback(tmp_path):
+    """Block-buffered output meets the closed pipe only at the final flush, after main() has returned."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = _child(["-m", "salemlab.cli", "reduce", "--map", "phi", "--rows", "1;0"], tmp_path,
+                     buffered=True, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 2
+    assert out.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_installed_script_enters_through_run():
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts.splitlines() == ['salemlab = "salemlab.cli:run"']
 
 
 @pytest.mark.parametrize("argv, message", [

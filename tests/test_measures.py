@@ -244,20 +244,6 @@ class TestBallMass:
             ball_mass(mu, 0, 0)
 
 
-class TestMeasureJson:
-    def test_round_trip_bit_exact(self):
-        mu = natural_measure(cantor_stage(3, 3))
-        nu = PiecewiseUniformMeasure.from_json(mu.to_json())
-        assert nu.pieces == mu.pieces
-
-    def test_schema_fields(self):
-        import json
-
-        mu = natural_measure(IntervalUnion([(0, F(1, 3)), (F(1, 2), 1)]))
-        obj = json.loads(mu.to_json())
-        assert obj["pieces"][0] == {"a": "0/1", "b": "1/3", "w": 0.5}
-
-
 class TestProductModulusBound:
     def test_modulus_never_exceeds_one(self):
         rng = random.Random(51)
