@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
-from .geometry import GeometryError, IntervalUnion, format_fraction, hausdorff_metric
+from .geometry import GeometryError, IntervalUnion, check_printable, format_fraction, hausdorff_metric
 
 if TYPE_CHECKING:
     from .bitseq import BitMatrix, BitSequence
@@ -144,13 +144,11 @@ def config_hash(args: argparse.Namespace, keys: list[str]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _write_stage_csv(path: Path, reports, cfg: str) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stage", "pieces", "min_diam", "max_diam", "config"])
-        for r in reports:
-            w.writerow([r.stage, r.piece_count, format_fraction(r.min_diam),
-                        format_fraction(r.max_diam), cfg])
+def _stage_rows(reports, cfg: str) -> list[list]:
+    """The stage CSV's rows; every diameter is checked to be printable before any is formatted."""
+    check_printable(*(t for r in reports for x in (r.min_diam, r.max_diam) for t in (x.numerator, x.denominator)))
+    return [[r.stage, r.piece_count, format_fraction(r.min_diam), format_fraction(r.max_diam), cfg]
+            for r in reports]
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -158,8 +156,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     stage_set = scheme.stage(args.stage)
     cfg = config_hash(args, ["spec", "stage"])
     out = Path(args.out)
-    out.with_suffix(".json").write_text(stage_set.to_json())
-    _write_stage_csv(out.with_suffix(".csv"), scheme.reports(1, args.stage), cfg)
+    rows, text = _stage_rows(scheme.reports(1, args.stage), cfg), stage_set.to_json()  # both before any write
+    out.with_suffix(".json").write_text(text)
+    with out.with_suffix(".csv").open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["stage", "pieces", "min_diam", "max_diam", "config"])
+        w.writerows(rows)
     print(f"wrote {out.with_suffix('.json')} ({len(stage_set)} pieces) and {out.with_suffix('.csv')}")
     return 0
 

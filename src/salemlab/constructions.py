@@ -17,9 +17,8 @@ calibrated refinement is what the stage ladder exposes to the estimators.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bitseq import BitMatrix, BitSequence, ZERO_SEQ, p3_member, phi_transform  # noqa: F401 (read by the CLI's phi map)
 from .geometry import ONE, ZERO, BoxUnion, IntervalUnion, as_fraction
@@ -51,9 +50,21 @@ class StageReport(NamedTuple):
         return cls(stage, len(lefts), Fraction(min(diams), D), Fraction(max(diams), D))
 
 
+DYADIC_EXPONENT_BOUND = 1 << 16
+
+
 def _dyadic_pow(base: float, exponent: float, bits: int = 48) -> Fraction:
-    """Dyadic rational approximation of base**exponent (positive base)."""
+    """Dyadic rational approximation m * 2^k of base**exponent (positive base).
+
+    Raises ConstructionError, before any power is taken, when |k| would
+    exceed DYADIC_EXPONENT_BOUND: 2^65536 has 19,729 digits, past what
+    an integer prints with, and stages built on it do not finish.
+    """
     e = exponent * math.log2(base)
+    if not abs(e) < DYADIC_EXPONENT_BOUND:  # also a non-finite e
+        raise ConstructionError(
+            f"{base:g}**{exponent:.12g} is out of range: its binary exponent must stay within ±{DYADIC_EXPONENT_BOUND}"
+        )
     k = math.floor(e)
     frac = 2.0 ** (e - k)
     mant = Fraction(round(frac * (1 << bits)), 1 << bits)
@@ -226,10 +237,11 @@ class IntervalScheme(Scheme):
 
     @_memo
     def stage(self, k: int) -> IntervalUnion:
-        return IntervalUnion.full()
+        return self.stage(0) if k else IntervalUnion.full()  # one union, shared: it is immutable
 
     def report_of(self, k: int, union: IntervalUnion) -> StageReport:
-        return StageReport(k, 2**k, Fraction(1, 2**k), Fraction(1, 2**k))
+        cell = Fraction(1, 1 << k)
+        return StageReport(k, 1 << k, cell, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +631,15 @@ class WeihrauchScheme(Scheme):
 # ---------------------------------------------------------------------------
 
 
-def _radial_cells(A: IntervalUnion, d: int, resolution) -> Iterator[tuple[int, int]]:
-    """Grid indices (i, j), i then j ascending, of the cells [i res, (i+1) res] x [j res, (j+1) res]
-    of [-n res, n res]² (n = ceil(1/res)) that meet {x : |x| in A}.
+def _radial_quadrant(A: IntervalUnion, d: int, resolution) -> tuple[Fraction, list[list[int]]]:
+    """The cell side res and, for each m in 0..ceil(1/res)-1, the ascending m' whose cell
+    [m res, (m+1) res] x [m' res, (m'+1) res] meets {x : |x| in A}.
 
-    Cells are tested exactly.  A cell spans the squared norms res²·[L, H],
-    where L and H are integer sums of squared grid indices, so it meets the
-    radius piece [a, b] (clipped to [0, inf)) iff L <= floor(b²/res²) and
-    H >= ceil(a²/res²).  Both threshold lists are nondecreasing along the
-    pieces, so the first piece with L <= floor(b²/res²) decides.
+    Columns i and -1-i of the grid on [-n res, n res]² span the same squared coordinates
+    res²·[m², (m+1)²], m = max(i, -1-i), so this quadrant decides every cell.  A cell spans the
+    squared norms res²·[L, H], so it meets the radius piece [a, b] (clipped to [0, inf)) iff
+    L <= floor(b²/res²) and H >= ceil(a²/res²).  The first piece with L <= floor(b²/res²)
+    decides; along a row L grows, so that piece only moves forward.
     """
     if d != 2:
         raise ConstructionError("radial lift is implemented for d = 2")
@@ -637,33 +649,40 @@ def _radial_cells(A: IntervalUnion, d: int, resolution) -> Iterator[tuple[int, i
     D, lefts, rights = A.int_ends
     den = (D * res.numerator) ** 2  # e²/res² = (n * den res)² / den for an endpoint e = n/D
     kept = [(max(l, 0) * res.denominator, r * res.denominator) for l, r in zip(lefts, rights) if r >= 0]
-    floors = [b * b // den for _, b in kept]
-    ceils = [-(a * a // -den) for a, _ in kept] + [math.inf]  # past the last floor no piece is met
+    floors = [b * b // den for _, b in kept] + [math.inf]  # past the last floor no piece is met
+    ceils = [-(a * a // -den) for a, _ in kept]
     n = math.ceil(1 / res)
-    # per grid column: its index, squared grid index of its end nearer 0 and farther
-    cols = [(i, min(i * i, (i + 1) ** 2), max(i * i, (i + 1) ** 2)) for i in range(-n, n)]
-    for i, lx, hx in cols:
-        for j, ly, hy in cols:
-            if hx + hy >= ceils[bisect_left(floors, lx + ly)]:
-                yield i, j
+    sq = [m * m for m in range(n + 1)]
+    rows = []
+    for lx, hx in zip(sq, sq[1:]):
+        row, k = [], 0
+        for m in range(n):
+            while floors[k] < lx + sq[m]:
+                k += 1
+            if k == len(ceils):
+                break
+            if hx + sq[m + 1] >= ceils[k]:
+                row.append(m)
+        rows.append(row)
+    return res, rows
 
 
 def radial_lift(A: IntervalUnion, d: int = 2, resolution=Fraction(1, 16)) -> BoxUnion:
-    """Grid-box cover of {x : |x| in A} at the given cell side: the cells of `_radial_cells`."""
-    cells = list(_radial_cells(A, d, resolution))
-    res = as_fraction(resolution)
-    n = math.ceil(1 / res)
-    side = {i: (i * res, (i + 1) * res) for i in range(-n, n)}
+    """Grid-box cover of {x : |x| in A} at the given cell side: `_radial_quadrant` reflected."""
+    res, rows = _radial_quadrant(A, d, resolution)
+    n = len(rows)
+    side = [(i * res, (i + 1) * res) for i in range(-n, n)]  # column i is side[n + i]
+    # column i holds the row m = max(i, -1-i) of the quadrant: j = -1-m for m descending, then j = m
+    pieces = [(side[n + i], side[n + j]) for i in range(-n, n) for row in [rows[max(i, -1 - i)]]
+              for j in [-1 - m for m in reversed(row)] + row]
     box = BoxUnion.__new__(BoxUnion)  # (i, j) order: the boxes are distinct, ascending and not reversed
     object.__setattr__(box, "dimension", 2)
-    object.__setattr__(box, "pieces", tuple((side[i], side[j]) for i, j in cells))
+    object.__setattr__(box, "pieces", tuple(pieces))
     return box
 
 
-def radial_reports(
-    A: IntervalUnion, exponents: Iterable[int], d: int = 2
-) -> list[StageReport]:
-    """Box-cover counts of the radial lift at cell sides 2^-j, counted without building boxes.
+def radial_reports(A: IntervalUnion, exponents: Iterable[int], d: int = 2) -> list[StageReport]:
+    """Box-cover counts of the radial lift at cell sides 2^-j: four times the quadrant's cells.
 
     The reported scale is the cell side (the diagonal differs by a constant
     factor, which a log-log slope does not see).
@@ -671,5 +690,5 @@ def radial_reports(
     out = []
     for j in exponents:
         res = Fraction(1, 2**j)
-        out.append(StageReport(j, sum(1 for _ in _radial_cells(A, d, res)), res, res))
+        out.append(StageReport(j, 4 * sum(map(len, _radial_quadrant(A, d, res)[1])), res, res))
     return out

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import itemgetter, le, lt
@@ -49,18 +50,36 @@ def _ratio(x) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
+class GeometryError(ValueError):
+    """Domain error raised by geometric operations."""
+
+
+def check_printable(*ns: int) -> None:
+    """Raise GeometryError if an int has more decimal digits than `sys.get_int_max_str_digits()`
+    lets `str` print; decided by bit length, with a power of ten compared only near the limit."""
+    limit = sys.get_int_max_str_digits()
+    for n in ns:
+        if limit and n.bit_length() * 0.30103 >= limit and abs(n) >= 10**limit:  # 0.30103 > log10(2)
+            raise GeometryError(f"a {n.bit_length()}-bit integer has more than {limit} decimal digits, too many to print")
+
+
 def format_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    """x as "n/d"; GeometryError if a term is too long to print (see `check_printable`)."""
+    return _format(x.numerator, x.denominator)
 
 
 def format_ratio(n: int, d: int) -> str:
     """`format_fraction` of n/d (d > 0) without building the Fraction."""
     g = math.gcd(n, d)
-    return f"{n // g}/{d // g}"
+    return _format(n // g, d // g)
 
 
-class GeometryError(ValueError):
-    """Domain error raised by geometric operations."""
+def _format(n: int, d: int) -> str:
+    try:
+        return f"{n}/{d}"
+    except ValueError:  # the interpreter's digit limit: check_printable raises its GeometryError
+        check_printable(n, d)
+        raise
 
 
 def integer_ends(pieces: Iterable[Sequence]) -> tuple[int, list[int], list[int]]:

@@ -13,7 +13,7 @@ from itertools import repeat
 from typing import Iterator
 
 from .constructions import ConstructionError, StageReport, _dyadic_pow
-from .geometry import BoxUnion, _Record
+from .geometry import ONE, ZERO, BoxUnion, _Record
 from .primes import is_prime
 
 
@@ -154,37 +154,29 @@ def gaussian_primes_norm_range(lo: int, hi: int) -> Iterator[GaussianInt]:
                 yield GaussianInt(a, b)
 
 
-def _reduced_centers(alpha: float, j: int) -> dict[tuple[int, int, int, int], Fraction]:
-    """`gaussian_jarnik_centers` keyed on the centers' reduced (num, den) integer pairs."""
+def _block_primes(alpha: float, j: int) -> Iterator[tuple[GaussianInt, int, Fraction]]:
+    """(q, N(q), half-side N(q)^-(2+alpha)/2) for the primes q of block j, norms in [4^j, 4^(j+1));
+    the half-side is exact when 2 + alpha is an even integer, dyadic otherwise."""
     if alpha < 0:
         raise ConstructionError("alpha must be nonnegative")
     if j < 1:
         raise ConstructionError("block index must be >= 1")
-    centers: dict[tuple[int, int, int, int], Fraction] = {}
+    exact = float(alpha).is_integer() and (2 + int(alpha)) % 2 == 0
     for q in gaussian_primes_norm_range(4**j, 4 ** (j + 1)):
         n = norm(q)
-        if float(alpha).is_integer() and (2 + int(alpha)) % 2 == 0:
-            half = Fraction(1, n ** ((2 + int(alpha)) // 2))
-        else:
-            half = _dyadic_pow(float(n), -(2.0 + alpha) / 2.0)
-        for rx, ry in _residue_pairs(q.a, q.b):
-            # the numerators of normalized_center(q, r), over n
-            x, y = q.a * rx + q.b * ry, q.a * ry - q.b * rx
-            gx, gy = math.gcd(x, n), math.gcd(y, n)
-            key = (x // gx, n // gx, y // gy, n // gy)
-            old = centers.get(key)
-            if old is None or half < old:
-                centers[key] = half
-    return centers
+        yield q, n, Fraction(1, n ** ((2 + int(alpha)) // 2)) if exact else _dyadic_pow(float(n), -(2.0 + alpha) / 2.0)
 
 
 def gaussian_jarnik_centers(alpha: float, j: int) -> dict[tuple[Fraction, Fraction], Fraction]:
-    """Center -> half-side map for block j (norms in [4^j, 4^(j+1))).
-
-    Duplicate centers arising from different primes keep the smaller box.
-    """
-    centers = _reduced_centers(alpha, j)
-    return {(Fraction(xn, xd), Fraction(yn, yd)): half for (xn, xd, yn, yd), half in centers.items()}
+    """Center -> half-side map for block j (norms in [4^j, 4^(j+1))).  A center of several
+    primes (only the origin is, see `gaussian_block_reports`) keeps the smallest box."""
+    centers: dict[tuple[Fraction, Fraction], Fraction] = {}
+    for q, n, half in _block_primes(alpha, j):
+        for rx, ry in _residue_pairs(q.a, q.b):  # normalized_center(q, r) for r = rx + i ry
+            c = (Fraction(q.a * rx + q.b * ry, n), Fraction(q.a * ry - q.b * rx, n))
+            if centers.setdefault(c, half) is not half and half < centers[c]:  # a center seen before
+                centers[c] = half
+    return centers
 
 
 def gaussian_jarnik_stage(alpha: float, j: int) -> BoxUnion:
@@ -194,19 +186,21 @@ def gaussian_jarnik_stage(alpha: float, j: int) -> BoxUnion:
     ball of radius |q|^-(2+alpha), clamped to the unit square.  Boxes from
     coinciding centers are deduplicated.
     """
-    boxes = []
-    for (cx, cy), half in gaussian_jarnik_centers(alpha, j).items():
-        x0, x1 = max(cx - half, Fraction(0)), min(cx + half, Fraction(1))
-        y0, y1 = max(cy - half, Fraction(0)), min(cy + half, Fraction(1))
-        boxes.append(((x0, x1), (y0, y1)))
-    return BoxUnion(2, boxes)
+    side = lambda c, h: (max(c - h, ZERO), min(c + h, ONE))
+    return BoxUnion(2, [(side(x, h), side(y, h)) for (x, y), h in gaussian_jarnik_centers(alpha, j).items()])
 
 
 def gaussian_block_reports(alpha: float, blocks: range) -> list[StageReport]:
-    """Per-block center counts with the largest box side as the scale."""
+    """Per-block center counts with the largest box side as the scale, from the primes alone.
+
+    Prime q's centers are z/N(q), z = conj(q)·r over its residues r: the N(q) points of the ideal
+    conj(q)Z[i] in [0, N(q))².  Distinct primes share only the origin (a split prime has no other
+    center on an axis, a conjugate pair shares only points ≡ 0 mod p, an inert prime's centers have
+    denominator p), so block j has sum N(q) - #primes + 1 centers and keeps every prime's box."""
     out = []
     for j in blocks:
-        centers = _reduced_centers(alpha, j)
-        halves = {id(h): h for h in centers.values()}.values()  # one half object per prime
-        out.append(StageReport(j, len(centers), 2 * min(halves), 2 * max(halves)))
+        primes = list(_block_primes(alpha, j))
+        halves = [half for _, _, half in primes]
+        count = sum(n for _, n, _ in primes) - len(primes) + 1
+        out.append(StageReport(j, count, 2 * min(halves), 2 * max(halves)))
     return out

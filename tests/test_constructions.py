@@ -4,8 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from salemlab import constructions
 from salemlab.bitseq import BitMatrix, BitSequence
 from salemlab.constructions import (
+    DYADIC_EXPONENT_BOUND,
     CantorScheme,
     ConstructionError,
     FpScheme,
@@ -17,6 +19,7 @@ from salemlab.constructions import (
     SalemGapScheme,
     StageReport,
     WeihrauchScheme,
+    _dyadic_pow,
     cantor_stage,
     jarnik_stage,
     radial_lift,
@@ -340,6 +343,42 @@ class TestWeihrauch:
             assert cur.contains_point(0)
             assert cur.subset_of(prev)
             prev = cur
+
+
+class _GuardedFraction(F):
+    """A Fraction whose powers fail the test instead of running when the exponent is out of bounds."""
+
+    def __pow__(self, k):
+        assert abs(k) <= DYADIC_EXPONENT_BOUND, f"2**{k} was started"
+        return F(self) ** k
+
+
+class TestDyadicExponentBound:
+    """Extreme spec numbers are refused before the huge power of two is taken."""
+
+    @pytest.fixture(autouse=True)
+    def guarded(self, monkeypatch):
+        monkeypatch.setattr(constructions, "Fraction", _GuardedFraction)
+
+    @pytest.mark.parametrize("base, exponent", [
+        (3.0, -5e307), (2.0, -3e300), (2.0, 1e300), (2.0, -math.inf), (2.0, math.nan),
+        (2.0, -DYADIC_EXPONENT_BOUND), (11.0, -123458.5),
+    ])
+    def test_out_of_bound_exponent_raises(self, base, exponent):
+        with pytest.raises(ConstructionError, match=f"within ±{DYADIC_EXPONENT_BOUND}"):
+            _dyadic_pow(base, exponent)
+
+    def test_exponents_inside_the_bound_are_exact(self):
+        k = DYADIC_EXPONENT_BOUND - 1
+        assert _dyadic_pow(2.0, -k) == F(1, 2**k) and _dyadic_pow(2.0, k) == 2**k
+        assert F(1, 2**796) < _dyadic_pow(3.0, -501.0) < F(1, 2**794)  # salpha:1000, the largest |k| tests reach
+
+    def test_schemes_refuse_at_parse_or_at_the_stage(self):
+        with pytest.raises(ConstructionError):
+            SAlphaScheme(1e308)
+        for scheme in (GeneralizedCantorScheme.for_dimension(1e-300), JarnikScheme(123456.5)):
+            with pytest.raises(ConstructionError, match="out of range"):
+                scheme.stage(3)
 
 
 class TestStageReports:

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +12,11 @@ from salemlab.geometry import (
     GeometryError,
     HausdorffDistance,
     IntervalUnion,
+    check_printable,
     diameter,
     disjoint_from_compact,
+    format_fraction,
+    format_ratio,
     hausdorff_metric,
     intersects_open,
     one_sided_distance,
@@ -337,3 +341,29 @@ class TestHausdorffDistanceValue:
         with pytest.raises(AttributeError):
             d.other = 1
         assert copy.copy(d) == d and copy.deepcopy(d) == d and pickle.loads(pickle.dumps(d)) == d
+
+
+class TestPrintLimit:
+    """Terms over the interpreter's digit limit raise GeometryError, which the CLI ends with exit 3."""
+
+    def test_the_limit_is_exact(self):
+        limit = sys.get_int_max_str_digits()
+        for n in (10**limit - 1, -(10**limit - 1), 2**4000, 0):
+            check_printable(n)
+            assert format_fraction(F(n)) == format_ratio(2 * n, 2) == f"{n}/1"
+        for n in (10**limit, -(10**limit), 2**20000):
+            with pytest.raises(GeometryError, match=f"more than {limit} decimal digits"):
+                check_printable(n)
+            with pytest.raises(GeometryError, match=f"more than {limit} decimal digits"):
+                format_fraction(F(1, n) if n > 0 else F(n, 7))
+            with pytest.raises(GeometryError, match=f"more than {limit} decimal digits"):
+                format_ratio(n * 3 + 1, 3)
+
+    def test_terms_are_checked_after_reduction(self):
+        big = 10 ** sys.get_int_max_str_digits()
+        assert format_ratio(big, 2 * big) == "1/2"
+
+    def test_to_json_of_an_unprintable_union_raises(self):
+        U = IntervalUnion([(0, F(1, 2**20000))])
+        with pytest.raises(GeometryError, match="too many to print"):
+            U.to_json()

@@ -31,14 +31,14 @@ _PROBE = (
 
 
 def _child(args: list[str], cwd: Path, timeout: float | None = None, buffered: bool = False,
-           stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+           stdout=subprocess.PIPE, preexec_fn=None) -> subprocess.CompletedProcess:
     """Run a cold interpreter; `buffered` drops PYTHONUNBUFFERED, so stdout is block-buffered
     into a pipe as it is for a user who has not set it."""
     env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
     if buffered:
         env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, timeout=timeout)
+                          text=True, timeout=timeout, preexec_fn=preexec_fn)
 
 
 def _probe(argv: list[str], cwd: Path) -> tuple[int | None, set[str]]:
@@ -192,6 +192,38 @@ def test_resonances_below_the_float_spacing_end(tmp_path):
     argv = ["report", "jarnik:1.0", "--stage", "3", "--seed", "1", "--xi-max", "1e40", "--out", "r"]
     out = _child(["-m", "salemlab.cli", *argv], tmp_path, timeout=60)
     assert out.returncode in (0, 3) and "Traceback" not in out.stderr, out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "fp:0.5:x=(1)", "--stage", "12"],  # a 22528-bit endpoint in the stage JSON
+    ["build", "interval", "--stage", "20000"],  # a 14286-bit diameter in the stage CSV
+    ["reduce", "--map", "fp", "--x", "(1)", "--stage", "12"],
+], ids=["build-json", "build-csv", "reduce-fp"])
+def test_unprintable_endpoint_is_exit_three_without_output(argv, tmp_path):
+    """A term over the interpreter's digit limit is a GeometryError before any file is written."""
+    out = _child(["-m", "salemlab.cli", *argv], tmp_path, timeout=60)
+    assert out.returncode == 3
+    assert out.stderr.startswith("error: a ") and out.stderr.endswith("decimal digits, too many to print\n")
+    assert out.stderr.count("\n") == 1 and not list(tmp_path.iterdir())
+
+
+def _capped_address_space():  # runs in the child: a stray huge power fails there, not on the host
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("salpha:1e308", 2),  # the ratio is built when the spec is parsed
+    ("gcantor:1e-300", 3),  # the lengths and the radii are built with the first stage
+    ("jarnik:123456.5", 3),
+])
+def test_extreme_spec_number_ends_at_once(spec, code, tmp_path):
+    out = _child(["-m", "salemlab.cli", "report", spec, "--stage", "3", "--seed", "1"], tmp_path, timeout=60,
+                 preexec_fn=_capped_address_space)
+    assert out.returncode == code
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "binary exponent must stay within ±65536" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_reduce_phi_without_rows_reads_the_zero_matrix(tmp_path):

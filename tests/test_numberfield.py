@@ -166,3 +166,14 @@ class TestGaussianJarnik:
             gaussian_jarnik_centers(-1.0, 1)
         with pytest.raises(ConstructionError):
             gaussian_jarnik_centers(0.0, 0)
+        for alpha, j in ((-1.0, 1), (0.0, 0)):
+            with pytest.raises(ConstructionError):
+                gaussian_block_reports(alpha, range(j, j + 1))
+
+    @pytest.mark.parametrize("alpha", [0, 0.5, 1, 1.5, 2, 3])
+    def test_block_reports_count_the_centers(self, alpha):
+        """The reports read count and sides off the primes; the centers are built residue by residue."""
+        for rep, j in zip(gaussian_block_reports(alpha, range(1, 5)), range(1, 5)):
+            centers = gaussian_jarnik_centers(alpha, j)
+            halves = centers.values()
+            assert rep == (j, len(centers), 2 * min(halves), 2 * max(halves))

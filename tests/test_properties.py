@@ -16,7 +16,9 @@ endpoints as integer pairs) and the sieved `next_prime` against the code
 they replaced; the depth-ordered product kernel on zero and repeated offsets
 and frequencies across depths, the one-pass Frostman sup over gap, `_mass`
 and mixed survivors, resonant candidates without adjacent repeats, and the
-radial lift's boxes against the checked `BoxUnion` constructor."""
+radial lift's boxes against the checked `BoxUnion` constructor; and the
+planar covers' quadrant walk against the per-cell test on signed unions at
+dyadic and non-dyadic cell sides, with the radial counts against the lift."""
 
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ from salemlab.constructions import (
     SalemGapScheme,
     StageReport,
     _dyadic_pow,
+    _radial_quadrant,
     _radius,
     jarnik_stage,
     radial_lift,
@@ -1829,9 +1832,9 @@ def test_radial_report_counts_equal_the_any_rule(case):
 
 
 @st.composite
-def signed_radial_cases(draw):
+def signed_radial_cases(draw, resolutions=(F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 3), F(3, 16))):
     """A union in (-1, 1), pieces below 0 and across it among them, with ends often on +-k*res."""
-    res = draw(st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 3), F(3, 16)]))
+    res = draw(st.sampled_from(resolutions))
     grid = [s * k * res for k in range(math.ceil(1 / res) + 1) if k * res < 1 for s in (1, -1)]
     signed = st.builds(lambda x, s: s * x, unit_rationals, st.sampled_from([1, -1])).filter(lambda x: -1 < x < 1)
     ends = sorted(set(draw(st.lists(st.one_of(signed, st.sampled_from(grid)), max_size=10))))
@@ -1866,6 +1869,46 @@ def test_radial_lift_and_counts_equal_the_box_by_box_lift(case):
 def test_radial_paths_keep_their_errors(call):
     with pytest.raises(ConstructionError):
         call()
+
+
+def reference_radial_cells(A: IntervalUnion, res: F) -> list[tuple[int, int]]:
+    """The (i, j) in [-n, n)², i then j, whose cell [i res, (i+1) res] x [j res, (j+1) res] has a
+    squared norm range meeting that of a radius piece clipped to [0, inf), in Fractions cell by cell."""
+    radii = [(max(a, F(0)) ** 2, b * b) for a, b in A.pieces if b >= 0]
+
+    def squares(i):  # the least and greatest x² over [i res, (i+1) res]
+        x0, x1 = i * res, (i + 1) * res
+        return (F(0) if x0 <= 0 <= x1 else min(x0 * x0, x1 * x1)), max(x0 * x0, x1 * x1)
+
+    n = math.ceil(1 / res)
+    return [(i, j) for i in range(-n, n) for j in range(-n, n)
+            if any(squares(i)[0] + squares(j)[0] <= b2 and squares(i)[1] + squares(j)[1] >= a2 for a2, b2 in radii)]
+
+
+# dyadic cell sides, and non-dyadic ones whose grid lines fall between the dyadic ones
+PLANAR_RESOLUTIONS = (F(1, 2), F(1, 8), F(1, 16), F(1, 32), F(1, 10), F(1, 3), F(2, 7), F(2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_radial_cases(PLANAR_RESOLUTIONS))
+def test_planar_radial_quadrant_equals_the_per_cell_test(case):
+    """The quadrant walk, reflected, keeps exactly the cells of the per-cell test, in (i, j) order."""
+    A, res = case
+    cells = reference_radial_cells(A, res)
+    _, rows = _radial_quadrant(A, 2, res)
+    n, m = len(rows), lambda i: max(i, -1 - i)
+    assert all(row == sorted(set(row)) for row in rows)
+    assert set(cells) == {(i, j) for i in range(-n, n) for j in range(-n, n) if m(j) in rows[m(i)]}
+    side = lambda i: (i * res, (i + 1) * res)
+    assert radial_lift(A, 2, res).pieces == tuple((side(i), side(j)) for i, j in cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_radial_cases(PLANAR_RESOLUTIONS), st.integers(1, 5))
+def test_planar_radial_reports_count_the_lift(case, j):
+    A, _ = case
+    cell = F(1, 2**j)
+    assert radial_reports(A, [j]) == [StageReport(j, len(radial_lift(A, 2, cell)), cell, cell)]
 
 
 def reference_residue_system(q: GaussianInt) -> list[tuple[int, int]]:
