@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 from .geometry import GeometryError, IntervalUnion, check_printable, format_fraction, hausdorff_metric
 
@@ -83,8 +83,25 @@ def parse_rows(text: str) -> BitMatrix:
     return BitMatrix.from_rows([parse_bits(part) for part in text.split(";") if part != ""])
 
 
+# kind -> its fields after the kind (each a literal prefix, then <name>) and the maker of its scheme from their texts
+_SPEC_KINDS: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "cantor": (("<n>",), lambda c, n: c.CantorScheme(int(n))),
+    "gcantor": (("<p>",), lambda c, p: c.GeneralizedCantorScheme.for_dimension(_finite(p))),
+    "interval": ((), lambda c: c.IntervalScheme()),
+    "jarnik": (("<alpha>",), lambda c, alpha: c.JarnikScheme(_finite(alpha))),
+    "salpha": (("<alpha>",), lambda c, alpha: c.SAlphaScheme(_finite(alpha))),
+    "fp": (("<p>", "x=<bits>"), lambda c, p, x: c.FpScheme(_finite(p), parse_bits(x))),
+    # a tower's rows are read before its p: keyword arguments are evaluated in the order written
+    "pi03": (("<p>", "rows=<bits;bits;...>"), lambda c, p, rows: c.Pi03Scheme(x=parse_rows(rows), p=_finite(p))),
+    "salemgap": (("<p>", "rows=<bits;bits;...>"),
+                 lambda c, p, rows: c.SalemGapScheme(x=parse_rows(rows), p=_finite(p))),
+    "weihrauch": (("xs=<bits;bits;...>",),
+                  lambda c, xs: c.WeihrauchScheme([parse_bits(b) for b in xs.split(";") if b != ""])),
+}
+
+
 def parse_scheme(spec: str) -> Scheme:
-    """Scheme mini-grammar.
+    """Scheme mini-grammar, one `_SPEC_KINDS` entry per kind.
 
     cantor:<n> | gcantor:<p> | interval | jarnik:<alpha> | salpha:<alpha>
     | fp:<p>:x=<bits> | pi03:<p>:rows=<r;...> | salemgap:<p>:rows=<r;...>
@@ -94,47 +111,17 @@ def parse_scheme(spec: str) -> Scheme:
     """
     from . import constructions as cons
 
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *texts = spec.split(":")
+    if kind not in _SPEC_KINDS:
+        raise SpecParseError(f"unknown scheme kind {kind!r} in {spec!r}")
+    fields, build = _SPEC_KINDS[kind]
+    prefixes = [f.partition("<")[0] for f in fields]
     try:
-        if kind == "cantor":
-            if len(parts) != 2:
-                raise SpecParseError("usage: cantor:<n>")
-            return cons.CantorScheme(int(parts[1]))
-        if kind == "gcantor":
-            if len(parts) != 2:
-                raise SpecParseError("usage: gcantor:<p>")
-            return cons.GeneralizedCantorScheme.for_dimension(_finite(parts[1]))
-        if kind == "interval":
-            if len(parts) != 1:
-                raise SpecParseError("usage: interval")
-            return cons.IntervalScheme()
-        if kind == "jarnik":
-            if len(parts) != 2:
-                raise SpecParseError("usage: jarnik:<alpha>")
-            return cons.JarnikScheme(_finite(parts[1]))
-        if kind == "salpha":
-            if len(parts) != 2:
-                raise SpecParseError("usage: salpha:<alpha>")
-            return cons.SAlphaScheme(_finite(parts[1]))
-        if kind == "fp":
-            if len(parts) != 3 or not parts[2].startswith("x="):
-                raise SpecParseError("usage: fp:<p>:x=<bits>")
-            return cons.FpScheme(_finite(parts[1]), parse_bits(parts[2][2:]))
-        if kind in ("pi03", "salemgap"):
-            if len(parts) != 3 or not parts[2].startswith("rows="):
-                raise SpecParseError(f"usage: {kind}:<p>:rows=<bits;bits;...>")
-            mat = parse_rows(parts[2][5:])
-            cls = cons.Pi03Scheme if kind == "pi03" else cons.SalemGapScheme
-            return cls(_finite(parts[1]), mat)
-        if kind == "weihrauch":
-            if len(parts) != 2 or not parts[1].startswith("xs="):
-                raise SpecParseError("usage: weihrauch:xs=<bits;bits;...>")
-            xs = [parse_bits(p) for p in parts[1][3:].split(";") if p != ""]
-            return cons.WeihrauchScheme(xs)
+        if len(texts) != len(fields) or not all(map(str.startswith, texts, prefixes)):
+            raise SpecParseError(f"usage: {':'.join((kind, *fields))}")
+        return build(cons, *(t[len(pre):] for t, pre in zip(texts, prefixes)))
     except (ValueError, cons.ConstructionError) as e:
         raise SpecParseError(f"bad scheme spec {spec!r} (at {kind!r}): {e}") from None
-    raise SpecParseError(f"unknown scheme kind {kind!r} in {spec!r}")
 
 
 def config_hash(args: argparse.Namespace, keys: list[str]) -> str:

@@ -2,8 +2,8 @@
 
 Every scheme emits nested IntervalUnion stages together with per-stage
 piece statistics.  Stage generation is deterministic; each scheme keeps
-the stages it built in one per-instance memo, which a builder reads its
-earlier stages through.
+its stages, their reports, its tower blocks and its length schedule through
+one memo, `_memo`, and each stage reads the earlier stages it needs from it.
 
 The nested refinement used by the well-approximable-number schemes places
 children at rational centers i/q with q drawn from dyadic prime blocks,
@@ -53,38 +53,57 @@ class StageReport(NamedTuple):
 DYADIC_EXPONENT_BOUND = 1 << 16
 
 
-def _dyadic_pow(base: float, exponent: float, bits: int = 48) -> Fraction:
-    """Dyadic rational approximation m * 2^k of base**exponent (positive base).
+def _binary_exponent(base: float, exponent: float) -> float:
+    """log2 of base**exponent (positive base).
 
-    Raises ConstructionError, before any power is taken, when |k| would
-    exceed DYADIC_EXPONENT_BOUND: 2^65536 has 19,729 digits, past what
-    an integer prints with, and stages built on it do not finish.
+    Raises ConstructionError when it is not within ±DYADIC_EXPONENT_BOUND:
+    2^65536 has 19,729 digits, past what an integer prints with, and stages
+    built on such a power do not finish.
     """
     e = exponent * math.log2(base)
     if not abs(e) < DYADIC_EXPONENT_BOUND:  # also a non-finite e
         raise ConstructionError(
             f"{base:g}**{exponent:.12g} is out of range: its binary exponent must stay within ±{DYADIC_EXPONENT_BOUND}"
         )
+    return e
+
+
+def _dyadic_pow(base: float, exponent: float, bits: int = 48) -> Fraction:
+    """Dyadic rational approximation m * 2^k of base**exponent (positive base), with
+    `_binary_exponent`'s bound checked before any power is taken."""
+    e = _binary_exponent(base, exponent)
     k = math.floor(e)
     frac = 2.0 ** (e - k)
     mant = Fraction(round(frac * (1 << bits)), 1 << bits)
     return mant * (Fraction(2) ** k)
 
 
-def _memo(build: Callable[..., IntervalUnion]) -> Callable[..., IntervalUnion]:
-    """A scheme's `stage(k)`: stage k is built once, by `build(self, k)`, and kept by k in the
-    scheme's stage memo, so a builder reads earlier stages through `self.stage`."""
+def _power(n: int, exponent: float) -> Fraction:
+    """n**exponent for an int n >= 2: exact when the exponent is integral, `_dyadic_pow` otherwise,
+    with `_binary_exponent`'s bound checked before any power is taken in both cases."""
+    if not float(exponent).is_integer():
+        return _dyadic_pow(float(n), exponent)
+    _binary_exponent(float(n), exponent)
+    return Fraction(n) ** int(exponent)
 
-    def stage(self, k: int) -> IntervalUnion:
-        memo: dict[int, IntervalUnion] = vars(self).setdefault("_stage_memo", {})
+
+def _memo(build: Callable) -> Callable:
+    """A scheme's method f(k), k >= 0: f(k) is built once, by `build(self, k)`, and kept by k in
+    the scheme's memo of that method, `_<f>_memo`, so `build` reads earlier values through f.
+    Stages, stage reports, tower blocks and length schedules are all kept here."""
+    name = build.__name__
+    key = f"_{name}_memo"
+
+    def memoised(self, k: int):
+        memo = vars(self).setdefault(key, {})
         if k not in memo:
             if k < 0:
-                raise ConstructionError("stage must be nonnegative")
+                raise ConstructionError(f"{name} must be nonnegative")
             memo[k] = build(self, k)
         return memo[k]
 
-    stage.__doc__ = build.__doc__
-    return stage
+    memoised.__name__, memoised.__doc__ = name, build.__doc__
+    return memoised
 
 
 class Scheme:
@@ -102,13 +121,14 @@ class Scheme:
         """Statistics of `union`, the already built stage k."""
         return StageReport.of(k, union)
 
+    @_memo
+    def report(self, k: int) -> StageReport:
+        """The report of stage k, built once per scheme."""
+        return self.report_of(k, self.stage(k))
+
     def reports(self, lo: int, hi: int) -> list[StageReport]:
-        """Stage reports lo..hi, each built once per scheme and kept by stage."""
-        memo: dict[int, StageReport] = vars(self).setdefault("_report_memo", {})
-        for k in range(lo, hi + 1):
-            if k not in memo:
-                memo[k] = self.report_of(k, self.stage(k))
-        return [memo[k] for k in range(lo, hi + 1)]
+        """Stage reports lo..hi."""
+        return [self.report(k) for k in range(lo, hi + 1)]
 
     def decay_measure(self, k: int, natural=None):
         """Measure used for Fourier-decay readings at stage k: by default the
@@ -181,7 +201,6 @@ class GeneralizedCantorScheme(Scheme):
     def __init__(self, lengths: Callable[[int], Fraction], name: str = "gcantor") -> None:
         self.name = name
         self._sched = lengths
-        self._lengths: list[Fraction] = [Fraction(1)]
 
     @classmethod
     def for_dimension(cls, p: float) -> "GeneralizedCantorScheme":
@@ -194,29 +213,26 @@ class GeneralizedCantorScheme(Scheme):
         s.declared_fdim = 0.0
         return s
 
-    def _ensure_lengths(self, k: int) -> None:
-        while len(self._lengths) <= k:
-            j = len(self._lengths)
-            self._lengths.append(min(self._sched(j), self._lengths[j - 1] / 2))
+    @_memo
+    def length(self, j: int) -> Fraction:
+        """The piece length at stage j: the schedule, clamped to half the length at stage j - 1."""
+        return min(self._sched(j), self.length(j - 1) / 2) if j else Fraction(1)
 
     @_memo
     def stage(self, k: int) -> IntervalUnion:
         """A parent [a, a + P] spawns the left ends a and a + P - L, over E = lcm(D, den L)."""
-        self._ensure_lengths(k)
         D, lefts = 1, [0]
         for j in range(1, k + 1):
-            E = math.lcm(D, self._lengths[j].denominator)
-            s, step = E // D, int((self._lengths[j - 1] - self._lengths[j]) * E)
+            E = math.lcm(D, self.length(j).denominator)
+            s, step = E // D, int((self.length(j - 1) - self.length(j)) * E)
             D, lefts = E, [m for a in lefts for m in (a * s, a * s + step)]
-        L = int(self._lengths[k] * D)
+        L = int(self.length(k) * D)
         return IntervalUnion._merged([(D, lefts, [a + L for a in lefts])], (ZERO, ONE))
 
     def decay_measure(self, k: int, natural=None):
         from . import measures
 
-        n = max(k, 24)
-        self._ensure_lengths(n)
-        contractions = tuple(self._lengths[j] / self._lengths[j - 1] for j in range(1, n + 1))
+        contractions = tuple(self.length(j) / self.length(j - 1) for j in range(1, max(k, 24) + 1))
         offsets = tuple((Fraction(0), 1 - c) for c in contractions)
         return measures.SelfSimilarProductMeasure(
             branching=2, offsets=offsets, contractions=contractions
@@ -250,10 +266,8 @@ class IntervalScheme(Scheme):
 
 
 def _radius(q: int, alpha: float) -> Fraction:
-    """q^-(2+alpha) as an exact Fraction when alpha is integral, dyadic otherwise."""
-    if float(alpha).is_integer():
-        return Fraction(1, q ** (2 + int(alpha)))
-    return _dyadic_pow(float(q), -(2.0 + alpha))
+    """q^-(2+alpha) as an exact Fraction when alpha is integral, dyadic otherwise (`_power`)."""
+    return _power(q, -(2.0 + alpha))
 
 
 def jarnik_stage(alpha: float, j: int) -> IntervalUnion:
@@ -490,7 +504,6 @@ class BlockTower(Scheme):
         self.p = p
         self.x = x
         self.name = f"{kind}:{p:g}"
-        self._blocks: dict[int, Scheme | None] = {}
 
     def q_m(self, m: int) -> float:
         """Dimension target p(1 - 2^-m) of the sequence-controlled block m."""
@@ -540,11 +553,10 @@ class Pi03Scheme(BlockTower):
         self.declared_hdim = p if x.tail.is_eventually_zero else (max(good) if good else 0.0)
         self.declared_fdim = self.declared_hdim
 
+    @_memo
     def block(self, m: int) -> FpScheme | None:
-        if m not in self._blocks:
-            q = self.q_m(m)
-            self._blocks[m] = FpScheme(q, self.x.row(m), self.branching) if q > 0 else None
-        return self._blocks[m]
+        q = self.q_m(m)
+        return FpScheme(q, self.x.row(m), self.branching) if q > 0 else None
 
 
 class SalemGapScheme(BlockTower):
@@ -563,19 +575,16 @@ class SalemGapScheme(BlockTower):
 
     def __init__(self, p: float, x: BitMatrix) -> None:
         super().__init__("salemgap", p, x)
-        if abs(p - math.log(2) / math.log(3)) < 1e-9:
-            self._head: Scheme = CantorScheme(3)
-        else:
-            self._head = GeneralizedCantorScheme.for_dimension(p)
         self.declared_hdim = p
         self.declared_fdim = p if p3_member(x) else 0.0
 
+    @_memo
     def block(self, n: int) -> Scheme:
-        if n == 0:
-            return self._head
-        if n not in self._blocks:
-            self._blocks[n] = FpScheme(self.q_m(n), self.x.row(n - 1), self.branching)
-        return self._blocks[n]
+        if n:
+            return FpScheme(self.q_m(n), self.x.row(n - 1), self.branching)
+        if abs(self.p - math.log(2) / math.log(3)) < 1e-9:  # the head: the middle-third set at its own dimension
+            return CantorScheme(3)
+        return GeneralizedCantorScheme.for_dimension(self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -673,12 +682,8 @@ def radial_lift(A: IntervalUnion, d: int = 2, resolution=Fraction(1, 16)) -> Box
     n = len(rows)
     side = [(i * res, (i + 1) * res) for i in range(-n, n)]  # column i is side[n + i]
     # column i holds the row m = max(i, -1-i) of the quadrant: j = -1-m for m descending, then j = m
-    pieces = [(side[n + i], side[n + j]) for i in range(-n, n) for row in [rows[max(i, -1 - i)]]
-              for j in [-1 - m for m in reversed(row)] + row]
-    box = BoxUnion.__new__(BoxUnion)  # (i, j) order: the boxes are distinct, ascending and not reversed
-    object.__setattr__(box, "dimension", 2)
-    object.__setattr__(box, "pieces", tuple(pieces))
-    return box
+    return BoxUnion(2, [(side[n + i], side[n + j]) for i in range(-n, n) for row in [rows[max(i, -1 - i)]]
+                        for j in [-1 - m for m in reversed(row)] + row])
 
 
 def radial_reports(A: IntervalUnion, exponents: Iterable[int], d: int = 2) -> list[StageReport]:

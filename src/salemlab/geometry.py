@@ -395,10 +395,8 @@ class BoxUnion:
                     raise GeometryError("box side reversed")
                 cube.append((fa, fb))
             norm.append(tuple(cube))
-        if not all(x < y for x, y in zip(norm, norm[1:])):  # strictly increasing boxes are distinct and in order
-            norm = sorted(dict.fromkeys(norm))
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "pieces", tuple(norm))
+        object.__setattr__(self, "pieces", tuple(sorted(dict.fromkeys(norm))))
 
     def __setattr__(self, *_):  # pragma: no cover
         raise AttributeError("BoxUnion is immutable")
@@ -539,34 +537,13 @@ def _sqrt_exact(x: Fraction) -> Union[Fraction, float]:
     return math.sqrt(n / d)
 
 
-def _hull_2d(points: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    """Monotone-chain convex hull with exact cross products."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def diameter(A: Union[IntervalUnion, BoxUnion]) -> Union[Fraction, float]:
     """Euclidean diameter of the union; 0 for the empty set.
 
-    One-dimensional unions give an exact Fraction.  Box unions give the
-    exact square root when it is rational (Pythagorean cases), a float
-    otherwise.
+    One-dimensional unions give an exact Fraction.  Box unions take the
+    largest squared distance over the pairs of distinct box vertices and
+    give its exact square root when it is rational (Pythagorean cases), a
+    float otherwise.
     """
     if isinstance(A, IntervalUnion):
         if A.is_empty:
@@ -575,12 +552,7 @@ def diameter(A: Union[IntervalUnion, BoxUnion]) -> Union[Fraction, float]:
         return Fraction(rights[-1] - lefts[0], D)
     if A.is_empty:
         return ZERO
-    vertices: list[tuple[Fraction, ...]] = []
-    for box in A.pieces:
-        vertices.extend(_box_vertices(box))
-    vertices = list(set(vertices))
-    if A.dimension == 2 and len(vertices) > 8:
-        vertices = _hull_2d(vertices)  # type: ignore[arg-type]
+    vertices = list({v for box in A.pieces for v in _box_vertices(box)})
     best = ZERO
     for i in range(len(vertices)):
         for j in range(i + 1, len(vertices)):

@@ -247,14 +247,17 @@ class PiecewiseUniformMeasure:
         """Each piece's weight and that float's integer ratio."""
         return [(w, *w.as_integer_ratio()) for w in self.weights]
 
-    def _mass(self, lefts: list[int], rights: list[int], i: int, j: int, ln: int, hn: int, e: int) -> float:
-        """Mass of [ln/e, hn/e], with ln, hn, e ints in the unit of the endpoint
-        numerators and pieces i..j the only ones it can touch.
+    def _mass(self, ln: int, hn: int, e: int) -> float:
+        """Mass of [ln/e, hn/e], with ln, hn, e ints in the unit of the endpoint numerators.
 
-        Interior pieces are fully covered and come from prefix sums; each of
-        the two boundary pieces adds w * overlap / length as one ratio of
-        ints divided once, which Python rounds correctly.
+        Rights do not decrease, so the pieces it can touch are i..j: i is the
+        first whose right end reaches ceil(ln/e), j the last whose left end is
+        at most floor(hn/e).  Interior pieces are fully covered and come from
+        prefix sums; each of the two boundary pieces adds w * overlap / length
+        as one ratio of ints divided once, which Python rounds correctly.
         """
+        _, lefts, rights = self.int_ends
+        i, j = bisect.bisect_left(rights, -(-ln // e)), bisect.bisect_right(lefts, hn // e) - 1
         if j < i:
             return 0.0
         mass, ends = (self._cumw[j] - self._cumw[i + 1], (i, j)) if j > i else (0.0, (i,))
@@ -274,19 +277,15 @@ class PiecewiseUniformMeasure:
 
         The ball's ends are ints over e = lcm(den x, den r), scaled by the
         common endpoint denominator D, so every comparison is an int one and
-        the float is that of the exact rational mass.  Rights do not
-        decrease, so the first piece the ball can touch is the first whose
-        right end reaches ceil(ln/e).
+        the float is that of the exact rational mass.
         """
         fx, fr = as_fraction(x), as_fraction(r)
         if fr <= 0:
             raise MeasureError("radius must be positive")
-        D, lefts, rights = self.int_ends
+        D = self.int_ends[0]
         e = math.lcm(fx.denominator, fr.denominator)
         xn, rn = fx.numerator * (e // fx.denominator), fr.numerator * (e // fr.denominator)
-        ln, hn = (xn - rn) * D, (xn + rn) * D
-        i, j = bisect.bisect_left(rights, -(-ln // e)), bisect.bisect_right(lefts, hn // e) - 1
-        return self._mass(lefts, rights, i, j, ln, hn, e)
+        return self._mass((xn - rn) * D, (xn + rn) * D, e)
 
     def max_ball_masses(self, centers: Sequence, radii: Sequence) -> list[float]:
         """max(ball_mass(c, r) for c in centers) for each r in radii, the same floats."""
@@ -316,8 +315,7 @@ class PiecewiseUniformMeasure:
             return [max(()) for _ in rn]  # max()'s empty-sequence error, as over no ball
         import numpy as np
 
-        D, lefts, rights = self.int_ends
-        e = E // D
+        e = E // self.int_ends[0]
         mid, halves, weights, index = self._arrays
         h, w, cw = halves[index], weights[index], np.array(self._cumw)
         A, B = np.maximum.accumulate(mid - h), np.maximum.accumulate(mid + h)
@@ -344,9 +342,7 @@ class PiecewiseUniformMeasure:
         # masses are never -0.0 or nan, so max only selects one of its values, in any order
         out = np.where(keep & gaps, whole, -np.inf).max(axis=1, initial=-np.inf).tolist()
         for r, m in zip(*(ix.tolist() for ix in np.nonzero(keep & ~gaps))):
-            ln, hn = cn[m] - rn[r], cn[m] + rn[r]
-            i, j = bisect.bisect_left(rights, -(-ln // e)), bisect.bisect_right(lefts, hn // e) - 1
-            out[r] = max(out[r], self._mass(lefts, rights, i, j, ln, hn, e))
+            out[r] = max(out[r], self._mass(cn[m] - rn[r], cn[m] + rn[r], e))
         return out
 
     def affine_pushforward(self, a, t) -> "PiecewiseUniformMeasure":

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterator
 
-from .constructions import ConstructionError, StageReport, _dyadic_pow
+from .constructions import ConstructionError, StageReport, _power
 from .geometry import ONE, ZERO, BoxUnion, _Record
 from .primes import is_prime
 
@@ -156,15 +156,14 @@ def gaussian_primes_norm_range(lo: int, hi: int) -> Iterator[GaussianInt]:
 
 def _block_primes(alpha: float, j: int) -> Iterator[tuple[GaussianInt, int, Fraction]]:
     """(q, N(q), half-side N(q)^-(2+alpha)/2) for the primes q of block j, norms in [4^j, 4^(j+1));
-    the half-side is exact when 2 + alpha is an even integer, dyadic otherwise."""
+    the half-side is exact when 2 + alpha is an even integer, dyadic otherwise (`_power`)."""
     if alpha < 0:
         raise ConstructionError("alpha must be nonnegative")
     if j < 1:
         raise ConstructionError("block index must be >= 1")
-    exact = float(alpha).is_integer() and (2 + int(alpha)) % 2 == 0
     for q in gaussian_primes_norm_range(4**j, 4 ** (j + 1)):
         n = norm(q)
-        yield q, n, Fraction(1, n ** ((2 + int(alpha)) // 2)) if exact else _dyadic_pow(float(n), -(2.0 + alpha) / 2.0)
+        yield q, n, _power(n, -(2.0 + alpha) / 2.0)
 
 
 def gaussian_jarnik_centers(alpha: float, j: int) -> dict[tuple[Fraction, Fraction], Fraction]:

@@ -30,9 +30,28 @@ class TestSchemeParsing:
     def test_bad_specs_raise(self):
         from salemlab.cli import SpecParseError
 
-        for spec in ("cantor:2", "cantor", "nope:1", "fp:0.5", "jarnik:-1", "interval:1"):
-            with pytest.raises(SpecParseError):
+        for spec, message in [
+            ("cantor:2", "(at 'cantor'): dissection parameter must satisfy n >= 3"),
+            ("jarnik:-1", "(at 'jarnik'): alpha must be nonnegative"),
+            ("nope:1", None),
+            # one wrong-arity or wrong-prefix spec per kind: the kind's usage line
+            ("cantor", "(at 'cantor'): usage: cantor:<n>"),
+            ("gcantor:0.5:1", "(at 'gcantor'): usage: gcantor:<p>"),
+            ("interval:1", "(at 'interval'): usage: interval"),
+            ("jarnik", "(at 'jarnik'): usage: jarnik:<alpha>"),
+            ("salpha:1:2", "(at 'salpha'): usage: salpha:<alpha>"),
+            ("fp:0.5", "(at 'fp'): usage: fp:<p>:x=<bits>"),
+            ("pi03:0.5:x=1", "(at 'pi03'): usage: pi03:<p>:rows=<bits;bits;...>"),
+            ("salemgap:0.5", "(at 'salemgap'): usage: salemgap:<p>:rows=<bits;bits;...>"),
+            ("weihrauch:rows=1", "(at 'weihrauch'): usage: weihrauch:xs=<bits;bits;...>"),
+            # the rows of a tower are read before its p, and a field's prefix before its value
+            ("pi03:abc:rows=2", "(at 'pi03'): bad bit-sequence literal: '2'"),
+            ("fp:abc:x=2", "(at 'fp'): could not convert string to float: 'abc'"),
+        ]:
+            with pytest.raises(SpecParseError) as err:
                 parse_scheme(spec)
+            unknown = f"unknown scheme kind 'nope' in {spec!r}"
+            assert str(err.value) == (unknown if message is None else f"bad scheme spec {spec!r} {message}")
 
     def test_bits_literals(self):
         assert parse_bits("0^w").is_zero

@@ -20,6 +20,7 @@ from salemlab.constructions import (
     StageReport,
     WeihrauchScheme,
     _dyadic_pow,
+    _power,
     cantor_stage,
     jarnik_stage,
     radial_lift,
@@ -373,10 +374,17 @@ class TestDyadicExponentBound:
         assert _dyadic_pow(2.0, -k) == F(1, 2**k) and _dyadic_pow(2.0, k) == 2**k
         assert F(1, 2**796) < _dyadic_pow(3.0, -501.0) < F(1, 2**794)  # salpha:1000, the largest |k| tests reach
 
+    def test_power_is_exact_at_an_integral_exponent_and_bounded_at_any(self):
+        assert _power(11, -4.0) == F(1, 11**4) and _power(2, 65535.0) == 2**65535  # exact
+        assert _power(5, -1.5) == _dyadic_pow(5.0, -1.5)  # half-integral: dyadic
+        for n, exponent in ((11, -1e300), (2, -65536.0), (5, -28227.5)):  # log2(5) * 28227.5 > 65536
+            with pytest.raises(ConstructionError, match=f"^{n}\\*\\*.* is out of range: .* within ±65536$"):
+                _power(n, exponent)
+
     def test_schemes_refuse_at_parse_or_at_the_stage(self):
         with pytest.raises(ConstructionError):
             SAlphaScheme(1e308)
-        for scheme in (GeneralizedCantorScheme.for_dimension(1e-300), JarnikScheme(123456.5)):
+        for scheme in (GeneralizedCantorScheme.for_dimension(1e-300), JarnikScheme(123456.5), JarnikScheme(1e300)):
             with pytest.raises(ConstructionError, match="out of range"):
                 scheme.stage(3)
 

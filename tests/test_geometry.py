@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import pickle
 import random
 import sys
@@ -178,6 +179,27 @@ class TestDiameter:
     def test_two_boxes(self):
         boxes = BoxUnion(2, [((0, F(1, 4)), (0, F(1, 4))), ((F(3, 4), 1), (F(3, 4), 1))])
         assert abs(diameter(boxes) - 2**0.5) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_many_boxes_read_the_farthest_vertex_pair(self, seed):
+        """3-10 boxes with corners on a grid of quarters: the diameter is the largest distance
+        between two box vertices, exact where its square is a rational square."""
+        rng = random.Random(seed)
+        boxes = []
+        for _ in range(rng.randint(3, 10)):
+            box = []
+            for _ in range(2):
+                a = rng.randint(0, 12)
+                box.append((F(a, 4), F(a + rng.randint(1, 4), 4)))
+            boxes.append(tuple(box))
+        union = BoxUnion(2, boxes)
+        vertices = {(x, y) for (xs, ys) in union.pieces for x in xs for y in ys}
+        assert len(vertices) > 8
+        d2 = max((u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 for u in vertices for v in vertices)
+        n, d = math.isqrt(d2.numerator), math.isqrt(d2.denominator)
+        want = F(n, d) if n * n == d2.numerator and d * d == d2.denominator else math.sqrt(d2.numerator / d2.denominator)
+        got = diameter(union)
+        assert got == want and isinstance(got, type(want))
 
 
 def brute_force_membership(K, U, samples):

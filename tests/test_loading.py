@@ -217,6 +217,7 @@ def _capped_address_space():  # runs in the child: a stray huge power fails ther
     ("salpha:1e308", 2),  # the ratio is built when the spec is parsed
     ("gcantor:1e-300", 3),  # the lengths and the radii are built with the first stage
     ("jarnik:123456.5", 3),
+    ("jarnik:1e300", 3),  # an integral alpha: exact radii, under the same bound
 ])
 def test_extreme_spec_number_ends_at_once(spec, code, tmp_path):
     out = _child(["-m", "salemlab.cli", "report", spec, "--stage", "3", "--seed", "1"], tmp_path, timeout=60,

@@ -1619,7 +1619,7 @@ def test_checked_constructors_make_no_fraction(U, rng):
 def test_stage_builders_make_no_fraction_per_piece():
     jarnik = jarnik_stage
     gcantor = GeneralizedCantorScheme.for_dimension(0.5)
-    gcantor._ensure_lengths(10)  # its length schedule is Fraction arithmetic, once per stage
+    gcantor.length(10)  # its length schedule is Fraction arithmetic, once per stage
     with pytest.MonkeyPatch.context() as m:
         count = fraction_count(m)
         U = jarnik(1.0, 6)
@@ -1723,10 +1723,9 @@ def test_integer_jarnik_blocks_equal_the_fraction_blocks(alpha):
 
 def reference_gcantor_stages(scheme: GeneralizedCantorScheme, k: int) -> list[tuple]:
     """Stages 0..k from Fraction children [a, a + ell] and [b - ell, b], merged as Fractions."""
-    scheme._ensure_lengths(k)
     stages = [[(F(0), F(1))]]
     for j in range(1, k + 1):
-        ell = scheme._lengths[j]
+        ell = scheme.length(j)
         stages.append([c for a, b in stages[-1] for c in ((a, a + ell), (b - ell, b))])
     return [reference_from_intervals(s) for s in stages]
 
