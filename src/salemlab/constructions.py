@@ -20,7 +20,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bitseq import BitMatrix, BitSequence, ZERO_SEQ, p3_member, phi_transform  # noqa: F401 (read by the CLI's phi map)
+from . import bitseq
+from .bitseq import BitMatrix, BitSequence, ZERO_SEQ, phi_transform  # noqa: F401 (read by the CLI's phi map)
 from .geometry import ONE, ZERO, BoxUnion, IntervalUnion, as_fraction
 from .primes import next_prime, primes_in_range
 
@@ -485,6 +486,15 @@ def block_interval(m: int) -> tuple[Fraction, Fraction]:
     return (Fraction(1, 2 ** (m + 1)), Fraction(1, 2**m))
 
 
+def _declare(scheme: Scheme, blocks: Iterable[Scheme | None], limit: float) -> None:
+    """Set a tower's declarations from its blocks (None for an empty block) and `limit`, the sup
+    over the blocks not listed.  dim_H of a countable union is the sup of the parts' (countable
+    stability); dim_F of a union is at least the sup of the parts' (monotonicity, Mattila 2015)."""
+    parts = [blk for blk in blocks if blk is not None]
+    scheme.declared_hdim = max([limit, *(blk.declared_hdim for blk in parts)])
+    scheme.declared_fdim = max([limit, *(blk.declared_fdim for blk in parts)])
+
+
 def _tower(tail: tuple[int, list[int], list[int]], blocks: Iterable[IntervalUnion]) -> IntervalUnion:
     """The tail piece at 0 (an integer view), then the blocks from the one nearest 0: the pieces
     arrive in order and merge on the blocks' integer views."""
@@ -494,20 +504,23 @@ def _tower(tail: tuple[int, list[int], list[int]], blocks: Iterable[IntervalUnio
 class BlockTower(Scheme):
     """Block m in T_m for m = k..0 at stage k, above the closed tail
     [0, 2^-(k+1)]: the tail holds the accumulation point and the blocks not
-    yet started, which keeps the stages nested as new blocks appear."""
+    yet started, which keeps the stages nested as new blocks appear.  Every
+    block past max_row + 1 reads the tail row, hence `_declare`'s limit."""
 
+    kind: str
     branching: int  # of every sequence-controlled block
 
-    def __init__(self, kind: str, p: float, x: BitMatrix) -> None:
+    def __init__(self, p: float, x: BitMatrix) -> None:
         if not 0 < p <= 1:
             raise ConstructionError("dimension parameter must lie in (0, 1]")
         self.p = p
         self.x = x
-        self.name = f"{kind}:{p:g}"
+        self.name = f"{self.kind}:{p:g}"
+        _declare(self, map(self.block, range(x.max_row + 2)), p if x.tail.is_eventually_zero else 0.0)
 
     def q_m(self, m: int) -> float:
-        """Dimension target p(1 - 2^-m) of the sequence-controlled block m."""
-        return self.p * (1.0 - 2.0**-m)
+        """Dimension target p(1 - 2^-m) of block m, kept below p where the float rounds to p (m >= 54)."""
+        return min(self.p * (1.0 - 2.0**-m), math.nextafter(self.p, 0.0))
 
     def block(self, m: int) -> Scheme | None:
         """The construction run in T_m, or None for an empty block."""
@@ -545,18 +558,12 @@ class Pi03Scheme(BlockTower):
     dimension target p(1 - 2^-m).
     """
 
+    kind = "pi03"
     branching = 3
-
-    def __init__(self, p: float, x: BitMatrix) -> None:
-        super().__init__("pi03", p, x)
-        good = [self.q_m(m) for m in range(x.max_row + 2) if x.row(m).is_eventually_zero]
-        self.declared_hdim = p if x.tail.is_eventually_zero else (max(good) if good else 0.0)
-        self.declared_fdim = self.declared_hdim
 
     @_memo
     def block(self, m: int) -> FpScheme | None:
-        q = self.q_m(m)
-        return FpScheme(q, self.x.row(m), self.branching) if q > 0 else None
+        return FpScheme(self.q_m(m), self.x.row(m), self.branching) if m else None  # block 0 has target 0
 
 
 class SalemGapScheme(BlockTower):
@@ -564,27 +571,29 @@ class SalemGapScheme(BlockTower):
 
     T_0 carries a Cantor-type set of counting dimension p (vanishing
     Fourier decay); T_n for n >= 1 carries the stage construction for row
-    n-1 at dimension target p(1 - 2^-n).  The full-dimension reading is
-    Salem-like exactly when every row is eventually zero.
+    n-1 of phi(x), the cumulative row max, at dimension target
+    q_n = p(1 - 2^-n).  Under phi the first row m of x that is not
+    eventually zero makes every later block bad, so the set declares
+    dim_F = dim_H = p exactly when every row is eventually zero, and
+    otherwise dim_F >= q_m (q_0 = 0), the lower end monotonicity certifies.
     """
 
+    kind = "salemgap"
     # binary branching throughout: the head block is binary by design,
     # and a uniform count rate across blocks keeps the union ladder
     # readable (count and diameter then track the same dominant block)
     branching = 2
 
     def __init__(self, p: float, x: BitMatrix) -> None:
-        super().__init__("salemgap", p, x)
-        self.declared_hdim = p
-        self.declared_fdim = p if p3_member(x) else 0.0
+        log23 = math.log(2) / math.log(3)  # the middle-third head's dimension: a p within 1e-9 of it reads as it
+        super().__init__(log23 if abs(p - log23) < 1e-9 else p, bitseq.phi_transform(x))
 
     @_memo
     def block(self, n: int) -> Scheme:
         if n:
             return FpScheme(self.q_m(n), self.x.row(n - 1), self.branching)
-        if abs(self.p - math.log(2) / math.log(3)) < 1e-9:  # the head: the middle-third set at its own dimension
-            return CantorScheme(3)
-        return GeneralizedCantorScheme.for_dimension(self.p)
+        # the head: the middle-third set at its own dimension, else the binary set of counting dimension p
+        return CantorScheme(3) if self.p == math.log(2) / math.log(3) else GeneralizedCantorScheme.for_dimension(self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -616,15 +625,11 @@ class WeihrauchScheme(Scheme):
         self.name = f"weihrauch:n={n}"
         self._blocks: list[FpScheme] = []
         for f in self.index_sets:
-            p_k = float(sum(Fraction(1, 2**i) for i in f))
             y = ZERO_SEQ
             for i in f:
                 y = y | self.xs[i - 1]
-            self._blocks.append(FpScheme(p_k, y))
-        self.declared_hdim = weihrauch_dimension_target(
-            [s.is_eventually_zero for s in self.xs]
-        )
-        self.declared_fdim = self.declared_hdim
+            self._blocks.append(FpScheme(float(sum(Fraction(1, 2**i) for i in f)), y))
+        _declare(self, self._blocks, 0.0)  # the largest good block is F_k = the eventually-zero sequences
 
     def block_union(self, k: int, depth: int) -> IntervalUnion:
         return self._blocks[k].stage(depth).map_onto(block_interval(k))

@@ -300,6 +300,12 @@ class TestSalemGap:
         assert SalemGapScheme(0.8, zero).declared_fdim == pytest.approx(0.8)
         assert SalemGapScheme(0.8, bad).declared_fdim == 0.0
 
+    @pytest.mark.parametrize("rows, fdim", [("0;(1)", 0.3), ("(10)", 0.0), ("(01);0", 0.0), ("0;0;(1)", 0.45)])
+    def test_non_member_declares_q_m_at_its_first_bad_row(self, rows, fdim):
+        sch = SalemGapScheme(0.6, BitMatrix.from_rows([BitSequence.from_string(r) for r in rows.split(";")]))
+        assert sch.declared_hdim == 0.6
+        assert sch.declared_fdim == pytest.approx(fdim)
+
     def test_stage_nests(self):
         sch = SalemGapScheme(0.7, BitMatrix.zero())
         for k in range(4):

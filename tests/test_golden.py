@@ -1,10 +1,12 @@
 """Byte identity of CLI outputs against the committed golden corpus.
 
-For one spec of every scheme kind, `build`, `report` and `sweep` run at
---seed 7 and a small stage; every file they write must equal its copy
-under tests/golden/<kind>/.  After an intended output change, rewrite the
-corpus with `PYTHONPATH=src python tests/test_golden.py` and explain the
-changed bytes in CHANGES.md.
+For one spec of every scheme kind, and for two `salemgap` non-members whose
+1-bits are read, `build`, `report` and `sweep` run at --seed 7 and a small
+stage; every file they write must equal its copy under tests/golden/<folder>/,
+where the folder is the spec's kind or its entry in FOLDERS.  After an
+intended output change, rewrite the corpus with
+`PYTHONPATH=src python tests/test_golden.py` and explain the changed bytes
+in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -29,7 +31,15 @@ SPECS = (
     ("pi03:0.8:rows=1;(01);0", 3),
     ("salemgap:0.63:rows=1;0", 4),
     ("weihrauch:xs=1;0;(10)", 3),
+    ("salemgap:0.6:rows=0;(1)", 4),
+    ("salemgap:0.6:rows=(01);0", 4),
 )
+
+# specs that share a kind with an earlier case keep their files apart
+FOLDERS = {
+    "salemgap:0.6:rows=0;(1)": "salemgap-bad-row1",
+    "salemgap:0.6:rows=(01);0": "salemgap-bad-row0",
+}
 
 # command -> (extra arguments, files it writes)
 COMMANDS = {
@@ -41,8 +51,8 @@ COMMANDS = {
 CASES = [(spec, stage, cmd) for spec, stage in SPECS for cmd in COMMANDS]
 
 
-def kind(spec: str) -> str:
-    return spec.split(":")[0]
+def folder(spec: str) -> str:
+    return FOLDERS.get(spec, spec.split(":")[0])
 
 
 def run_case(spec: str, stage: int, cmd: str, workdir: Path) -> dict[str, bytes]:
@@ -58,18 +68,18 @@ def run_case(spec: str, stage: int, cmd: str, workdir: Path) -> dict[str, bytes]
     return {name: (workdir / name).read_bytes() for name in names}
 
 
-@pytest.mark.parametrize("spec,stage,cmd", CASES, ids=[f"{kind(s)}-{c}" for s, _, c in CASES])
+@pytest.mark.parametrize("spec,stage,cmd", CASES, ids=[f"{folder(s)}-{c}" for s, _, c in CASES])
 def test_outputs_match_golden(spec, stage, cmd, tmp_path):
     for name, data in run_case(spec, stage, cmd, tmp_path).items():
-        expected = (GOLDEN / kind(spec) / name).read_bytes()
-        assert data == expected, f"{kind(spec)}/{name} differs from the golden copy"
+        expected = (GOLDEN / folder(spec) / name).read_bytes()
+        assert data == expected, f"{folder(spec)}/{name} differs from the golden copy"
 
 
 def record() -> None:
     for spec, stage, cmd in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             files = run_case(spec, stage, cmd, Path(tmp))
-        out = GOLDEN / kind(spec)
+        out = GOLDEN / folder(spec)
         out.mkdir(parents=True, exist_ok=True)
         for name, data in files.items():
             (out / name).write_bytes(data)

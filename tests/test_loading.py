@@ -218,6 +218,8 @@ def _capped_address_space():  # runs in the child: a stray huge power fails ther
     ("gcantor:1e-300", 3),  # the lengths and the radii are built with the first stage
     ("jarnik:123456.5", 3),
     ("jarnik:1e300", 3),  # an integral alpha: exact radii, under the same bound
+    ("pi03:1e-5:rows=0", 2),  # a tower builds its listed blocks, and their ratios, when the spec is parsed
+    ("salemgap:1e-5:rows=0", 2),
 ])
 def test_extreme_spec_number_ends_at_once(spec, code, tmp_path):
     out = _child(["-m", "salemlab.cli", "report", spec, "--stage", "3", "--seed", "1"], tmp_path, timeout=60,

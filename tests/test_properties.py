@@ -18,7 +18,10 @@ and frequencies across depths, the one-pass Frostman sup over gap, `_mass`
 and mixed survivors, resonant candidates without adjacent repeats, and the
 radial lift's boxes against the checked `BoxUnion` constructor; and the
 planar covers' quadrant walk against the per-cell test on signed unions at
-dyadic and non-dyadic cell sides, with the radial counts against the lift."""
+dyadic and non-dyadic cell sides, with the radial counts against the lift;
+and the block towers' declarations against the hand formulas they replaced
+(ordered, never raised by more 1-bits, and Salem for `salemgap` exactly on
+the P3 members), with the locality of the `salemgap` stages in the bits."""
 
 from __future__ import annotations
 
@@ -38,9 +41,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from salemlab import dimension, primes
-from salemlab.bitseq import BitSequence
+from salemlab.bitseq import BitMatrix, BitSequence, p3_member
 from salemlab.cli import parse_scheme
 from salemlab.constructions import (
+    CantorScheme,
     ConstructionError,
     FpScheme,
     GeneralizedCantorScheme,
@@ -49,6 +53,7 @@ from salemlab.constructions import (
     SAlphaScheme,
     SalemGapScheme,
     StageReport,
+    WeihrauchScheme,
     _dyadic_pow,
     _radial_quadrant,
     _radius,
@@ -56,6 +61,7 @@ from salemlab.constructions import (
     radial_lift,
     radial_reports,
     shrink_cap,
+    weihrauch_dimension_target,
 )
 from salemlab.dimension import (
     DecayFit,
@@ -2048,3 +2054,114 @@ def test_sieved_next_prime_equals_trial_division_on_small_windows(monkeypatch):
     rng = random.Random("sieved next_prime")
     for n in [2**16 - 1, 2**16, 2**17 + 1] + [rng.randrange(2**16, 2**48) for _ in range(120)]:
         assert next_prime(n) == reference_next_prime(n), n
+
+
+# -- block-tower declarations and the salemgap reduction -------------------
+#
+# The references are the hand formulas `Pi03Scheme` and `WeihrauchScheme`
+# declared with before every tower's declaration was derived from its blocks,
+# and the `salemgap` declaration that the cumulative rows phi(x) give.
+
+TOWER_ALPHABET = [BitSequence.from_string(t) for t in ("0", "1", "(1)", "(01)", "10", "0(1)", "(10)", "11", "1100")]
+LOG23 = math.log(2) / math.log(3)
+TOWER_PS = [0.6, 0.8, 1.0, LOG23, LOG23 + 5e-10, LOG23 - 5e-10]
+
+
+def reference_pi03_declaration(p: float, x: BitMatrix) -> float:
+    good = [p * (1.0 - 2.0**-m) for m in range(x.max_row + 2) if x.row(m).is_eventually_zero]
+    return p if x.tail.is_eventually_zero else (max(good) if good else 0.0)
+
+
+def reference_weihrauch_declaration(xs: list[BitSequence]) -> float:
+    return weihrauch_dimension_target([s.is_eventually_zero for s in xs])
+
+
+def reference_salemgap_declarations(p: float, x: BitMatrix) -> tuple[float, float]:
+    """(dim_H, dim_F) = (p, p) for a member; for a non-member dim_F is q_m = p(1 - 2^-m) at its first
+    row m that is not eventually zero, and below p where the float rounds to p.  A p within 1e-9 of
+    log 2/log 3 is read as log 2/log 3."""
+    p = LOG23 if abs(p - LOG23) < 1e-9 else p
+    rows = [x.row(m) for m in range(x.max_row + 1)] + [x.tail]
+    m = next((m for m, r in enumerate(rows) if not r.is_eventually_zero), None)
+    return p, p if m is None else min(p * (1.0 - 2.0**-m), math.nextafter(p, 0.0))
+
+
+def declarations(scheme) -> tuple[str, str]:
+    return scheme.declared_hdim.hex(), scheme.declared_fdim.hex()
+
+
+@st.composite
+def bit_matrices(draw, max_rows: int = 3):
+    rows = draw(st.lists(st.sampled_from(TOWER_ALPHABET), max_size=max_rows))
+    return BitMatrix(dict(enumerate(rows)), tail=draw(st.sampled_from(TOWER_ALPHABET)))
+
+
+@st.composite
+def more_one_bits(draw):
+    """(x, y): y is x with alphabet sequences OR-ed into some of its rows and its tail."""
+    x = draw(bit_matrices())
+    mask = lambda: draw(st.sampled_from(TOWER_ALPHABET))
+    rows = {m: x.row(m) | mask() for m in range(draw(st.integers(x.max_row + 1, 4)))}
+    return x, BitMatrix(rows, tail=x.tail | mask())
+
+
+def rows_of(x: BitMatrix, n: int) -> list[BitSequence]:
+    return [x.row(m) for m in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TOWER_PS), bit_matrices(), st.lists(st.sampled_from(TOWER_ALPHABET), max_size=4))
+def test_tower_declarations_equal_the_hand_formulas(p, x, xs):
+    h = reference_pi03_declaration(p, x)
+    assert declarations(Pi03Scheme(p, x)) == (h.hex(), h.hex())
+    gap = SalemGapScheme(p, x)
+    assert declarations(gap) == tuple(v.hex() for v in reference_salemgap_declarations(p, x))
+    if abs(p - LOG23) < 1e-9:  # the head is the middle-third set, which declares log 2/log 3
+        assert isinstance(gap.block(0), CantorScheme) and gap.block(0).declared_hdim == gap.declared_hdim
+    w = reference_weihrauch_declaration(xs)
+    assert declarations(WeihrauchScheme(xs)) == (w.hex(), w.hex())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TOWER_PS), more_one_bits())
+def test_declarations_are_ordered_and_never_rise_with_more_one_bits(p, pair):
+    x, y = pair
+    n = y.max_row + 1
+    for make in (lambda m: Pi03Scheme(p, m), lambda m: SalemGapScheme(p, m), lambda m: WeihrauchScheme(rows_of(m, n))):
+        sx, sy = make(x), make(y)
+        for s in (sx, sy):
+            assert 0 <= s.declared_fdim <= s.declared_hdim
+        assert sy.declared_hdim <= sx.declared_hdim and sy.declared_fdim <= sx.declared_fdim
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TOWER_PS), bit_matrices())
+@example(0.6, BitMatrix.from_rows([BitSequence.zero(), BitSequence.from_string("(1)")]))
+@example(LOG23 - 5e-10, BitMatrix.zero())
+@example(0.6, BitMatrix.from_rows([BitSequence.zero()] * 54 + [BitSequence.from_string("(1)")]))  # 1 - 2^-54 == 1.0
+@example(1.0, BitMatrix.from_rows([BitSequence.zero()] * 60 + [BitSequence.from_string("(01)")]))
+def test_salemgap_declares_a_salem_set_exactly_for_p3_members(p, x):
+    gap = SalemGapScheme(p, x)
+    assert p3_member(x) == (gap.declared_fdim == gap.declared_hdim)
+
+
+@st.composite
+def agreeing_matrices(draw):
+    """(k, x, y): y agrees with x on bits 1..k of rows 0..k-1 and is drawn freely elsewhere, bit 0 included."""
+    k = draw(st.integers(1, 4))
+    x = draw(bit_matrices())
+    rows = {}
+    for m in range(draw(st.integers(k, 4))):
+        row = draw(st.sampled_from(TOWER_ALPHABET))
+        if m < k:
+            row = BitSequence((draw(st.integers(0, 1)),) + x.row(m).bits(k + 1)[1:] + row.prefix, row.period)
+        rows[m] = row
+    return k, x, BitMatrix(rows, tail=draw(st.sampled_from(TOWER_ALPHABET)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0.6, 0.8, LOG23, 1.0]), agreeing_matrices())
+def test_salemgap_locality_stage_k_reads_bits_1_to_k_of_rows_below_k(p, case):
+    """Block n reads bits 1..k of phi row n - 1, which depends only on rows 0..n - 1 of the matrix."""
+    k, x, y = case
+    assert SalemGapScheme(p, x).stage(k) == SalemGapScheme(p, y).stage(k)
