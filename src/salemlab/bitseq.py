@@ -37,8 +37,7 @@ class BitSequence:
         # absorb a prefix tail that already matches the periodic part
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
-            per = per[-1:] + per[:-1]
-        per = _minimize_period(per)
+            per = per[-1:] + per[:-1]  # a rotation of a minimal period is minimal
         object.__setattr__(self, "prefix", pre)
         object.__setattr__(self, "period", per)
 

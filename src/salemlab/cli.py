@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NoReturn
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn
 
 from .geometry import GeometryError, IntervalUnion, check_printable, format_fraction, hausdorff_metric
 
@@ -138,6 +138,13 @@ def _stage_rows(reports, cfg: str) -> list[list]:
             for r in reports]
 
 
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     scheme = parse_scheme(args.spec)
     stage_set = scheme.stage(args.stage)
@@ -145,10 +152,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     out = Path(args.out)
     rows, text = _stage_rows(scheme.reports(1, args.stage), cfg), stage_set.to_json()  # both before any write
     out.with_suffix(".json").write_text(text)
-    with out.with_suffix(".csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stage", "pieces", "min_diam", "max_diam", "config"])
-        w.writerows(rows)
+    _write_csv(out.with_suffix(".csv"), ["stage", "pieces", "min_diam", "max_diam", "config"], rows)
     print(f"wrote {out.with_suffix('.json')} ({len(stage_set)} pieces) and {out.with_suffix('.csv')}")
     return 0
 
@@ -211,10 +215,7 @@ def cmd_report(args: argparse.Namespace) -> int:
            _fmt(rep.hdim_est), _fmt(rep.frostman_est), _fmt(rep.fourier_raw),
            _fmt(rep.fourier_dim), _fmt(rep.salem_defect),
            _fmt(rep.box_fit.r_squared), _fmt(rep.fourier_fit.r_squared), cfg]
-    with out.with_suffix(".csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_REPORT_COLUMNS)
-        w.writerow(row)
+    _write_csv(out.with_suffix(".csv"), _REPORT_COLUMNS, [row])
     _write_sweep(out.parent / (out.stem + "_sweep.csv"), mu, args, cfg)
     print(
         f"{rep.scheme} stage {rep.stage}: hdim_est={_fmt(rep.hdim_est)} "
@@ -236,12 +237,8 @@ def _write_sweep(path: Path, mu, args: argparse.Namespace, cfg: str) -> None:
         vals = mu.fourier_eval_many(np.array(xis))
     else:
         vals = [mu.fourier_eval(xi) for xi in xis]
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["xi", "re", "im", "modulus", "config"])
-        for xi, v in zip(xis, vals):
-            v = complex(v)
-            w.writerow([_fmt(xi), _fmt(v.real), _fmt(v.imag), _fmt(abs(v)), cfg])
+    rows = ([_fmt(xi), _fmt(v.real), _fmt(v.imag), _fmt(abs(v)), cfg] for xi, v in zip(xis, map(complex, vals)))
+    _write_csv(path, ["xi", "re", "im", "modulus", "config"], rows)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

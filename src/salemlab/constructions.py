@@ -69,13 +69,13 @@ def _binary_exponent(base: float, exponent: float) -> float:
     return e
 
 
-def _dyadic_pow(base: float, exponent: float, bits: int = 48) -> Fraction:
-    """Dyadic rational approximation m * 2^k of base**exponent (positive base), with
-    `_binary_exponent`'s bound checked before any power is taken."""
+def _dyadic_pow(base: float, exponent: float) -> Fraction:
+    """Dyadic rational approximation m * 2^k of base**exponent (positive base), m with 48 fraction
+    bits, with `_binary_exponent`'s bound checked before any power is taken."""
     e = _binary_exponent(base, exponent)
     k = math.floor(e)
     frac = 2.0 ** (e - k)
-    mant = Fraction(round(frac * (1 << bits)), 1 << bits)
+    mant = Fraction(round(frac * (1 << 48)), 1 << 48)
     return mant * (Fraction(2) ** k)
 
 
@@ -321,6 +321,9 @@ class JarnikScheme(Scheme):
 # ---------------------------------------------------------------------------
 
 
+PRIME_BITS_BOUND = 3072  # next_prime takes about 5 s from 2^3072 and 22 s from 2^4096
+
+
 class SAlphaScheme(Scheme):
     """Nested refinement through prime-block rational centers.
 
@@ -356,6 +359,8 @@ class SAlphaScheme(Scheme):
         slack = (parent_len - G * ell) / (G + 1)
         fine = min(ell, slack if slack > 0 else ell) / (8 * G)
         jbits = max(1, (math.ceil(1 / fine) - 1).bit_length())
+        if jbits > PRIME_BITS_BOUND:
+            raise ConstructionError(f"the centre prime needs {jbits} bits, above the bound of {PRIME_BITS_BOUND}")
         q = next_prime(2**jbits)
         half = ell / 2
         E = math.lcm(D, half.denominator)
@@ -645,7 +650,7 @@ class WeihrauchScheme(Scheme):
 # ---------------------------------------------------------------------------
 
 
-def _radial_quadrant(A: IntervalUnion, d: int, resolution) -> tuple[Fraction, list[list[int]]]:
+def _radial_quadrant(A: IntervalUnion, resolution) -> tuple[Fraction, list[list[int]]]:
     """The cell side res and, for each m in 0..ceil(1/res)-1, the ascending m' whose cell
     [m res, (m+1) res] x [m' res, (m'+1) res] meets {x : |x| in A}.
 
@@ -655,8 +660,6 @@ def _radial_quadrant(A: IntervalUnion, d: int, resolution) -> tuple[Fraction, li
     L <= floor(b²/res²) and H >= ceil(a²/res²).  The first piece with L <= floor(b²/res²)
     decides; along a row L grows, so that piece only moves forward.
     """
-    if d != 2:
-        raise ConstructionError("radial lift is implemented for d = 2")
     res = as_fraction(resolution)
     if res <= 0:
         raise ConstructionError("resolution must be positive")
@@ -681,9 +684,9 @@ def _radial_quadrant(A: IntervalUnion, d: int, resolution) -> tuple[Fraction, li
     return res, rows
 
 
-def radial_lift(A: IntervalUnion, d: int = 2, resolution=Fraction(1, 16)) -> BoxUnion:
-    """Grid-box cover of {x : |x| in A} at the given cell side: `_radial_quadrant` reflected."""
-    res, rows = _radial_quadrant(A, d, resolution)
+def radial_lift(A: IntervalUnion, resolution=Fraction(1, 16)) -> BoxUnion:
+    """Grid-box cover of {x in R² : |x| in A} at the given cell side: `_radial_quadrant` reflected."""
+    res, rows = _radial_quadrant(A, resolution)
     n = len(rows)
     side = [(i * res, (i + 1) * res) for i in range(-n, n)]  # column i is side[n + i]
     # column i holds the row m = max(i, -1-i) of the quadrant: j = -1-m for m descending, then j = m
@@ -691,7 +694,7 @@ def radial_lift(A: IntervalUnion, d: int = 2, resolution=Fraction(1, 16)) -> Box
                         for j in [-1 - m for m in reversed(row)] + row])
 
 
-def radial_reports(A: IntervalUnion, exponents: Iterable[int], d: int = 2) -> list[StageReport]:
+def radial_reports(A: IntervalUnion, exponents: Iterable[int]) -> list[StageReport]:
     """Box-cover counts of the radial lift at cell sides 2^-j: four times the quadrant's cells.
 
     The reported scale is the cell side (the diagonal differs by a constant
@@ -700,5 +703,5 @@ def radial_reports(A: IntervalUnion, exponents: Iterable[int], d: int = 2) -> li
     out = []
     for j in exponents:
         res = Fraction(1, 2**j)
-        out.append(StageReport(j, 4 * sum(map(len, _radial_quadrant(A, d, res)[1])), res, res))
+        out.append(StageReport(j, 4 * sum(map(len, _radial_quadrant(A, res)[1])), res, res))
     return out

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .constructions import Scheme, StageReport
-from .geometry import IntervalUnion, as_fraction, diameter
+from .geometry import IntervalUnion, as_fraction
 from .measures import Measure, PiecewiseUniformMeasure, _common_numerators, natural_measure
 
 if TYPE_CHECKING:
@@ -95,8 +95,8 @@ def clamp_dimension(raw: float, d: int = 1) -> float:
 def covering_sum(cover, s: float) -> float:
     """sum(diam(E)^s) over the cover elements.
 
-    Accepts an IntervalUnion (its pieces are the cover), an iterable of
-    IntervalUnions, or raw (a, b) endpoint pairs.
+    Accepts an IntervalUnion (its pieces are the cover) or raw (a, b)
+    endpoint pairs.
     """
     if s < 0:
         raise FitError("exponent must be nonnegative")
@@ -104,7 +104,7 @@ def covering_sum(cover, s: float) -> float:
         D, lefts, rights = cover.int_ends
         diams = [(r - l) / D for l, r in zip(lefts, rights)]
     else:
-        diams = [float(diameter(e) if isinstance(e, IntervalUnion) else Fraction(e[1]) - Fraction(e[0])) for e in cover]
+        diams = [float(Fraction(b) - Fraction(a)) for a, b in cover]
     return math.fsum(d**s for d in diams)
 
 

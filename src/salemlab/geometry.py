@@ -14,6 +14,7 @@ the hot readers (metric, partition, JSON) work on numerators; the
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -466,20 +467,10 @@ def hausdorff_metric(A: IntervalUnion, B: IntervalUnion) -> HausdorffDistance:
     return HausdorffDistance(Fraction(max(ab, ba), E))
 
 
-def _box_vertices(box) -> list[tuple[Fraction, ...]]:
-    corners: list[tuple[Fraction, ...]] = [()]
-    for a, b in box:
-        nxt = [c + (a,) for c in corners]
-        if b != a:
-            nxt += [c + (b,) for c in corners]
-        corners = nxt
-    return corners
-
-
-def hausdorff_metric_boxes(A: BoxUnion, B: BoxUnion, grid: int = 4) -> HausdorffDistance:
+def hausdorff_metric_boxes(A: BoxUnion, B: BoxUnion) -> HausdorffDistance:
     """Approximate Hausdorff distance between box unions via vertex sampling.
 
-    Samples a grid of points per box face and takes the max-min distance;
+    Samples a grid of 4 points per nondegenerate box side and takes the max-min distance;
     always flagged inexact.  Exact d >= 2 distances are out of scope.
     """
     if A.dimension != B.dimension:
@@ -497,15 +488,12 @@ def hausdorff_metric_boxes(A: BoxUnion, B: BoxUnion, grid: int = 4) -> Hausdorff
         pts = []
         for box in U.pieces:
             axes = [
-                [float(a) + (float(b - a)) * t / (grid - 1) for t in range(grid)]
+                [float(a) + (float(b - a)) * t / 3 for t in range(4)]
                 if b > a
                 else [float(a)]
                 for a, b in box
             ]
-            stack: list[tuple[float, ...]] = [()]
-            for axis in axes:
-                stack = [s + (v,) for s in stack for v in axis]
-            pts.extend(stack)
+            pts.extend(itertools.product(*axes))
         return pts
 
     def point_to_union(p: tuple[float, ...], U: BoxUnion) -> float:
@@ -552,7 +540,7 @@ def diameter(A: Union[IntervalUnion, BoxUnion]) -> Union[Fraction, float]:
         return Fraction(rights[-1] - lefts[0], D)
     if A.is_empty:
         return ZERO
-    vertices = list({v for box in A.pieces for v in _box_vertices(box)})
+    vertices = list({v for box in A.pieces for v in itertools.product(*box)})
     best = ZERO
     for i in range(len(vertices)):
         for j in range(i + 1, len(vertices)):

@@ -513,8 +513,6 @@ class SelfSimilarProductMeasure:
 
     def affine_pushforward(self, a, t) -> "SelfSimilarProductMeasure":
         fa, ft = as_fraction(a), as_fraction(t)
-        if fa == 0:
-            raise MeasureError("affine scale must be nonzero")
         return SelfSimilarProductMeasure(
             self.branching,
             self.offsets,

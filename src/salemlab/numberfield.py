@@ -25,17 +25,11 @@ class GaussianInt(_Record):
     def __init__(self, a: int, b: int) -> None:
         super().__init__(a, b)
 
-    def __add__(self, o: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.a + o.a, self.b + o.b)
-
     def __sub__(self, o: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.a - o.a, self.b - o.b)
 
     def __mul__(self, o: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a)
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.a, -self.b)
 
     def conjugate(self) -> "GaussianInt":
         return GaussianInt(self.a, -self.b)
@@ -43,9 +37,6 @@ class GaussianInt(_Record):
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def __repr__(self) -> str:
-        return f"GaussianInt({self.a}, {self.b})"
 
 
 def norm(q: GaussianInt) -> int:

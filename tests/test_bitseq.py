@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from salemlab.bitseq import (
     BitMatrix,
@@ -23,6 +25,27 @@ class TestBitSequence:
         assert BitSequence.from_string("10") == BitSequence.from_string("1")
         assert BitSequence.from_string("1(11)") == BitSequence.from_string("(1)")
         assert BitSequence.from_string("0(10)") != BitSequence.from_string("(10)")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_canonical_form_is_the_shortest_period_after_the_shortest_prefix(self, data):
+        period = data.draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=8), label="period")
+        period *= data.draw(st.integers(1, 3), label="repeats")  # a period that is not minimal
+        head = data.draw(st.lists(st.sampled_from([0, 1]), max_size=6), label="head")
+        # a prefix that often ends in a run of the periodic part, which the canonical form absorbs
+        run = (period * 3)[len(period) * 3 - data.draw(st.integers(0, 2 * len(period)), label="run"):]
+        prefix = head + run
+        seq = BitSequence(prefix, period)
+        bits = prefix + period * 2  # the first |prefix| + 2|period| bits
+        n = len(prefix) + len(period)  # s[i] = s[i + p] for all i >= m iff it holds for m <= i < n
+
+        def repeats(m, p):
+            return all(bits[i] == bits[i + p] for i in range(m, n))
+
+        p = next(p for p in range(1, len(period) + 1) if repeats(len(prefix), p))
+        m = next(m for m in range(len(prefix) + 1) if repeats(m, p))
+        assert seq.period == tuple(bits[m:m + p]) and seq.prefix == tuple(bits[:m])
+        assert seq.bits(len(bits)) == tuple(bits)
 
     def test_q2_membership(self):
         assert q2_member(BitSequence.from_string("110000"))

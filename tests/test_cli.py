@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from salemlab.cli import main, parse_bits, parse_scheme
+from salemlab.cli import _SPEC_KINDS, main, parse_bits, parse_scheme
 from salemlab.bitseq import BitMatrix
 from salemlab.constructions import Pi03Scheme, SAlphaScheme, cantor_stage
 from salemlab.geometry import IntervalUnion
@@ -273,6 +278,47 @@ class TestExitCodes:
         assert run([*argv, "--out", str(tmp_path / "x")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+# spec texts for the grammar fuzz, two lists of each, drawn equally often: numbers in range, and numbers
+# out of range, at its edges, non-finite or not numbers; bit strings with and without periods, and bad ones
+FUZZ_NUMBERS = (["3", "2", "0.5", "1"], ["0", "-1", "-0.5", "nan", "inf", "-inf", "1e308", "1e-300", "0.0001", "two"])
+FUZZ_BITS = (["0", "1", "110", "(1)", "(10)", "11(01)", "0(1)", ""], ["()", "(2)", "1(", "(1)(0)", "1x"])
+
+
+@st.composite
+def fuzzed_specs(draw):
+    """A spec drawn from the grammar table: a known or unknown kind, its fields with the right or a
+    wrong prefix, one field too few or too many, and any number, bit string or 0-3 rows in each."""
+    kind = draw(st.sampled_from(sorted(_SPEC_KINDS) + ["nope", "Cantor"]))
+    fields = list(_SPEC_KINDS[kind][0] if kind in _SPEC_KINDS else ("<n>",))
+    arity = draw(st.sampled_from([0, 0, 0, -1, 1]))
+    fields = fields[:len(fields) - 1] if arity < 0 else fields + ["<n>"] * arity
+    texts = []
+    for field in fields:
+        prefix, _, name = field.partition("<")
+        if draw(st.integers(0, 9)) == 0:
+            prefix = draw(st.sampled_from(["", "x=", "rows=", "xs=", "y="]))
+        if name.startswith("bits;"):
+            value = ";".join(draw(st.lists(st.one_of(*map(st.sampled_from, FUZZ_BITS)), max_size=3)))
+        elif name.startswith("bits"):
+            value = draw(st.one_of(*map(st.sampled_from, FUZZ_BITS)))
+        else:
+            value = draw(st.one_of(*map(st.sampled_from, FUZZ_NUMBERS)))
+        texts.append(prefix + value)
+    return ":".join([kind, *texts])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_specs(), st.integers(0, 2))
+def test_fuzzed_specs_end_with_a_contract_exit_code(spec, stage):
+    """Every spec builds or ends at once: exit 0, or exit 2 or 3 with one stderr line, never an exception."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["build", spec, "--stage", str(stage), "--out", str(Path(tmp) / "x")])
+    assert code in (0, 2, 3), (spec, code)
+    assert code == 0 or err.getvalue().count("\n") == 1, (spec, err.getvalue())
 
 
 @pytest.mark.parametrize("spec", ["cantor:3", "gcantor:0.5"])

@@ -417,7 +417,7 @@ class TestRadialLift:
     def test_against_point_sampling_oracle(self):
         A = IntervalUnion([(F(1, 2), F(1))])
         res = F(1, 8)
-        cover = radial_lift(A, 2, res)
+        cover = radial_lift(A, res)
         covered = {(box[0][0], box[1][0]) for box in cover.pieces}
         # any sampled point of the annulus must land in a covered cell
         rng = random.Random(9)
@@ -448,14 +448,14 @@ class TestRadialLift:
         A = IntervalUnion([(F(1), F(1))], space=(0, 1))
         for j in (4, 5, 6):
             res = F(1, 2**j)
-            n = len(radial_lift(A, 2, res))
+            n = len(radial_lift(A, res))
             circumference_cells = 2 * math.pi / float(res)
             assert 0.5 * circumference_cells < n < 3.0 * circumference_cells
 
     def test_annulus_area_scaling(self):
         A = IntervalUnion([(F(1, 2), F(1))])
         res = F(1, 16)
-        n = len(radial_lift(A, 2, res))
+        n = len(radial_lift(A, res))
         area = math.pi * (1 - 0.25)
         assert 0.5 * area / float(res) ** 2 < n < 2.0 * area / float(res) ** 2
 
@@ -468,14 +468,10 @@ class TestRadialLift:
         target = 1 + math.log(2) / math.log(3)
         assert abs(fit.exponent - target) < 0.1
 
-    def test_requires_dimension_two(self):
-        with pytest.raises(ConstructionError):
-            radial_lift(IntervalUnion.full(), 3, F(1, 4))
-
     def test_radius_pieces_below_zero_are_clipped(self):
         # norms are nonnegative: radii in [-1/2, 1/4] cover the disc of radius 1/4,
         # the cells with lx^2 + ly^2 <= 16 in units of 1/16 (17 per quadrant)
-        disc = radial_lift(IntervalUnion([(F(-1, 2), F(1, 4))], space=(-1, 1)), 2, F(1, 16))
+        disc = radial_lift(IntervalUnion([(F(-1, 2), F(1, 4))], space=(-1, 1)), F(1, 16))
         assert len(disc) == 68
-        assert disc.pieces == radial_lift(IntervalUnion([(0, F(1, 4))]), 2, F(1, 16)).pieces
-        assert radial_lift(IntervalUnion([(F(-1, 2), F(-1, 4))], space=(-1, 1)), 2, F(1, 16)).is_empty
+        assert disc.pieces == radial_lift(IntervalUnion([(0, F(1, 4))]), F(1, 16)).pieces
+        assert radial_lift(IntervalUnion([(F(-1, 2), F(-1, 4))], space=(-1, 1)), F(1, 16)).is_empty

@@ -229,6 +229,19 @@ def test_extreme_spec_number_ends_at_once(spec, code, tmp_path):
     assert "binary exponent must stay within ±65536" in out.stderr and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("spec, stage", [
+    ("salpha:40000", "1"),  # a 31,706-bit prime search at the first stage
+    ("fp:0.0001:x=1", "2"),
+    ("salemgap:0.0001:rows=1100;1", "2"),
+])
+def test_centre_prime_search_ends_at_its_bound(spec, stage, tmp_path):
+    """A stage whose centre prime would pass 2^3072 is refused before the search starts."""
+    out = _child(["-m", "salemlab.cli", "build", spec, "--stage", stage], tmp_path, timeout=60,
+                 preexec_fn=_capped_address_space)
+    assert out.returncode == 3 and out.stderr.count("\n") == 1 and not list(tmp_path.iterdir())
+    assert out.stderr.startswith("error: the centre prime needs ") and "above the bound of 3072" in out.stderr
+
+
 def test_reduce_phi_without_rows_reads_the_zero_matrix(tmp_path):
     out = _child(["-m", "salemlab.cli", "reduce", "--map", "phi"], tmp_path)
     assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr

@@ -77,8 +77,10 @@ from salemlab.geometry import (
     BoxUnion,
     GeometryError,
     IntervalUnion,
+    disjoint_from_compact,
     format_fraction,
     hausdorff_metric,
+    intersects_open,
     one_sided_distance,
     simplex_partition_1d,
 )
@@ -752,6 +754,26 @@ def test_hausdorff_metric_axioms(triple):
     assert hausdorff_metric(A, C).value <= dab + hausdorff_metric(B, C).value
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fell_and_vietoris_predicates_equal_the_pairwise_oracles(data):
+    """Both orders of the Fell walk (so both of its advances) against every pair of closed pieces, and
+    the Vietoris test against the midpoint of each piece's overlap with each open interval."""
+    A, B = data.draw(related_unions(2))
+    points = st.one_of(unit_rationals, near(landmarks(A, B)))
+    U = data.draw(st.lists(st.tuples(points, points), max_size=4))  # (c, d) with c >= d is empty
+
+    def meets(X, Y):
+        return any(max(a, c) <= min(b, d) for a, b in X.pieces for c, d in Y.pieces)
+
+    def midpoint_in_open(a, b, c, d):
+        lo, hi = max(a, c), min(b, d)
+        return lo <= hi and c < (lo + hi) / 2 < d
+
+    assert disjoint_from_compact(A, B) == disjoint_from_compact(B, A) == (not meets(A, B))
+    assert intersects_open(A, U) == any(midpoint_in_open(a, b, c, d) for a, b in A.pieces for c, d in U)
+
+
 @st.composite
 def radial_cases(draw):
     res = draw(st.sampled_from([F(1, 2), F(1, 3), F(1, 4), F(2, 7), F(1, 8), F(3, 16), F(1, 16)]))
@@ -764,7 +786,7 @@ def radial_cases(draw):
 @given(radial_cases())
 def test_radial_lift_equals_any_rule(case):
     A, res = case
-    assert set(radial_lift(A, 2, res).pieces) == reference_radial_cover(A, res)
+    assert set(radial_lift(A, res).pieces) == reference_radial_cover(A, res)
 
 
 @st.composite
@@ -776,7 +798,7 @@ def stage_sets(draw):
 @settings(max_examples=60, deadline=None)
 @given(stage_sets(), st.integers(8, 64))
 def test_radial_lift_boxes_equal_the_checked_constructor(A, q):
-    lift = radial_lift(A, 2, F(1, q))
+    lift = radial_lift(A, F(1, q))
     assert lift.dimension == 2
     assert lift.pieces == BoxUnion(2, lift.pieces).pieces
 
@@ -1859,18 +1881,16 @@ def signed_radial_cases(draw, resolutions=(F(1, 2), F(1, 4), F(1, 8), F(1, 16), 
 def test_radial_lift_and_counts_equal_the_box_by_box_lift(case):
     A, res = case
     expected = reference_radial_lift(A, res)
-    assert radial_lift(A, 2, res).pieces == expected
+    assert radial_lift(A, res).pieces == expected
     if res.numerator == 1 and res.denominator & (res.denominator - 1) == 0:
         j = res.denominator.bit_length() - 1
         assert radial_reports(A, [j])[0].piece_count == len(expected)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: radial_lift(IntervalUnion([(0, 1)]), 3),
-    lambda: radial_lift(IntervalUnion([(0, 1)]), 2, 0),
-    lambda: radial_lift(IntervalUnion([(0, 1)]), 2, F(-1, 4)),
-    lambda: radial_reports(IntervalUnion([(0, 1)]), [1], 3),
-], ids=["lift-d", "lift-zero", "lift-negative", "reports-d"])
+    lambda: radial_lift(IntervalUnion([(0, 1)]), 0),
+    lambda: radial_lift(IntervalUnion([(0, 1)]), F(-1, 4)),
+], ids=["lift-zero", "lift-negative"])
 def test_radial_paths_keep_their_errors(call):
     with pytest.raises(ConstructionError):
         call()
@@ -1900,12 +1920,12 @@ def test_planar_radial_quadrant_equals_the_per_cell_test(case):
     """The quadrant walk, reflected, keeps exactly the cells of the per-cell test, in (i, j) order."""
     A, res = case
     cells = reference_radial_cells(A, res)
-    _, rows = _radial_quadrant(A, 2, res)
+    _, rows = _radial_quadrant(A, res)
     n, m = len(rows), lambda i: max(i, -1 - i)
     assert all(row == sorted(set(row)) for row in rows)
     assert set(cells) == {(i, j) for i in range(-n, n) for j in range(-n, n) if m(j) in rows[m(i)]}
     side = lambda i: (i * res, (i + 1) * res)
-    assert radial_lift(A, 2, res).pieces == tuple((side(i), side(j)) for i, j in cells)
+    assert radial_lift(A, res).pieces == tuple((side(i), side(j)) for i, j in cells)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1913,7 +1933,7 @@ def test_planar_radial_quadrant_equals_the_per_cell_test(case):
 def test_planar_radial_reports_count_the_lift(case, j):
     A, _ = case
     cell = F(1, 2**j)
-    assert radial_reports(A, [j]) == [StageReport(j, len(radial_lift(A, 2, cell)), cell, cell)]
+    assert radial_reports(A, [j]) == [StageReport(j, len(radial_lift(A, cell)), cell, cell)]
 
 
 def reference_residue_system(q: GaussianInt) -> list[tuple[int, int]]:
