@@ -12,6 +12,8 @@ import re
 from math import gcd
 from typing import Iterable, Mapping
 
+from .geometry import _Record
+
 
 def _minimize_period(period: tuple[int, ...]) -> tuple[int, ...]:
     n = len(period)
@@ -21,8 +23,9 @@ def _minimize_period(period: tuple[int, ...]) -> tuple[int, ...]:
     return period
 
 
-class BitSequence:
-    """An element of the binary sequence space, finitely represented."""
+class BitSequence(_Record):
+    """An element of the binary sequence space, finitely represented; an immutable value whose prefix
+    and period are canonical (minimal period, shortest prefix), so equal sequences have equal fields."""
 
     __slots__ = ("prefix", "period")
 
@@ -38,11 +41,7 @@ class BitSequence:
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]  # a rotation of a minimal period is minimal
-        object.__setattr__(self, "prefix", pre)
-        object.__setattr__(self, "period", per)
-
-    def __setattr__(self, *_):  # pragma: no cover
-        raise AttributeError("BitSequence is immutable")
+        super().__init__(pre, per)
 
     @classmethod
     def zero(cls) -> "BitSequence":
@@ -66,16 +65,6 @@ class BitSequence:
 
     def __repr__(self) -> str:
         return f"BitSequence({str(self)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitSequence)
-            and self.prefix == other.prefix
-            and self.period == other.period
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.prefix, self.period))
 
     def bit(self, n: int) -> int:
         if n < 0:
@@ -113,7 +102,7 @@ def q2_member(x: BitSequence) -> bool:
     return x.is_eventually_zero
 
 
-class BitMatrix:
+class BitMatrix(_Record):
     """Row-indexed family of BitSequences, almost all equal to a tail row.
 
     Explicitly stored rows override the defaults; absent rows below the
@@ -134,11 +123,7 @@ class BitMatrix:
                 raise ValueError("row indices must be nonnegative")
             if not isinstance(v, BitSequence):
                 raise TypeError("rows must be BitSequences")
-        object.__setattr__(self, "_rows", {k: items[k] for k in sorted(items)})
-        object.__setattr__(self, "tail", tail)
-
-    def __setattr__(self, *_):  # pragma: no cover
-        raise AttributeError("BitMatrix is immutable")
+        super().__init__({k: items[k] for k in sorted(items)}, tail)
 
     @classmethod
     def from_rows(cls, rows: Iterable[BitSequence]) -> "BitMatrix":

@@ -185,10 +185,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         rows = [str(out.row(m)) for m in range(top + 1)]
         print(json.dumps({"rows": rows, "tail": str(out.tail)}))
         return 0
-    if args.map == "fp":
-        scheme = cons.FpScheme(args.p, parse_bits(args.x))
-    else:
-        scheme = cons.Pi03Scheme(args.p, parse_rows(args.rows))
+    # the spec the flags stand for: a value the map refuses is exit 2, and a ':' in a flag is a usage error
+    scheme = parse_scheme(f"{args.map}:{args.p}:" + (f"x={args.x}" if args.map == "fp" else f"rows={args.rows}"))
     stage_set = scheme.stage(args.stage)
     Path(args.out).with_suffix(".json").write_text(stage_set.to_json())
     print(f"wrote {Path(args.out).with_suffix('.json')} ({len(stage_set)} pieces)")
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("reduce", help="drive the reduction maps (fp, phi, pi03)")
     r.add_argument("--map", choices=("fp", "phi", "pi03"), required=True)
-    r.add_argument("--p", type=_positive_float, default=0.5)
+    r.add_argument("--p", default="0.5")
     r.add_argument("--x", default="0", help="bit sequence for fp")
     r.add_argument("--rows", default="", help="semicolon-separated rows for phi/pi03")
     r.add_argument("--stage", type=_int_at_least(0), default=4)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import bitseq
@@ -192,6 +193,11 @@ class CantorScheme(Scheme):
         )
 
 
+def _dimension_schedule(p: float, k: int) -> Fraction:
+    """2^(-k/p), the length schedule of `GeneralizedCantorScheme.for_dimension(p)`; a module function pickles."""
+    return _dyadic_pow(2.0, -k / p)
+
+
 class GeneralizedCantorScheme(Scheme):
     """Binary-branching Cantor set with a per-stage length schedule.
 
@@ -208,8 +214,7 @@ class GeneralizedCantorScheme(Scheme):
         """Length schedule 2^(-k/p): counting dimension p, binary branching."""
         if not 0 < p <= 1:
             raise ConstructionError("dimension target must be in (0, 1]")
-        sched = lambda k: _dyadic_pow(2.0, -k / p)
-        s = cls(sched, name=f"gcantor:{p:g}")
+        s = cls(partial(_dimension_schedule, p), name=f"gcantor:{p:g}")
         s.declared_hdim = p
         s.declared_fdim = 0.0
         return s

@@ -98,9 +98,9 @@ def view_pieces(ints: tuple[int, list[int], list[int]], *columns: Iterable) -> t
 
 
 class _Record:
-    """Immutable record of the names in `__slots__`, read like a frozen dataclass:
-    equal within one class and hashed as the tuple of their values, repr
-    name=value, copied and pickled by value."""
+    """Immutable value of the names in `__slots__`, read like a frozen dataclass: no attribute
+    may be set or deleted, values are equal within one class and hashed as the tuple of their
+    values, repr name=value, and copied, deep-copied and pickled by value."""
 
     __slots__ = ()
 
@@ -150,7 +150,7 @@ class HausdorffDistance(_Record):
         return float(self.value)
 
 
-class IntervalUnion:
+class IntervalUnion(_Record):
     """Finite union of closed intervals with exact rational endpoints.
 
     Pieces are kept pairwise disjoint and sorted; degenerate pieces [a, a]
@@ -159,7 +159,8 @@ class IntervalUnion:
     The endpoints are stored only as `int_ends`, the integer view: the lcm D
     of their reduced denominators and the left and right numerators over D.
     The view is canonical, so equal unions have equal views; `pieces`, the
-    Fraction pairs, is derived from it on first read.
+    Fraction pairs, is derived from it on first read, and a copy or pickle
+    carries only the view and `space`.
     """
 
     __slots__ = ("space", "int_ends", "_pieces")
@@ -220,8 +221,8 @@ class IntervalUnion:
             object.__setattr__(self, "_pieces", view_pieces(self.int_ends))
         return self._pieces
 
-    def __setattr__(self, *_):  # pragma: no cover - immutability guard
-        raise AttributeError("IntervalUnion is immutable")
+    def __reduce__(self):
+        return IntervalUnion._of_ints, (*self.int_ends, self.space)
 
     @classmethod
     def from_intervals(
@@ -372,7 +373,7 @@ class IntervalUnion:
         return cls._of_ints(D, lefts, rights, space)
 
 
-class BoxUnion:
+class BoxUnion(_Record):
     """Finite union of axis-aligned closed boxes with rational corners.
 
     Boxes are deduplicated and sorted.  A box contained in another is kept,
@@ -396,11 +397,7 @@ class BoxUnion:
                     raise GeometryError("box side reversed")
                 cube.append((fa, fb))
             norm.append(tuple(cube))
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "pieces", tuple(sorted(dict.fromkeys(norm))))
-
-    def __setattr__(self, *_):  # pragma: no cover
-        raise AttributeError("BoxUnion is immutable")
+        super().__init__(dimension, tuple(sorted(dict.fromkeys(norm))))
 
     @property
     def is_empty(self) -> bool:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -261,6 +262,21 @@ class TestExitCodes:
         assert run(["sweep", "cantor:3", "--stage", "3", "--seed", "1", "--xi-max", value, "--out", out]) == 2
         assert run(["reduce", "--map", "fp", "--p", value, "--out", out]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["reduce", "--map", "fp", "--p", "2"], "'fp:2:x=0' (at 'fp'): dimension parameter must lie in (0, 1]"),
+        (["reduce", "--map", "pi03", "--p", "2"], "'pi03:2:rows=' (at 'pi03'): dimension parameter must lie in (0, 1]"),
+        (["reduce", "--map", "fp", "--p", "1e-5", "--stage", "1"],
+         "'fp:1e-5:x=0' (at 'fp'): 3**-100000 is out of range: its binary exponent must stay within ±65536"),
+        (["reduce", "--map", "fp", "--x", "1:0"], "'fp:0.5:x=1:0' (at 'fp'): usage: fp:<p>:x=<bits>"),
+        (["reduce", "--map", "pi03", "--rows", "1;0:1"],
+         "'pi03:0.5:rows=1;0:1' (at 'pi03'): usage: pi03:<p>:rows=<bits;bits;...>"),
+    ], ids=["fp-p-2", "pi03-p-2", "fp-p-1e-5", "fp-colon", "pi03-colon"])
+    def test_value_a_reduce_map_refuses_is_exit_two(self, argv, message, tmp_path, capsys):
+        """reduce builds through the spec its flags stand for, so it refuses what `build` refuses, as `build` does."""
+        assert run([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: bad scheme spec {message}\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["build", "cantor:3", "--stage", "-1"],
         ["reduce", "--map", "fp", "--stage", "-1"],
@@ -319,6 +335,78 @@ def test_fuzzed_specs_end_with_a_contract_exit_code(spec, stage):
         code = main(["build", spec, "--stage", str(stage), "--out", str(Path(tmp) / "x")])
     assert code in (0, 2, 3), (spec, code)
     assert code == 0 or err.getvalue().count("\n") == 1, (spec, err.getvalue())
+
+
+# one example spec of every kind in the grammar table
+EXAMPLE_SPECS = ["cantor:3", "gcantor:0.5", "interval", "jarnik:1.0", "salpha:1.0", "fp:0.5:x=11(0)",
+                 "pi03:0.8:rows=1;(01);0", "salemgap:0.6:rows=0;(1)", "weihrauch:xs=1;0;(10)"]
+
+
+def test_example_specs_cover_every_kind():
+    assert sorted(spec.split(":")[0] for spec in EXAMPLE_SPECS) == sorted(_SPEC_KINDS)
+
+
+@pytest.mark.parametrize("spec", EXAMPLE_SPECS)
+def test_value_contract_a_built_scheme_pickles(spec):
+    """A scheme with built stages pickles, and the copy has the same stages, reports and declarations."""
+    scheme = parse_scheme(spec)
+    scheme.stage(3)
+    again = pickle.loads(pickle.dumps(scheme))
+    assert again.stage(3) == scheme.stage(3) and again.reports(0, 3) == scheme.reports(0, 3)
+    assert (again.name, again.declared_hdim, again.declared_fdim) == (scheme.name, scheme.declared_hdim,
+                                                                      scheme.declared_fdim)
+
+
+# flag values for the flag-set fuzz: usual values, and edge values (most of which argparse or the command
+# refuses), drawn one time in eight; --stage is always given and at most 3, and --xi-max at most 2^20, so
+# no drawn run is slow (a pi03 report at the default stage 8 and --xi-max 1e154 takes about 20 s)
+FUZZ_FLAGS = {
+    "--stage": (["2", "3"], ["0", "1", "-1", "nan", "1e-300", "two"]),
+    "--fit-lo": (["0", "1"], ["2", "3", "-1", "nan"]),  # a report refuses --fit-lo >= --stage
+    "--xi-max": (["2", "64", "65536", "1048576"], ["1e-300", "5e-324", "0", "-1", "nan", "inf", "two"]),
+    "--bands": (["4", "10", "16"], ["3", "0", "-1", "nan"]),
+    "--samples": (["64", "128"], ["1", "63", "0", "-5", "nan"]),  # a sweep takes 1
+    "--seed": (["0", "1", "-1", "12345678901234567890"], ["nan", "1e-300"]),
+    "--map": (["fp", "pi03", "phi"], ["psi"]),
+    "--p": (FUZZ_NUMBERS[0], FUZZ_NUMBERS[1] + ["0.5:x=1"]),
+    "--x": (FUZZ_BITS[0], FUZZ_BITS[1] + ["1:0"]),
+    "--rows": (["", "1;0", "(1);0", "0;(10)"], ["1;(2)", "1:0"]),
+}
+COMMAND_FLAGS = {
+    "report": ["--fit-lo", "--xi-max", "--bands", "--samples", "--seed"],
+    "sweep": ["--xi-max", "--samples", "--seed"],
+    "reduce": ["--map", "--p", "--x", "--rows"],
+}
+
+
+@st.composite
+def fuzzed_flag_sets(draw):
+    """A report, sweep or reduce argument list: an example or fuzzed spec, a stage, and each of the
+    command's flags left out (a required one too), or given a usual or an edge value."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command] if command == "reduce" else [command, draw(st.one_of(st.sampled_from(EXAMPLE_SPECS),
+                                                                           fuzzed_specs()))]
+    hows = st.sampled_from([0] * 6 + [1, None])  # usual values, edge values, or None: left out
+    argv += ["--stage", draw(st.sampled_from(FUZZ_FLAGS["--stage"][draw(hows) or 0]))]
+    for flag in COMMAND_FLAGS[command]:
+        how = draw(hows)
+        if how is not None:
+            argv += [flag, draw(st.sampled_from(FUZZ_FLAGS[flag][how]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_flag_sets())
+def test_fuzzed_flag_sets_end_with_a_contract_exit_code(argv):
+    """Every flag set runs or ends at once: exit 0, or exit 2 or 3 with one error line, never an exception.
+    A flag argparse refuses prints its usage lines before the error line."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(Path(tmp) / "x")])
+    assert code in (0, 2, 3), (argv, code)
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith(("usage:", " "))]
+    assert lines == [] if code == 0 else len(lines) == 1 and "error" in lines[0], (argv, err.getvalue())
 
 
 @pytest.mark.parametrize("spec", ["cantor:3", "gcantor:0.5"])

@@ -161,14 +161,12 @@ def test_installed_script_enters_through_run():
     # band count too large for the frequency ceiling: a FitError
     (["report", "cantor:3", "--stage", "8", "--seed", "1", "--xi-max", "64", "--bands", "10"],
      "numeric error: xi_max too small for the requested band count"),
-    # a dimension target above 1 reaches the scheme: a ConstructionError
-    (["reduce", "--map", "fp", "--p", "2"], "error: dimension parameter must lie in (0, 1]"),
     # frequency ceilings whose band abscissae overflow: FitErrors
     (["report", "cantor:3", "--stage", "3", "--seed", "1", "--xi-max", "3e154"],
      "numeric error: xi_max too large: it must stay below 2^513"),
     (["report", "cantor:3", "--stage", "3", "--seed", "1", "--xi-max", "1e200"],
      "numeric error: xi_max too large: it must stay below 2^513"),
-], ids=["fit", "construction", "xi-max-3e154", "xi-max-1e200"])
+], ids=["fit", "xi-max-3e154", "xi-max-1e200"])
 def test_layer_error_is_exit_three_without_traceback(argv, message, tmp_path):
     out = _child(["-m", "salemlab.cli", *argv], tmp_path)
     assert out.returncode == 3

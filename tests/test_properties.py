@@ -21,14 +21,18 @@ planar covers' quadrant walk against the per-cell test on signed unions at
 dyadic and non-dyadic cell sides, with the radial counts against the lift;
 and the block towers' declarations against the hand formulas they replaced
 (ordered, never raised by more 1-bits, and Salem for `salemgap` exactly on
-the P3 members), with the locality of the `salemgap` stages in the bits."""
+the P3 members), with the locality of the `salemgap` stages in the bits;
+and the value contract of the six immutable types: copied, deep-copied and
+pickled by value, with no attribute set or deleted."""
 
 from __future__ import annotations
 
 import bisect
 import cmath
+import copy
 import json
 import math
+import pickle
 import random
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -76,6 +80,7 @@ from salemlab.dimension import (
 from salemlab.geometry import (
     BoxUnion,
     GeometryError,
+    HausdorffDistance,
     IntervalUnion,
     disjoint_from_compact,
     format_fraction,
@@ -2185,3 +2190,67 @@ def test_salemgap_locality_stage_k_reads_bits_1_to_k_of_rows_below_k(p, case):
     """Block n reads bits 1..k of phi row n - 1, which depends only on rows 0..n - 1 of the matrix."""
     k, x, y = case
     assert SalemGapScheme(p, x).stage(k) == SalemGapScheme(p, y).stage(k)
+
+
+bit_sequences = st.builds(BitSequence, st.lists(st.integers(0, 1), max_size=6),
+                          st.lists(st.integers(0, 1), min_size=1, max_size=6))
+boxes = st.integers(1, 3).flatmap(lambda d: st.lists(st.lists(
+    st.lists(unit_rationals, min_size=2, max_size=2).map(sorted), min_size=d, max_size=d), max_size=4).map(
+    lambda bs: (d, bs)))
+
+
+@st.composite
+def values(draw):
+    """A value of one of the six immutable types; a union has its Fraction pieces read or not."""
+    kind = draw(st.sampled_from(["union", "box", "seq", "matrix", "distance", "gaussian"]))
+    if kind == "union":
+        U = draw(unions())
+        if draw(st.booleans()):
+            U = U.affine(draw(st.sampled_from([F(-3), F(1, 7), F(5, 2)])), draw(unit_rationals))
+        if draw(st.booleans()):
+            U.pieces  # noqa: B018 - fills the lazy cache before the copy
+        return U
+    if kind == "box":
+        return BoxUnion(*draw(boxes))
+    if kind == "seq":
+        return draw(bit_sequences)
+    if kind == "matrix":
+        return BitMatrix(draw(st.dictionaries(st.integers(0, 6), bit_sequences, max_size=3)), draw(bit_sequences))
+    if kind == "distance":
+        return draw(st.one_of(st.builds(HausdorffDistance, unit_rationals),
+                              st.builds(HausdorffDistance, st.floats(0, 2), st.just(False))))
+    return GaussianInt(draw(st.integers(-(2**70), 2**70)), draw(st.integers(-9, 9)))
+
+
+def pickled(v, protocol: int):
+    return pickle.loads(pickle.dumps(v, protocol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values(), st.integers(0, pickle.HIGHEST_PROTOCOL))
+def test_value_contract_copies_pickles_and_refuses_every_write(v, protocol):
+    """copy, deepcopy and pickle give an equal value of the same type; no attribute is set or deleted."""
+    for again in (copy.copy(v), copy.deepcopy(v), pickled(v, protocol)):
+        assert type(again) is type(v) and again == v
+        if type(v).__hash__ is not None:  # BitMatrix compares row by row and is unhashable
+            assert hash(again) == hash(v)
+        if isinstance(v, IntervalUnion):
+            assert (again.int_ends, again.space, again.pieces) == (v.int_ends, v.space, v.pieces)
+    before = pickled(v, protocol)
+    for name in (*type(v).__slots__, "other"):
+        for write in (lambda: setattr(v, name, None), lambda: delattr(v, name)):
+            with pytest.raises(AttributeError) as err:
+                write()
+            assert str(err.value) == f"{type(v).__name__} is immutable"
+    assert v == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxes, st.randoms(use_true_random=False))
+def test_value_contract_equal_box_unions_are_equal_and_hash_equally(case, rng):
+    """The same boxes in another order, some twice, give an equal union with an equal hash."""
+    d, bs = case
+    again = bs + bs[: rng.randrange(len(bs) + 1)]
+    rng.shuffle(again)
+    A, B = BoxUnion(d, bs), BoxUnion(d, again)
+    assert A == B and hash(A) == hash(B)
