@@ -214,7 +214,7 @@ def cmd_report(args: argparse.Namespace) -> int:
            _fmt(rep.fourier_dim), _fmt(rep.salem_defect),
            _fmt(rep.box_fit.r_squared), _fmt(rep.fourier_fit.r_squared), cfg]
     _write_csv(out.with_suffix(".csv"), _REPORT_COLUMNS, [row])
-    _write_sweep(out.parent / (out.stem + "_sweep.csv"), mu, args, cfg)
+    _write_sweep(out.parent / (out.stem + "_sweep.csv"), mu, args, cfg, vector=True)  # the fit loaded numpy
     print(
         f"{rep.scheme} stage {rep.stage}: hdim_est={_fmt(rep.hdim_est)} "
         f"fourier_dim={_fmt(rep.fourier_dim)} defect={_fmt(rep.salem_defect)}"
@@ -222,14 +222,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_sweep(path: Path, mu, args: argparse.Namespace, cfg: str) -> None:
-    """Transform of the decay measure mu on a log grid up to --xi-max."""
+def _write_sweep(path: Path, mu, args: argparse.Namespace, cfg: str, vector: bool) -> None:
+    """Transform of the decay measure mu on a log grid up to --xi-max; `vector`: numpy's kernel for any mu."""
     from .measures import PiecewiseUniformMeasure
 
     n = max(args.samples * 4, 256)
     xis = [args.xi_max ** (i / n) for i in range(1, n + 1)]
-    # a product measure's scalar loop is cheaper than importing numpy here
-    if isinstance(mu, PiecewiseUniformMeasure):
+    # unless numpy is loaded already, a product measure's scalar loop is cheaper than importing it
+    if vector or isinstance(mu, PiecewiseUniformMeasure):
         import numpy as np
 
         vals = mu.fourier_eval_many(np.array(xis))
@@ -242,7 +242,7 @@ def _write_sweep(path: Path, mu, args: argparse.Namespace, cfg: str) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     scheme = parse_scheme(args.spec)
     cfg = config_hash(args, ["spec", "stage", "xi_max", "samples", "seed"])
-    _write_sweep(Path(args.out), scheme.decay_measure(args.stage), args, cfg)
+    _write_sweep(Path(args.out), scheme.decay_measure(args.stage), args, cfg, vector=False)
     print(f"wrote {args.out}")
     return 0
 

@@ -139,6 +139,10 @@ class Scheme:
 
         return natural if natural is not None else measures.natural_measure(self.stage(k))
 
+    def decay_key(self, k: int):
+        """What stage k's decay measure depends on; stages with one key share its fit.  None: stage k's own."""
+        return None
+
     def block_ladders(self, k: int) -> list[list[StageReport]] | None:
         """Per-block stage ladders for sup-rule dimension prediction.
 
@@ -192,6 +196,9 @@ class CantorScheme(Scheme):
             contractions=(Fraction(1, self.n),),
         )
 
+    def decay_key(self, k: int):
+        return 0  # the limit measure, at every stage
+
 
 def _dimension_schedule(p: float, k: int) -> Fraction:
     """2^(-k/p), the length schedule of `GeneralizedCantorScheme.for_dimension(p)`; a module function pickles."""
@@ -244,6 +251,9 @@ class GeneralizedCantorScheme(Scheme):
             branching=2, offsets=offsets, contractions=contractions
         )
 
+    def decay_key(self, k: int):
+        return max(k, 24)  # the schedule's first max(k, 24) ratios
+
 
 class IntervalScheme(Scheme):
     """The ambient interval, reported through dyadic grid covers.
@@ -260,6 +270,9 @@ class IntervalScheme(Scheme):
     @_memo
     def stage(self, k: int) -> IntervalUnion:
         return self.stage(0) if k else IntervalUnion.full()  # one union, shared: it is immutable
+
+    def decay_key(self, k: int):
+        return 0  # every stage is the one union [0, 1]
 
     def report_of(self, k: int, union: IntervalUnion) -> StageReport:
         cell = Fraction(1, 1 << k)

@@ -4,9 +4,10 @@ A Fourier fit screens all its bands' frequencies in one cheap sweep and runs
 the exact kernel only where a band's supremum can be; the jittered lattice
 is computed once for every band, and the bands' best screened values, keep
 mask and sups come from reductions over the band offsets.  numpy loads where
-a sweep runs.  A report's Frostman fit takes its default centres and radii as
-integer numerators over one denominator (`_frostman_grid`) and builds no
-Fraction; the public Fraction functions convert to and from that rule.
+a sweep runs.  A report fits once per `Scheme.decay_key` and fit arguments.
+A report's Frostman fit takes its default centres and radii as integer
+numerators over one denominator (`_frostman_grid`) and builds no Fraction;
+the public Fraction functions convert to and from that rule.
 """
 
 from __future__ import annotations
@@ -213,6 +214,20 @@ def _band_grid(count: int, seed: int) -> "np.ndarray":
     return 2.0 ** ((i + jitter) / count)
 
 
+def _band_edges(xi_max: float, bands: int, samples_per_band: int) -> list[tuple[float, float]]:
+    """The top `bands` dyadic bands below xi_max; FitError for arguments no Fourier fit takes."""
+    if bands < 4:
+        raise FitError("need at least four bands")
+    if samples_per_band < 64:
+        raise FitError("need at least 64 samples per dyadic band")
+    j_hi = math.floor(math.log2(xi_max))
+    if j_hi - bands < 1:
+        raise FitError("xi_max too small for the requested band count")
+    if j_hi > 512:  # the top band's lo * hi = 2^(2 j_hi - 1) overflows the abscissa's float
+        raise FitError("xi_max too large: it must stay below 2^513")
+    return [(2.0**j, 2.0 ** (j + 1)) for j in range(j_hi - bands, j_hi)]
+
+
 def fourier_decay_fit(
     mu: Measure,
     xi_max: float = 2.0**16,
@@ -232,18 +247,9 @@ def fourier_decay_fit(
     maxima are the suprema.  The fitted exponent is the raw decay rate
     (-2 * slope); clamp it with `clamp_dimension`.
     """
-    if bands < 4:
-        raise FitError("need at least four bands")
-    if samples_per_band < 64:
-        raise FitError("need at least 64 samples per dyadic band")
-    j_hi = math.floor(math.log2(xi_max))
-    if j_hi - bands < 1:
-        raise FitError("xi_max too small for the requested band count")
-    if j_hi > 512:  # the top band's lo * hi = 2^(2 j_hi - 1) overflows the abscissa's float
-        raise FitError("xi_max too large: it must stay below 2^513")
+    edges = _band_edges(xi_max, bands, samples_per_band)
     import numpy as np
 
-    edges = [(2.0**j, 2.0 ** (j + 1)) for j in range(j_hi - bands, j_hi)]
     grid = _band_grid(samples_per_band, seed)
     resonant = [mu.resonant_frequencies(lo, hi) for lo, hi in edges]
     xis = np.concatenate([part for (lo, _), res in zip(edges, resonant) for part in (lo * grid, res)])
@@ -293,7 +299,8 @@ def salem_report_with_measure(
     """`salem_report` and the decay measure its Fourier fit used.
 
     The stage set and its natural measure are built once per call.  The
-    scheme keeps every stage it has built (one memo) and keeps no measure.
+    scheme keeps every stage it has built and, per `decay_key` (unless None)
+    and fit arguments, the decay measure and its Fourier fit (one memo each).
     """
     stage_set = scheme.stage(stage)
     reports = scheme.reports(fit_lo, stage)
@@ -309,8 +316,13 @@ def salem_report_with_measure(
         hdim = box.exponent
     mu_nat = natural_measure(stage_set)
     fro = _frostman_fit(mu_nat, *_frostman_grid(mu_nat))
-    mu_dec = scheme.decay_measure(stage, mu_nat)
-    fou = fourier_decay_fit(mu_dec, xi_max, bands, samples_per_band, seed)
+    _band_edges(xi_max, bands, samples_per_band)  # a bad argument raises before any lookup
+    args = (scheme.decay_key(stage), xi_max, bands, samples_per_band, seed)
+    fits = {} if args[0] is None else vars(scheme).setdefault("_decay_fit_memo", {})
+    if args not in fits:
+        mu_dec = scheme.decay_measure(stage, mu_nat)
+        fits[args] = mu_dec, fourier_decay_fit(mu_dec, xi_max, bands, samples_per_band, seed)
+    mu_dec, fou = fits[args]
     fdim = clamp_dimension(fou.exponent, 1)
     last = reports[-1]
     return DimensionReport(

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from salemlab.cli import _SPEC_KINDS, main, parse_bits, parse_scheme
 from salemlab.bitseq import BitMatrix
 from salemlab.constructions import Pi03Scheme, SAlphaScheme, cantor_stage
+from salemlab.dimension import salem_report
 from salemlab.geometry import IntervalUnion
 
 
@@ -355,6 +356,21 @@ def test_value_contract_a_built_scheme_pickles(spec):
     assert again.stage(3) == scheme.stage(3) and again.reports(0, 3) == scheme.reports(0, 3)
     assert (again.name, again.declared_hdim, again.declared_fdim) == (scheme.name, scheme.declared_hdim,
                                                                       scheme.declared_fdim)
+
+
+@pytest.mark.parametrize("spec", EXAMPLE_SPECS)
+def test_a_reported_scheme_pickles_with_its_kept_fits(spec):
+    """A scheme that has run a report pickles with the decay fits it keeps, and the copy's next report
+    equals the original's."""
+    scheme, fit_args = parse_scheme(spec), {"samples_per_band": 64, "seed": 1}
+    salem_report(scheme, 3, **fit_args)
+    again = pickle.loads(pickle.dumps(scheme))
+
+    def kept_fits(s):
+        return {key: fit for key, (_, fit) in vars(s).get("_decay_fit_memo", {}).items()}
+
+    assert kept_fits(again) == kept_fits(scheme)
+    assert repr(salem_report(again, 4, **fit_args)) == repr(salem_report(scheme, 4, **fit_args))
 
 
 # flag values for the flag-set fuzz: usual values, and edge values (most of which argparse or the command

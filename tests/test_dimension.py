@@ -379,3 +379,57 @@ def test_cli_build_builds_top_stage_once(spec, monkeypatch, tmp_path, capsys):
     assert len(made) == 1
     assert counts["stage"] == 1
     assert counts["natural_measure"] == 0
+
+
+def count_fits(monkeypatch) -> Counter:
+    """Count the `fourier_decay_fit` runs of a report by their (xi_max, bands, samples_per_band, seed)."""
+    counts: Counter = Counter()
+    fit = dimension.fourier_decay_fit
+
+    def counting(mu, *args):
+        counts[args] += 1
+        return fit(mu, *args)
+
+    monkeypatch.setattr(dimension, "fourier_decay_fit", counting)
+    return counts
+
+
+def held(scheme) -> list:
+    """Every value a scheme holds in its attributes, through dicts, lists and tuples."""
+    out, todo = [], list(vars(scheme).values())
+    while todo:
+        out.append(todo.pop())
+        if isinstance(out[-1], dict):
+            todo.extend(out[-1].values())
+        elif isinstance(out[-1], (list, tuple)):
+            todo.extend(out[-1])
+    return out
+
+
+def test_a_cantor_ladder_fits_once_per_parameter_tuple(monkeypatch):
+    """Every stage of a Cantor scheme reads the one limit measure, so its ladder fits once per tuple."""
+    counts = count_fits(monkeypatch)
+    scheme = cli.parse_scheme("cantor:3")
+    for k in range(2, 9):
+        for seed in (1, 2):
+            salem_report(scheme, k, samples_per_band=64, seed=seed)
+    assert counts == {(2.0**16, 10, 64, 1): 1, (2.0**16, 10, 64, 2): 1}
+
+
+def test_a_natural_measure_ladder_fits_every_stage_and_keeps_no_measure(monkeypatch):
+    counts = count_fits(monkeypatch)
+    scheme = cli.parse_scheme("jarnik:1.0")
+    for k in range(2, 6):
+        salem_report(scheme, k, samples_per_band=64, seed=1)
+    assert counts == {(2.0**16, 10, 64, 1): 4}
+    assert not any(isinstance(x, measures.PiecewiseUniformMeasure) for x in held(scheme))
+
+
+@pytest.mark.parametrize("bad", [{"bands": 3}, {"samples_per_band": 32}])
+def test_a_warm_scheme_still_refuses_bad_fit_arguments(bad, monkeypatch):
+    scheme = cli.parse_scheme("cantor:3")
+    salem_report(scheme, 4, samples_per_band=64, seed=1)
+    counts = count_fits(monkeypatch)
+    with pytest.raises(FitError):
+        salem_report(scheme, 4, **{"samples_per_band": 64, "seed": 1, **bad})
+    assert not counts  # refused before the lookup, so no fit ran either

@@ -3,8 +3,8 @@ vector transform kernels against the scalar and per-pair references, the
 Fourier screen within its slack (also across its 256-piece chunks) and bit
 for bit against its per-block form, the screened fit against the per-band
 reference, the report's integer Frostman path against the Fraction fit, the
-stage-report memo, the exact geometry queries (point distance, Hausdorff
-metric, radial lift, grid partition), the integer endpoint view and
+stage-report memo and the kept decay fits, the exact geometry queries (point
+distance, Hausdorff metric, radial lift, grid partition), the integer endpoint view and
 one-pass constructors, the integer stage builders and the pruned
 Frostman sup (also below the float spacing of its brackets), and the endpoints stored only as integers (lazy pieces,
 integer metric, partition and JSON, integer Jarnik and gcantor builders),
@@ -69,6 +69,7 @@ from salemlab.constructions import (
 )
 from salemlab.dimension import (
     DecayFit,
+    FitError,
     _least_squares,
     clamp_dimension,
     default_frostman_centers,
@@ -609,6 +610,46 @@ def test_memoised_reports_equal_fresh_scheme_reports(case):
     scheme = parse_scheme(spec)
     for lo, hi in calls:
         assert scheme.reports(lo, hi) == [fresh_report(spec, k) for k in range(lo, hi + 1)]
+
+
+# three schemes whose stages share one decay fit, and one that fits each stage's natural measure
+REPORT_SPECS = ("cantor:3", "gcantor:0.5", "interval", "fp:0.5:x=11(0)")
+
+
+def report_outcome(scheme, args) -> str:
+    """The repr of `salem_report(scheme, *args)`, or of the error it raises."""
+    try:
+        return repr(salem_report(scheme, *args))
+    except (FitError, ConstructionError) as e:
+        return repr(e)
+
+
+@lru_cache(maxsize=None)
+def fresh_report_outcome(spec: str, args: tuple) -> str:
+    return report_outcome(parse_scheme(spec), args)
+
+
+@st.composite
+def report_sequences(draw):
+    spec = draw(st.sampled_from(REPORT_SPECS))
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        stage = draw(st.integers(1, 6))
+        xi_max = draw(st.sampled_from([2.0**11, 3000.0, 2.0**16, 2.0**20]))
+        samples = draw(st.sampled_from([64, 65, 96]))
+        calls.append((stage, xi_max, 10, samples, draw(st.integers(0, 2)), draw(st.integers(0, stage - 1))))
+    return spec, calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(report_sequences())
+def test_memoised_salem_reports_equal_fresh_scheme_reports(case):
+    """A scheme's kept decay fits never change a report: each equals a fresh scheme's, byte for byte in
+    its repr (a refused ladder raises the same error)."""
+    spec, calls = case
+    scheme = parse_scheme(spec)
+    for args in calls:
+        assert report_outcome(scheme, args) == fresh_report_outcome(spec, args)
 
 
 @pytest.mark.parametrize("spec", sorted(SPECS))
