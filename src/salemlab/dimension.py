@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .constructions import Scheme, StageReport
@@ -216,6 +217,10 @@ def _band_grid(count: int, seed: int) -> "np.ndarray":
 
 def _band_edges(xi_max: float, bands: int, samples_per_band: int) -> list[tuple[float, float]]:
     """The top `bands` dyadic bands below xi_max; FitError for arguments no Fourier fit takes."""
+    try:
+        bands, samples_per_band = index(bands), index(samples_per_band)
+    except TypeError:
+        raise FitError("bands and samples_per_band must be integers") from None
     if bands < 4:
         raise FitError("need at least four bands")
     if samples_per_band < 64:
@@ -298,9 +303,9 @@ def salem_report_with_measure(
 ) -> tuple[DimensionReport, Measure]:
     """`salem_report` and the decay measure its Fourier fit used.
 
-    The stage set and its natural measure are built once per call.  The
-    scheme keeps every stage it has built and, per `decay_key` (unless None)
-    and fit arguments, the decay measure and its Fourier fit (one memo each).
+    The stage set and its natural measure are built once per call.  The scheme keeps every stage it
+    has built and, per `decay_key` (unless None) and fit arguments (xi_max read as its top band's end
+    2^floor(log2 xi_max), all the fit reads of it), the decay measure and its Fourier fit (one memo each).
     """
     stage_set = scheme.stage(stage)
     reports = scheme.reports(fit_lo, stage)
@@ -316,8 +321,8 @@ def salem_report_with_measure(
         hdim = box.exponent
     mu_nat = natural_measure(stage_set)
     fro = _frostman_fit(mu_nat, *_frostman_grid(mu_nat))
-    _band_edges(xi_max, bands, samples_per_band)  # a bad argument raises before any lookup
-    args = (scheme.decay_key(stage), xi_max, bands, samples_per_band, seed)
+    top = _band_edges(xi_max, bands, samples_per_band)[-1][1]  # a bad argument raises before any lookup
+    args = (scheme.decay_key(stage), top, bands, samples_per_band, seed)
     fits = {} if args[0] is None else vars(scheme).setdefault("_decay_fit_memo", {})
     if args not in fits:
         mu_dec = scheme.decay_measure(stage, mu_nat)

@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter, le, lt
 from typing import Iterable, Sequence, Union
@@ -418,25 +418,27 @@ class BoxUnion(_Record):
 def _one_sided(src: IntervalUnion, dst: IntervalUnion) -> tuple[int, int]:
     """sup_{x in src} d(x, dst) as an int over E = 2 lcm(D_src, D_dst), and E.
 
-    d(., dst) is piecewise linear with breakpoints at dst endpoints and at
-    midpoints of dst gaps, so the sup over the closed union src is attained
-    at a src endpoint or at a breakpoint lying inside src.  Over the even
-    scale E the midpoints are ints, and each candidate looks only at the
-    dst pieces on either side of it.
+    d(., dst) is piecewise linear with breakpoints at dst endpoints and at midpoints of dst gaps,
+    so its sup over src is attained at a src endpoint or a gap midpoint inside src.  Over the even
+    scale E the midpoints are ints bounding the cells nearest each dst piece, and one forward merge
+    walks a pointer k over them, O(n + m) after the rescale: in a src piece [a, b] only dl[k] - a
+    and b - dr[k] at a's and b's nearest pieces k can exceed a midpoint's half gap.
     """
     (Ds, sl, sr), (Dd, dl, dr) = src.int_ends, dst.int_ends
     L = math.lcm(Ds, Dd)
     s, d = 2 * (L // Ds), 2 * (L // Dd)
     sl, sr, dl, dr = [a * s for a in sl], [b * s for b in sr], [a * d for a in dl], [b * d for b in dr]
-    candidates = sl + sr
-    for mid in ((b1 + a2) // 2 for b1, a2 in zip(dr, dl[1:])):
-        i = bisect_right(sl, mid)
-        if i and mid <= sr[i - 1]:
-            candidates.append(mid)
-    best = 0
-    for x in candidates:
-        i = bisect_right(dl, x)
-        best = max(best, min(([dl[i] - x] if i < len(dl) else []) + ([max(x - dr[i - 1], 0)] if i else [])))
+    mids = [(b1 + a2) // 2 for b1, a2 in zip(dr, dl[1:])]
+    best = k = 0
+    for a, b in zip(sl, sr):
+        while k < len(mids) and mids[k] < a:
+            k += 1
+        far = dl[k] - a
+        while k < len(mids) and mids[k] <= b:
+            if mids[k] - dr[k] > far:
+                far = mids[k] - dr[k]
+            k += 1
+        best = max(best, far, b - dr[k])
     return best, 2 * L
 
 
@@ -607,11 +609,11 @@ def disjoint_from_compact(F: IntervalUnion, K: IntervalUnion) -> bool:
 def simplex_partition_1d(A: IntervalUnion, grid: RationalLike) -> list[IntervalUnion]:
     """Slice A along the closed grid cells [n*grid, (n+1)*grid].
 
-    Consecutive outputs overlap in at most one point.  A cell whose
-    intersection is already contained in the previous output (a shared
-    boundary point) is skipped, so re-unioning the outputs gives back A
-    exactly without redundant singleton cells.  Cells are cut on
-    numerators over E = lcm(D, den grid).
+    Consecutive outputs overlap in at most one point.  A cell whose intersection is already
+    contained in the previous output (a shared boundary point) is skipped, so re-unioning the
+    outputs gives back A exactly without redundant singleton cells.  One forward walk cuts the
+    cells on numerators over E = lcm(D, den grid), each cell's pieces a slice of A's with only
+    its two ends clamped, and jumps the cells meeting no piece: O(pieces + cells met).
     """
     g = as_fraction(grid)
     if g <= 0:
@@ -623,16 +625,18 @@ def simplex_partition_1d(A: IntervalUnion, grid: RationalLike) -> list[IntervalU
     s, G = E // D, g.numerator * (E // g.denominator)  # cell n is [n*G, (n+1)*G] over E
     lefts, rights = [l * s for l in lefts], [r * s for r in rights]
     out: list[IntervalUnion] = []
-    for n in range(lefts[0] // G, rights[-1] // G + 1):
+    k, n = 0, lefts[0] // G - 1
+    while k < len(lefts):
+        # pieces[:k] are cut; cut the first cell after n meeting piece k (ending at lefts[k] if that is on the grid)
+        n = max(n + 1, (lefts[k] - 1) // G)
         c0, c1 = n * G, (n + 1) * G
-        k = bisect_left(rights, c0)  # first piece ending at or past the cell start
-        cl, cr = [], []
-        while k < len(lefts) and lefts[k] <= c1:
-            cl.append(max(lefts[k], c0))
-            cr.append(min(rights[k], c1))
-            k += 1
+        j = k + 1
+        while j < len(lefts) and lefts[j] <= c1:
+            j += 1
+        cl, cr = [max(lefts[k], c0), *lefts[k + 1:j]], [*rights[k:j - 1], min(rights[j - 1], c1)]
         # the previous output is the cell before's cut, which holds c0 if A does:
         # this cut lies in it exactly when it is the point c0
-        if cl and not (out and cl == cr == [c0]):
+        if not (out and cl == cr == [c0]):
             out.append(IntervalUnion._of_ints(E, cl, cr, A.space))
+        k = j - 1 if rights[j - 1] >= c1 else j  # piece j-1 may run on into the next cell
     return out

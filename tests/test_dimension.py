@@ -146,6 +146,9 @@ class TestFourierDecayFit:
             fourier_decay_fit(mu, xi_max=16.0, bands=10)
         with pytest.raises(FitError):
             fourier_decay_fit(mu, samples_per_band=32)
+        for bad in ({"samples_per_band": 128.0}, {"bands": 10.0}):  # refused before numpy or range reads it
+            with pytest.raises(FitError):
+                fourier_decay_fit(mu, **bad)
 
     def test_deterministic_given_seed(self):
         mu = natural_measure(cantor_stage(3, 4))
@@ -425,7 +428,18 @@ def test_a_natural_measure_ladder_fits_every_stage_and_keeps_no_measure(monkeypa
     assert not any(isinstance(x, measures.PiecewiseUniformMeasure) for x in held(scheme))
 
 
-@pytest.mark.parametrize("bad", [{"bands": 3}, {"samples_per_band": 32}])
+def test_the_decay_fit_memo_reads_xi_max_as_its_top_band(monkeypatch):
+    """xi_max = 2^16 and 70000 give the same top band 2^16, so one fit serves both reports."""
+    counts = count_fits(monkeypatch)
+    scheme = cli.parse_scheme("cantor:3")
+    first = salem_report(scheme, 4, xi_max=2**16, samples_per_band=64, seed=1)
+    second = salem_report(scheme, 4, xi_max=70000, samples_per_band=64, seed=1)
+    assert counts == {(2**16, 10, 64, 1): 1}
+    assert first == second == salem_report(cli.parse_scheme("cantor:3"), 4, xi_max=70000, samples_per_band=64, seed=1)
+
+
+# a float count equal to the warm fit's is refused too, though it would hash to the same memo key
+@pytest.mark.parametrize("bad", [{"bands": 3}, {"samples_per_band": 32}, {"samples_per_band": 64.0}, {"bands": 10.0}])
 def test_a_warm_scheme_still_refuses_bad_fit_arguments(bad, monkeypatch):
     scheme = cli.parse_scheme("cantor:3")
     salem_report(scheme, 4, samples_per_band=64, seed=1)

@@ -34,6 +34,7 @@ import json
 import math
 import pickle
 import random
+import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 from functools import lru_cache
@@ -1776,6 +1777,74 @@ def test_integer_partition_equals_the_fraction_partition(A, g):
     # atoms on grid lines: the cut {c0} after a cell ending at c0 is skipped, a first one kept
     B = IntervalUnion([(F(0), F(0)), (F(1, 4), F(1, 2)), (F(3, 4), F(3, 4))])
     assert simplex_partition_1d(B, F(1, 4)) == reference_simplex_partition(B, F(1, 4))
+
+
+# -- the forward walks' pointers --------------------------------------------
+#
+# Cases aimed at the metric's pointer over the dst gap midpoints and at the
+# partition's jumps and slices, checked against the oracles above.
+
+WALK_PAIRS = {
+    "several midpoints in one src piece": ([(0, 1)], [(0, 0), (F(1, 4), F(1, 3)), (F(1, 2), F(5, 8)), (1, 1)]),
+    "src pieces inside one dst gap": ([(F(3, 8), F(3, 8)), (F(2, 5), F(9, 20))], [(0, F(1, 4)), (F(3, 4), 1)]),
+    "src on both sides of a midpoint": ([(F(3, 10), F(2, 5)), (F(3, 5), F(7, 10))], [(0, F(1, 4)), (F(3, 4), 1)]),
+    "src past either end of dst": ([(0, F(1, 16)), (F(15, 16), 1)], [(F(1, 4), F(1, 3)), (F(1, 2), F(3, 4))]),
+    "src past both ends and across": ([(0, 1)], [(F(1, 4), F(1, 3)), (F(1, 2), F(3, 4))]),
+    "dst of one piece": ([(0, F(1, 8)), (F(1, 2), F(1, 2)), (F(7, 8), 1)], [(F(1, 3), F(2, 3))]),
+    "dst of one atom": ([(0, F(1, 8)), (F(5, 8), F(3, 4))], [(F(1, 2), F(1, 2))]),
+    "src atoms on the midpoints": ([(F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))], [(0, 0), (F(1, 2), F(1, 2)), (1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", WALK_PAIRS)
+def test_metric_walk_cases_equal_the_reference(name):
+    A, B = (IntervalUnion(pieces) for pieces in WALK_PAIRS[name])
+    assert one_sided_distance(A, B) == reference_one_sided(A, B)
+    assert one_sided_distance(B, A) == reference_one_sided(B, A)
+    assert hausdorff_metric(A, B).value == reference_hausdorff(A, B)
+
+
+def on_grid(q: int) -> st.SearchStrategy[F]:
+    """Multiples of 1/q in [0, 1]: pieces span several gaps, sit in one, or end where others do."""
+    return st.builds(F, st.integers(0, q), st.just(q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([4, 6, 8, 12]).flatmap(lambda q: st.tuples(unions(on_grid(q), 1), unions(on_grid(2 * q), 1))))
+def test_metric_walk_on_grid_unions_equals_the_reference(pair):
+    A, B = pair
+    assert one_sided_distance(A, B) == reference_one_sided(A, B)
+    assert one_sided_distance(B, A) == reference_one_sided(B, A)
+
+
+PARTITION_CASES = [
+    ([(F(1, 10), F(9, 10))], F(1, 4)),  # one piece over several cells
+    ([(0, F(1, 4)), (F(1, 2), F(3, 4))], F(1, 4)),  # grid point to grid point, an empty cell between
+    ([(0, 0), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 2)), (1, 1)], F(1, 4)),  # atoms on grid points
+    ([(0, F(1, 8)), (F(1, 4), F(5, 8)), (F(3, 4), 1)], F(1, 8)),  # on the grid, one piece over three cells
+    ([(F(1, 3), F(1, 3)), (F(1, 2), 1)], F(1, 6)),  # an atom on a grid point after empty cells
+    ([(F(1, 7), F(2, 7)), (F(3, 7), F(6, 7))], F(1, 3)),  # pieces ending inside cells a piece spans
+]
+
+
+@pytest.mark.parametrize("pieces, g", PARTITION_CASES)
+def test_partition_walk_cases_equal_the_references(pieces, g):
+    A = IntervalUnion(pieces)
+    assert simplex_partition_1d(A, g) == reference_partition(A, g) == reference_simplex_partition(A, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([4, 6, 8, 12]).flatmap(lambda q: unions(on_grid(q), 1)), st.integers(1, 12))
+def test_partition_walk_on_grid_unions_equals_the_reference(A, r):
+    assert simplex_partition_1d(A, F(1, r)) == reference_partition(A, F(1, r))
+
+
+def test_partition_jumps_the_empty_cells():
+    A = IntervalUnion([(0, 0), (1, 1)])  # 2^40 cells apart
+    start = time.perf_counter()
+    parts = simplex_partition_1d(A, F(1, 2**40))
+    assert time.perf_counter() - start < 0.25
+    assert parts == [IntervalUnion([(0, 0)]), IntervalUnion([(1, 1)])]
 
 
 def reference_jarnik(alpha: float, j: int) -> tuple:
