@@ -14,7 +14,7 @@ _EXPORTS = {
     "dimension": "DecayFit DimensionReport FitError box_count_fit clamp_dimension countable_union_sup covering_sum"
     " fourier_decay_fit frostman_fit salem_report",
     "geometry": "BoxUnion GeometryError HausdorffDistance IntervalUnion diameter disjoint_from_compact"
-    " hausdorff_metric hausdorff_metric_boxes intersects_open simplex_partition_1d subset_of_open",
+    " hausdorff_metric intersects_open simplex_partition_1d subset_of_open",
     "measures": "MeasureError PiecewiseUniformMeasure SelfSimilarProductMeasure affine_pushforward ball_mass"
     " natural_measure",
     "numberfield": "GaussianInt gaussian_block_reports gaussian_jarnik_stage is_gaussian_prime mult_matrix"

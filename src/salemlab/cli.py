@@ -169,7 +169,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
     A, B = _read_union(args.file_a), _read_union(args.file_b)
     d = hausdorff_metric(A, B)
     if args.format == "json":
-        print(json.dumps({"value": float(d), "exact": format_fraction(d.value) if d.exact else None}))
+        print(json.dumps({"value": float(d), "exact": format_fraction(d.value)}))
     else:
         print(_fmt(float(d)))
     return 0

@@ -134,9 +134,9 @@ class _Record:
 class HausdorffDistance(_Record):
     """Distance between two compact unions.
 
-    `value` is a Fraction whenever `exact` is True (always the case in one
-    dimension); otherwise a float from vertex sampling.  Immutable; equal
-    and hashed as the pair (value, exact).
+    The lab's metric is exact, so `value` is a Fraction and `exact` is True;
+    the flag stays part of the value.  Immutable; equal and hashed as the pair
+    (value, exact).
     """
 
     __slots__ = ("value", "exact")
@@ -296,10 +296,10 @@ class IntervalUnion(_Record):
         return not self.is_empty and self.point_distance(x) == 0
 
     def subset_of(self, other: "IntervalUnion") -> bool:
-        """Exact containment: every piece of self lies in the last piece of other starting at or before it."""
-        (D, lefts, rights), (E, ol, orr) = self.int_ends, other.int_ends  # compared over D*E
-        last = [bisect_right(ol, a * E, key=lambda l: l * D) - 1 for a in lefts]
-        return all(j >= 0 and b * E <= orr[j] * D for j, b in zip(last, rights))
+        """Exact containment: the metric's walk from self to other is 0; the empty set lies in every union."""
+        if self.is_empty or other.is_empty:
+            return self.is_empty
+        return _walk(*_rescaled(self, other)[:2]) == 0
 
     def point_distance(self, x: RationalLike) -> Fraction:
         """Exact d(x, self) from the pieces on either side of x; raises on the empty set."""
@@ -415,38 +415,47 @@ class BoxUnion(_Record):
 # ---------------------------------------------------------------------------
 
 
-def _one_sided(src: IntervalUnion, dst: IntervalUnion) -> tuple[int, int]:
-    """sup_{x in src} d(x, dst) as an int over E = 2 lcm(D_src, D_dst), and E.
+def _rescaled(A: IntervalUnion, B: IntervalUnion) -> tuple[tuple, tuple, int]:
+    """A's and B's (left, right) endpoint numerators over E = 2 lcm(D_A, D_B), and E: one rescale for both walks."""
+    (Da, al, ar), (Db, bl, br) = A.int_ends, B.int_ends
+    L = math.lcm(Da, Db)
+    s, t = 2 * (L // Da), 2 * (L // Db)
+    return ([a * s for a in al], [b * s for b in ar]), ([a * t for a in bl], [b * t for b in br]), 2 * L
+
+
+def _walk(src: tuple[list[int], list[int]], dst: tuple[list[int], list[int]]) -> int:
+    """sup_{x in src} d(x, dst) over the even scale E of `_rescaled`, for nonempty src and dst.
 
     d(., dst) is piecewise linear with breakpoints at dst endpoints and at midpoints of dst gaps,
     so its sup over src is attained at a src endpoint or a gap midpoint inside src.  Over the even
     scale E the midpoints are ints bounding the cells nearest each dst piece, and one forward merge
-    walks a pointer k over them, O(n + m) after the rescale: in a src piece [a, b] only dl[k] - a
-    and b - dr[k] at a's and b's nearest pieces k can exceed a midpoint's half gap.
+    walks a pointer k over them, O(n + m): in a src piece [a, b] only dl[k] - a and b - dr[k] at
+    a's and b's nearest pieces k can exceed a midpoint's half gap.
     """
-    (Ds, sl, sr), (Dd, dl, dr) = src.int_ends, dst.int_ends
-    L = math.lcm(Ds, Dd)
-    s, d = 2 * (L // Ds), 2 * (L // Dd)
-    sl, sr, dl, dr = [a * s for a in sl], [b * s for b in sr], [a * d for a in dl], [b * d for b in dr]
-    mids = [(b1 + a2) // 2 for b1, a2 in zip(dr, dl[1:])]
+    (sl, sr), (dl, dr) = src, dst
+    mids = [(b1 + a2) // 2 for b1, a2 in zip(dr, dl[1:])] + [sr[-1] + 1]  # the last bound stops k on dst's last piece
     best = k = 0
     for a, b in zip(sl, sr):
-        while k < len(mids) and mids[k] < a:
+        while mids[k] < a:
             k += 1
         far = dl[k] - a
-        while k < len(mids) and mids[k] <= b:
+        while mids[k] <= b:
             if mids[k] - dr[k] > far:
                 far = mids[k] - dr[k]
             k += 1
-        best = max(best, far, b - dr[k])
-    return best, 2 * L
+        if b - dr[k] > far:
+            far = b - dr[k]
+        if far > best:
+            best = far
+    return best
 
 
 def one_sided_distance(src: IntervalUnion, dst: IntervalUnion) -> Fraction:
     """sup_{x in src} d(x, dst), exact; raises on an empty src or dst."""
     if src.is_empty or dst.is_empty:
         raise GeometryError("one-sided distance needs two nonempty unions")
-    return Fraction(*_one_sided(src, dst))
+    s, d, E = _rescaled(src, dst)
+    return Fraction(_walk(s, d), E)
 
 
 def hausdorff_metric(A: IntervalUnion, B: IntervalUnion) -> HausdorffDistance:
@@ -454,7 +463,7 @@ def hausdorff_metric(A: IntervalUnion, B: IntervalUnion) -> HausdorffDistance:
 
     Empty-set cases follow the three-way metric definition, with the
     diameter of the ambient space standing in for the infinite distance.
-    Both one-sided sups are ints over 2 lcm(D_A, D_B); one Fraction is made.
+    One rescale to 2 lcm(D_A, D_B), then the walk in each direction; one Fraction is made.
     """
     if A.space != B.space:
         raise GeometryError("operands must share the same space bound")
@@ -462,58 +471,8 @@ def hausdorff_metric(A: IntervalUnion, B: IntervalUnion) -> HausdorffDistance:
         return HausdorffDistance(ZERO)
     if A.is_empty or B.is_empty:
         return HausdorffDistance(A.space[1] - A.space[0])
-    (ab, E), (ba, _) = _one_sided(A, B), _one_sided(B, A)
-    return HausdorffDistance(Fraction(max(ab, ba), E))
-
-
-def hausdorff_metric_boxes(A: BoxUnion, B: BoxUnion) -> HausdorffDistance:
-    """Approximate Hausdorff distance between box unions via vertex sampling.
-
-    Samples a grid of 4 points per nondegenerate box side and takes the max-min distance;
-    always flagged inexact.  Exact d >= 2 distances are out of scope.
-    """
-    if A.dimension != B.dimension:
-        raise GeometryError("box unions must share a dimension")
-    if A.is_empty and B.is_empty:
-        return HausdorffDistance(0.0, exact=False)
-    if A.is_empty or B.is_empty:
-        span = 0.0
-        for U in (A, B):
-            for box in U.pieces:
-                span = max(span, max(float(b - a) for a, b in box), *(abs(float(v)) for a, b in box for v in (a, b)))
-        return HausdorffDistance(2.0 * span if span else 1.0, exact=False)
-
-    def sample_points(U: BoxUnion) -> list[tuple[float, ...]]:
-        pts = []
-        for box in U.pieces:
-            axes = [
-                [float(a) + (float(b - a)) * t / 3 for t in range(4)]
-                if b > a
-                else [float(a)]
-                for a, b in box
-            ]
-            pts.extend(itertools.product(*axes))
-        return pts
-
-    def point_to_union(p: tuple[float, ...], U: BoxUnion) -> float:
-        best = math.inf
-        for box in U.pieces:
-            d2 = 0.0
-            for v, (a, b) in zip(p, box):
-                fa, fb = float(a), float(b)
-                if v < fa:
-                    d2 += (fa - v) ** 2
-                elif v > fb:
-                    d2 += (v - fb) ** 2
-            best = min(best, d2)
-        return math.sqrt(best)
-
-    pa, pb = sample_points(A), sample_points(B)
-    value = max(
-        max(point_to_union(p, B) for p in pa),
-        max(point_to_union(p, A) for p in pb),
-    )
-    return HausdorffDistance(value, exact=False)
+    a, b, E = _rescaled(A, B)
+    return HausdorffDistance(Fraction(max(_walk(a, b), _walk(b, a)), E))
 
 
 def _sqrt_exact(x: Fraction) -> Union[Fraction, float]:

@@ -318,48 +318,6 @@ class TestAffineImages:
             IntervalUnion.full().affine(0, 0)
 
 
-class TestBoxHausdorffApprox:
-    def test_flagged_inexact_and_sane(self):
-        from salemlab.geometry import hausdorff_metric_boxes
-
-        A = BoxUnion(2, [((0, F(1, 2)), (0, F(1, 2)))])
-        B = BoxUnion(2, [((F(1, 2), 1), (F(1, 2), 1))])
-        d = hausdorff_metric_boxes(A, B)
-        assert not d.exact
-        # corners (0,0) and (1,1) are each sqrt(1/2) from the other box
-        assert abs(float(d) - 2**0.5 / 2) < 0.05
-        assert hausdorff_metric_boxes(A, A).value == 0.0
-
-    def test_sampled_points_of_boxes_and_segments(self):
-        from salemlab.geometry import hausdorff_metric_boxes
-
-        # a 4 x 4 grid of points per box, one point per degenerate axis
-        A = BoxUnion(2, [((0, F(1, 2)), (0, F(1, 2)))])
-        B = BoxUnion(2, [((F(1, 2), 1), (F(1, 2), 1))])
-        assert hausdorff_metric_boxes(A, B).value == math.sqrt(0.5)
-        segment = BoxUnion(2, [((0, 1), (0, 0))])
-        point = BoxUnion(2, [((F(1, 3), F(1, 3)), (1, 1))])
-        assert hausdorff_metric_boxes(segment, point).value == math.sqrt((1.0 - 1 / 3) ** 2 + 1.0)
-        ends = BoxUnion(2, [((0, 0), (0, 0)), ((1, 1), (0, 0))])
-        assert hausdorff_metric_boxes(segment, ends).value == pytest.approx(1 / 3, abs=1e-15)  # at x = 1/3, 2/3
-        cube = BoxUnion(3, [((0, F(3, 4)), (0, 0), (F(1, 4), 1))])
-        corner = BoxUnion(3, [((1, 1), (1, 1), (1, 1))])
-        assert hausdorff_metric_boxes(cube, corner).value == math.sqrt(1.0 + 1.0 + 0.75**2)
-
-    def test_one_empty_operand_reads_twice_the_other_span(self):
-        from salemlab.geometry import hausdorff_metric_boxes
-
-        empty = BoxUnion(2, [])
-        # the span is the largest side or coordinate magnitude over the nonempty union's boxes
-        wide = BoxUnion(2, [((F(-3, 4), F(1, 4)), (F(1, 8), F(1, 2)))])  # side 1
-        far = BoxUnion(2, [((F(1, 2), F(3, 4)), (F(-7, 8), F(-7, 8))), ((0, F(1, 8)), (0, F(1, 8)))])  # |-7/8|
-        origin = BoxUnion(2, [((0, 0), (0, 0))])  # span 0 reads 1
-        for U, value in ((wide, 2.0), (far, 1.75), (origin, 1.0)):
-            for d in (hausdorff_metric_boxes(U, empty), hausdorff_metric_boxes(empty, U)):
-                assert d.value == value and not d.exact
-        assert hausdorff_metric_boxes(empty, empty).value == 0.0
-
-
 class TestHausdorffDistanceValue:
     def test_constructor_fields_and_float(self):
         d = HausdorffDistance(F(1, 4))

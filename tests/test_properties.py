@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -1745,6 +1746,32 @@ def test_integer_metric_on_atoms_and_gap_midpoints():
     assert one_sided_distance(C, B) == F(1, 4) and one_sided_distance(B, C) == F(1, 3)
     with pytest.raises(GeometryError):
         one_sided_distance(A, IntervalUnion.empty())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(related_unions(2), unrelated_unions()))
+def test_subset_of_equals_a_zero_one_sided_distance(pair):
+    """Every ordered pair of A, B and their union A u B, so that both answers occur."""
+    A, B = pair
+    C = IntervalUnion.from_intervals(A.pieces + B.pieces)
+    for X, Y in itertools.permutations((A, B, C), 2):
+        if X.is_empty or Y.is_empty:
+            assert X.subset_of(Y) == X.is_empty
+        else:
+            assert X.subset_of(Y) == (reference_one_sided(X, Y) == 0)
+    assert A.subset_of(C) and B.subset_of(C)
+
+
+@pytest.mark.parametrize("src, dst", [
+    ([(F(1, 8), F(1, 2))], [(F(1, 4), F(3, 4))]),  # starts left of its nearest piece: dl[k] - a
+    ([(F(1, 4), F(3, 4))], [(0, F(1, 4)), (F(3, 4), 1)]),  # spans the gap: mids[k] - dr[k]
+    ([(F(1, 2), F(7, 8))], [(F(1, 4), F(3, 4))]),  # ends right of its nearest piece: b - dr[k]
+], ids=["starts-left", "spans-gap", "ends-right"])
+def test_subset_of_on_each_term_of_the_walk(src, dst):
+    """The source leaves the target through one term of the walk alone; both lie in their union."""
+    S, T, U = IntervalUnion(src), IntervalUnion(dst), IntervalUnion.from_intervals(src + dst)
+    assert not S.subset_of(T) and reference_one_sided(S, T) > 0
+    assert S.subset_of(U) and T.subset_of(U)
 
 
 def reference_simplex_partition(A: IntervalUnion, grid) -> list[IntervalUnion]:
