@@ -158,51 +158,14 @@ class Scheme:
 # ---------------------------------------------------------------------------
 
 
-def cantor_stage(n: int, k: int) -> IntervalUnion:
-    """Stage k of the symmetric Cantor construction with dissection ratio 1/n.
-
-    Each parent [a, b] spawns [a, a + (b-a)/n] and [b - (b-a)/n, b], so the
-    stage holds 2^k intervals of length n^-k.
-    """
-    if n < 3:
-        raise ConstructionError("dissection parameter must satisfy n >= 3")
-    if k < 0:
-        raise ConstructionError("stage must be nonnegative")
-    lefts = [0]  # left endpoints times n^j at stage j
-    for _ in range(k):
-        lefts = [m for a in lefts for m in (n * a, n * a + n - 1)]
-    return IntervalUnion._of_ints(n**k, lefts, [a + 1 for a in lefts])
-
-
-class CantorScheme(Scheme):
-    def __init__(self, n: int) -> None:
-        if n < 3:
-            raise ConstructionError("dissection parameter must satisfy n >= 3")
-        self.n = n
-        self.name = f"cantor:{n}"
-        self.declared_hdim = math.log(2) / math.log(n)
-        self.declared_fdim = 0.0
-
-    @_memo
-    def stage(self, k: int) -> IntervalUnion:
-        return cantor_stage(self.n, k)
-
-    def decay_measure(self, k: int, natural=None):
-        from . import measures
-
-        return measures.SelfSimilarProductMeasure(
-            branching=2,
-            offsets=((Fraction(0), Fraction(self.n - 1, self.n)),),
-            contractions=(Fraction(1, self.n),),
-        )
-
-    def decay_key(self, k: int):
-        return 0  # the limit measure, at every stage
-
-
 def _dimension_schedule(p: float, k: int) -> Fraction:
     """2^(-k/p), the length schedule of `GeneralizedCantorScheme.for_dimension(p)`; a module function pickles."""
     return _dyadic_pow(2.0, -k / p)
+
+
+def _power_schedule(n: int, k: int) -> Fraction:
+    """n^-k, the length schedule of `CantorScheme(n)`; a module function pickles."""
+    return Fraction(1, n**k)
 
 
 class GeneralizedCantorScheme(Scheme):
@@ -253,6 +216,40 @@ class GeneralizedCantorScheme(Scheme):
 
     def decay_key(self, k: int):
         return max(k, 24)  # the schedule's first max(k, 24) ratios
+
+
+class CantorScheme(GeneralizedCantorScheme):
+    """The symmetric Cantor set with dissection ratio 1/n, n >= 3: `GeneralizedCantorScheme` on the
+    schedule n^-k, whose decay measure is the product measure with every contraction 1/n.
+
+    - dim_H = log 2 / log n: the set is self-similar under two similitudes of ratio 1/n, which
+      satisfy the open set condition (Hutchinson 1981; Falconer, *Fractal Geometry*, Thm 9.3).
+    - dim_F = 0: n >= 3 is an integer, so a Pisot number, and by Salem's theorem the set is then
+      a set of uniqueness, which carries no Rajchman measure, so none whose transform decays
+      (Kahane–Salem 1963, ch. VI).  The argument is for the constant ratio 1/n; it does not
+      cover `gcantor:p`.
+    """
+
+    def __init__(self, n: int) -> None:
+        if n < 3:
+            raise ConstructionError("dissection parameter must satisfy n >= 3")
+        super().__init__(partial(_power_schedule, n), name=f"cantor:{n}")
+        self.n = n
+        self.declared_hdim = math.log(2) / math.log(n)
+        self.declared_fdim = 0.0
+
+    @_memo
+    def stage(self, k: int) -> IntervalUnion:
+        """Each parent [a, b] spawns [a, a + (b-a)/n] and [b - (b-a)/n, b], over n^k: faster than the generic merge."""
+        n, lefts = self.n, [0]  # left endpoints times n^j at stage j
+        for _ in range(k):
+            lefts = [m for a in lefts for m in (n * a, n * a + n - 1)]
+        return IntervalUnion._of_ints(n**k, lefts, [a + 1 for a in lefts])
+
+
+def cantor_stage(n: int, k: int) -> IntervalUnion:
+    """Stage k of the symmetric Cantor construction with dissection ratio 1/n: `CantorScheme(n).stage(k)`."""
+    return CantorScheme(n).stage(k)
 
 
 class IntervalScheme(Scheme):

@@ -23,7 +23,9 @@ and the block towers' declarations against the hand formulas they replaced
 (ordered, never raised by more 1-bits, and Salem for `salemgap` exactly on
 the P3 members), with the locality of the `salemgap` stages in the bits;
 and the value contract of the six immutable types: copied, deep-copied and
-pickled by value, with no attribute set or deleted."""
+pickled by value, with no attribute set or deleted; and the `cantor` scheme's
+inherited product measure, bit for bit, against the one-contraction limit
+measure it replaced, and its own n^k stage builder against the generic one."""
 
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 import numpy as np
@@ -61,6 +63,7 @@ from salemlab.constructions import (
     StageReport,
     WeihrauchScheme,
     _dyadic_pow,
+    _power_schedule,
     _radial_quadrant,
     _radius,
     jarnik_stage,
@@ -1908,6 +1911,36 @@ def test_integer_gcantor_stages_equal_the_fraction_stages(p):
     # a schedule that is not dyadic, clamped at half the parent length from stage 2 on
     thirds = GeneralizedCantorScheme(lambda k: F(1, 3) if k == 1 else F(1, 5**k))
     assert [built(thirds.stage(k)) for k in range(6)] == reference_gcantor_stages(thirds, 5)
+
+
+FIT_BANDS = [(2.0**j, 2.0 ** (j + 1)) for j in range(6, 16)]  # the default fit's bands
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(6, 16), min_size=1, max_size=24))
+def test_cantor_scheme_decay_measure_is_the_one_contraction_limit_measure(exponents):
+    """The 24 equal contractions 1/n that `CantorScheme` inherits read, bit for bit, like the limit measure
+    with the one contraction 1/n, at seeded frequencies in 2^6..2^16 and at every band's resonant points."""
+    for n in range(3, 10):
+        limit = SelfSimilarProductMeasure(2, ((0, F(n - 1, n)),), (F(1, n),))
+        resonant = [limit.resonant_frequencies(lo, hi) for lo, hi in FIT_BANDS]
+        xs = np.array([2.0**e for e in exponents] + list(chain(*resonant)))
+        for k in (0, 8, 24, 30):
+            mu = CantorScheme(n).decay_measure(k)
+            assert [mu.resonant_frequencies(lo, hi) for lo, hi in FIT_BANDS] == resonant
+            assert [mu.auto_depth(xi) for xi in xs] == [limit.auto_depth(xi) for xi in xs]
+            assert bits(mu.fourier_eval(xi) for xi in xs) == bits(limit.fourier_eval(xi) for xi in xs)
+            assert bits(mu.fourier_eval_many(xs)) == bits(limit.fourier_eval_many(xs))
+            assert bits(mu.fourier_modulus_many(xs)) == bits(limit.fourier_modulus_many(xs))
+
+
+def test_cantor_scheme_stage_is_the_generic_power_schedule_stage():
+    """`CantorScheme` keeps its own n^k stage builder; it builds what the generic builder does on n^-k.
+    The generic scheme is a separate instance, since both classes keep stages in one `_stage_memo`."""
+    for n in range(3, 8):
+        cantor, generic = CantorScheme(n), GeneralizedCantorScheme(partial(_power_schedule, n))
+        for k in range(9):
+            assert built(cantor.stage(k)) == built(generic.stage(k))
 
 
 @pytest.mark.parametrize("spec", sorted(SPECS))
