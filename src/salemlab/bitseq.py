@@ -49,9 +49,8 @@ class BitSequence(_Record):
 
     @classmethod
     def from_string(cls, text: str) -> "BitSequence":
-        """Parse '110', '11(01)' or '(10)'; a trailing '^w' is tolerated."""
-        s = text.strip().replace("^w", "").replace("^ω", "").replace("ω", "")
-        m = re.fullmatch(r"([01]*)(?:\(([01]+)\))?", s)
+        """Parse '110', '11(01)' or '(10)'; a trailing '^w', '^ω' or 'ω' is tolerated, and nowhere else."""
+        m = re.fullmatch(r"([01]*)(?:\(([01]+)\))?(?:\^w|\^?ω)?", text.strip())
         if not m:
             raise ValueError(f"bad bit-sequence literal: {text!r}")
         pre, per = m.group(1), m.group(2)

@@ -648,15 +648,12 @@ class WeihrauchScheme(Scheme):
             y = ZERO_SEQ
             for i in f:
                 y = y | self.xs[i - 1]
-            self._blocks.append(FpScheme(float(sum(Fraction(1, 2**i) for i in f)), y))
+            self._blocks.append(FpScheme(weihrauch_dimension_target([i in f for i in range(1, n + 1)]), y))
         _declare(self, self._blocks, 0.0)  # the largest good block is F_k = the eventually-zero sequences
-
-    def block_union(self, k: int, depth: int) -> IntervalUnion:
-        return self._blocks[k].stage(depth).map_onto(block_interval(k))
 
     @_memo
     def stage(self, depth: int) -> IntervalUnion:
-        blocks = (self.block_union(k, depth) for k in range(len(self._blocks) - 1, -1, -1))
+        blocks = (self._blocks[k].stage(depth).map_onto(block_interval(k)) for k in range(len(self._blocks) - 1, -1, -1))
         return _tower((1, [0], [0]), blocks)
 
 

@@ -18,8 +18,8 @@ from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .constructions import Scheme, StageReport
-from .geometry import IntervalUnion, as_fraction
-from .measures import Measure, PiecewiseUniformMeasure, _common_numerators, natural_measure
+from .geometry import IntervalUnion, _common_numerators, as_fraction
+from .measures import Measure, PiecewiseUniformMeasure, natural_measure
 
 if TYPE_CHECKING:
     import numpy as np

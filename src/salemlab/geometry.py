@@ -83,11 +83,15 @@ def _format(n: int, d: int) -> str:
         raise
 
 
+def _common_numerators(D: int, *groups: Sequence[Fraction]) -> tuple:
+    """E = lcm(D, every denominator), then each group's numerators over E."""
+    E = math.lcm(D, *{q.denominator for qs in groups for q in qs})
+    return (E, *([q.numerator * (E // q.denominator) for q in qs] for qs in groups))
+
+
 def integer_ends(pieces: Iterable[Sequence]) -> tuple[int, list[int], list[int]]:
     """Common denominator D of the first two entries of each piece, and their numerators over D."""
-    ends = [e for p in pieces for e in p[:2]]
-    D = math.lcm(*{e.denominator for e in ends})
-    nums = [e.numerator * (D // e.denominator) for e in ends]
+    D, nums = _common_numerators(1, [e for p in pieces for e in p[:2]])
     return D, nums[0::2], nums[1::2]
 
 
@@ -542,27 +546,15 @@ def subset_of_open(K: IntervalUnion, U: Iterable[tuple[RationalLike, RationalLik
 
 def intersects_open(K: IntervalUnion, U: Iterable[tuple[RationalLike, RationalLike]]) -> bool:
     """Vietoris prebase predicate: K meets the open union U."""
-    for a, b in K.pieces:
-        for c, d in ((as_fraction(c), as_fraction(d)) for c, d in U):
-            if c < d and a < d and c < b:
-                return True
-    return False
+    comps = _open_components(U)
+    return any(a < d and c < b for a, b in K.pieces for c, d in comps)
 
 
 def disjoint_from_compact(F: IntervalUnion, K: IntervalUnion) -> bool:
-    """Fell prebase predicate: the closed unions share no point."""
-    i = j = 0
-    fp, kp = F.pieces, K.pieces
-    while i < len(fp) and j < len(kp):
-        a, b = fp[i]
-        c, d = kp[j]
-        if max(a, c) <= min(b, d):
-            return False
-        if b < d:
-            i += 1
-        else:
-            j += 1
-    return True
+    """Fell prebase predicate: the closed unions share no point.  Touching closed pieces share
+    one, so the unions are disjoint exactly when merging both views joins no two pieces."""
+    hull = (min(F.space[0], K.space[0]), max(F.space[1], K.space[1]))
+    return len(IntervalUnion._merged([F.int_ends, K.int_ends], hull)) == len(F) + len(K)
 
 
 def simplex_partition_1d(A: IntervalUnion, grid: RationalLike) -> list[IntervalUnion]:

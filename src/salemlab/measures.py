@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import le
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .geometry import IntervalUnion, as_fraction, integer_ends, view_pieces
+from .geometry import IntervalUnion, _common_numerators, as_fraction, integer_ends, view_pieces
 
 if TYPE_CHECKING:
     import numpy as np
@@ -394,6 +394,7 @@ class SelfSimilarProductMeasure:
         self._sf, self._tf = float(self.scale), float(self.shift)
         self._sched = [abs(self._sf)]
         self._sched = self._stage_scales(201)  # s_0..s_200, read by every transform
+        self._tail = self._sched[199:7:-1]  # s_199 .. s_8, ascending: the depth rule's table
 
     def _stage_scales(self, depth: int) -> list[float]:
         """|parent length| ahead of stages 1..depth, from the schedule or a longer copy."""
@@ -405,14 +406,12 @@ class SelfSimilarProductMeasure:
     def auto_depth(self, xi: float) -> int:
         """Depth rule: truncate once the residual scale resolves xi to 1e-3.
 
-        The schedule does not increase, so this is 8 plus the count of d in
-        8..199 with s_d >= target.
+        The schedule does not increase, so this is 200 minus the count of d in
+        8..199 with s_d < target, the bisection that `fourier_eval_many`
+        searchsorts; a NaN target sorts last there, so NaN gets depth 8.
         """
         target = 1e-3 / max(abs(xi), 1.0)
-        depth = 8
-        while depth < 200 and self._sched[depth] >= target:
-            depth += 1
-        return depth
+        return 8 if math.isnan(target) else 200 - bisect.bisect_left(self._tail, target)
 
     def fourier_eval(self, xi: float, depth: int | None = None) -> complex:
         """Truncated product: prod over stages of the mean branch phase."""
@@ -440,7 +439,7 @@ class SelfSimilarProductMeasure:
         sums start from 0.0, 1/b multiplies as (1/b, 0.0) and each stage as
         (ar*tr - ai*ti, ar*ti + ai*tr), in real arithmetic since numpy's
         complex product may fuse multiply-adds.  Sorted deepest first once
-        (depth: a searchsorted on the schedule), stage j runs only on the
+        (depth: a searchsorted on the tail), stage j runs only on the
         prefix of depth > j; elementwise floats do not depend on position.
         A zero offset adds cos(+-0) = 1.0 to the real sum and skips sin(+-0)
         = +-0, which leaves the imaginary sum as it is: that sum starts at
@@ -449,8 +448,7 @@ class SelfSimilarProductMeasure:
         import numpy as np
 
         nxi = -np.asarray(xis, dtype=float)
-        tail = np.array(self._sched[199:7:-1])  # s_199 .. s_8, ascending
-        depth = 200 - np.searchsorted(tail, 1e-3 / np.maximum(np.abs(nxi), 1.0))
+        depth = 200 - np.searchsorted(self._tail, 1e-3 / np.maximum(np.abs(nxi), 1.0))
         order = np.argsort(-depth, kind="stable")
         nxi, live = nxi[order], np.searchsorted(-depth[order], -np.arange(depth.max(initial=0)))  # live[j]: depths > j
         theta = 0.0 + nxi * self._tf
@@ -523,12 +521,6 @@ class SelfSimilarProductMeasure:
 
 
 Measure = PiecewiseUniformMeasure | SelfSimilarProductMeasure
-
-
-def _common_numerators(D: int, *groups: Sequence[Fraction]) -> tuple:
-    """E = lcm(D, every denominator), then each group's numerators over E."""
-    E = math.lcm(D, *(q.denominator for qs in groups for q in qs))
-    return (E, *([q.numerator * (E // q.denominator) for q in qs] for qs in groups))
 
 
 def natural_measure(A: IntervalUnion) -> PiecewiseUniformMeasure:

@@ -17,8 +17,10 @@ class TestBitSequence:
         assert BitSequence.from_string("(10)").bits(5) == (1, 0, 1, 0, 1)
         assert BitSequence.from_string("11(01)").bits(6) == (1, 1, 0, 1, 0, 1)
         assert BitSequence.from_string("0^w").is_zero
-        with pytest.raises(ValueError):
-            BitSequence.from_string("1x0")
+        assert BitSequence.from_string("1(0)^w") == BitSequence.from_string("1")
+        for text in ("1x0", "1^w0", "(1^w0)", "ω1", "1^w^w"):
+            with pytest.raises(ValueError):
+                BitSequence.from_string(text)
 
     def test_canonical_equality(self):
         assert BitSequence.from_string("101(01)") == BitSequence.from_string("(10)")
@@ -46,6 +48,20 @@ class TestBitSequence:
         m = next(m for m in range(len(prefix) + 1) if repeats(m, p))
         assert seq.period == tuple(bits[m:m + p]) and seq.prefix == tuple(bits[:m])
         assert seq.bits(len(bits)) == tuple(bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_omega_suffix_is_read_at_the_end_only(self, data):
+        """'^w', '^ω' or 'ω' ends a literal and changes nothing; anywhere else the literal is refused."""
+        prefix = "".join(data.draw(st.lists(st.sampled_from("01"), max_size=5), label="prefix"))
+        period = "".join(data.draw(st.lists(st.sampled_from("01"), max_size=4), label="period"))
+        text = prefix + (f"({period})" if period else "")
+        omega = data.draw(st.sampled_from(["^w", "^ω", "ω"]), label="omega")
+        assert BitSequence.from_string(text + omega) == BitSequence.from_string(text)
+        inner = text or "1"
+        cut = data.draw(st.integers(0, len(inner) - 1), label="cut")  # at least one character follows
+        with pytest.raises(ValueError, match="bad bit-sequence literal"):
+            BitSequence.from_string(inner[:cut] + omega + inner[cut:])
 
     def test_q2_membership(self):
         assert q2_member(BitSequence.from_string("110000"))

@@ -85,6 +85,12 @@ class TestBuildCommand:
     def test_bad_spec_exit_code(self, tmp_path, capsys):
         assert run(["build", "cantor:2", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("spec", ["fp:0.5:x=1^w0", "pi03:0.5:rows=(1^w0);0", "weihrauch:xs=ω1"])
+    def test_omega_inside_a_bit_literal_is_exit_two(self, spec, tmp_path, capsys):
+        assert run(["build", spec, "--stage", "2", "--out", str(tmp_path / "x")]) == 2
+        assert "bad bit-sequence literal" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestMetricCommand:
     def write(self, path, union):

@@ -227,6 +227,8 @@ class TestPrebasePredicates:
         assert intersects_open(A, [(F(1, 2), F(7, 10))])
         assert not intersects_open(IntervalUnion([(0, F(1, 3))]), [(F(1, 3), F(1, 2))])
         assert not intersects_open(IntervalUnion.empty(), [(0, 1)])
+        K, U = IntervalUnion([(0, F(1, 10)), (F(1, 2), F(3, 5))]), [(F(2, 5), F(7, 10))]
+        assert intersects_open(K, U) and intersects_open(K, (u for u in U))  # U meets K's second piece only
 
     def test_agreement_with_grid_oracle(self):
         rng = random.Random(13)
@@ -255,6 +257,14 @@ class TestPrebasePredicates:
             IntervalUnion([(0, F(1, 2))]), IntervalUnion([(F(1, 2), 1)])
         )
         assert disjoint_from_compact(IntervalUnion.empty(), IntervalUnion.full())
+        # unions in two spaces, in both orders, and an atom on a piece's end
+        F01 = IntervalUnion([(0, F(1, 4)), (F(1, 2), 1)])
+        K02 = IntervalUnion([(F(5, 16), F(3, 8)), (F(3, 2), 2)], space=(0, 2))
+        assert disjoint_from_compact(F01, K02) and disjoint_from_compact(K02, F01)
+        touching = IntervalUnion([(1, F(5, 4))], space=(0, 2))
+        assert not disjoint_from_compact(F01, touching) and not disjoint_from_compact(touching, F01)
+        atom = IntervalUnion([(F(1, 4), F(1, 4))])
+        assert not disjoint_from_compact(F01, atom) and not disjoint_from_compact(atom, F01)
 
 
 class TestSimplexPartition:

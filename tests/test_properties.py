@@ -284,14 +284,20 @@ def product_xis(draw):
 ZERO_OFFSET_XIS = [3.0, 0.0, -2.0**40, 1e-300, 2.0**60, -0.0, 3.0, -1e7, 2.0**20, 0.0]
 
 
+def reference_depth(mu: SelfSimilarProductMeasure, xi: float) -> int:
+    """The depth rule as a loop: scales rebuilt stage by stage until one falls below the target."""
+    s, depth, target = abs(mu._sf), 0, 1e-3 / max(abs(xi), 1.0)
+    while depth < 200 and (depth < 8 or s >= target):
+        s *= mu._cf[depth % len(mu._cf)]
+        depth += 1
+    return depth
+
+
 def reference_product_eval(mu: SelfSimilarProductMeasure, xi: float, depth: int | None = None) -> complex:
     """The scalar product before the cached schedule: depth by its own loop, the
     sign from the Fraction scale, the scales rebuilt on every call."""
     if depth is None:
-        s, depth, target = abs(mu._sf), 0, 1e-3 / max(abs(xi), 1.0)
-        while depth < 200 and (depth < 8 or s >= target):
-            s *= mu._cf[depth % len(mu._cf)]
-            depth += 1
+        depth = reference_depth(mu, xi)
     scales = [abs(mu._sf)]
     for j in range(1, depth):
         scales.append(scales[-1] * mu._cf[(j - 1) % len(mu._cf)])
@@ -320,6 +326,22 @@ def test_product_vector_kernel_is_bit_identical_to_the_scalar_path(mu, xs):
 def test_scalar_product_reads_the_schedule_and_extends_it(mu, xs, depth):
     assert bits(mu.fourier_eval(xi, depth) for xi in xs) == bits(reference_product_eval(mu, xi, depth) for xi in xs)
     assert len(mu._sched) == 201
+
+
+def test_product_depth_rule_bisects_the_tail_at_every_tie():
+    """On the halving schedule s_d = 2^-d, xi = +-1e-3 * 2^d makes the target exactly s_d for d in
+    10..199: 190 ties, where a bisection that counts s_d == target as below the target is one stage
+    short.  The scalar rule and the vector kernel's searchsorted read the same tail."""
+    mu = SelfSimilarProductMeasure(2, [[0, F(1, 2)]], [F(1, 2)])
+    assert mu._sched[:200] == [2.0**-d for d in range(200)]
+    ties = [(sign * 1e-3 * 2.0**d, d) for d in range(10, 200) for sign in (1.0, -1.0)]
+    assert all(1e-3 / abs(xi) == mu._sched[d] for xi, d in ties)
+    xs = [xi for xi, _ in ties]
+    assert [mu.auto_depth(xi) for xi in xs] == [reference_depth(mu, xi) for xi in xs]
+    assert bits(mu.fourier_eval_many(np.array(xs))) == bits(mu.fourier_eval(xi) for xi in xs)
+    nan, inf = float("nan"), float("inf")
+    assert [mu.auto_depth(xi) for xi in (nan, inf, -inf)] == [reference_depth(mu, xi) for xi in (nan, inf, -inf)]
+    assert [mu.auto_depth(xi) for xi in (nan, inf, -inf)] == [8, 200, 200]
 
 
 def reference_piecewise_eval_many(mu: PiecewiseUniformMeasure, xis: np.ndarray) -> np.ndarray:
@@ -805,6 +827,11 @@ def test_hausdorff_metric_axioms(triple):
     assert hausdorff_metric(A, C).value <= dab + hausdorff_metric(B, C).value
 
 
+def pieces_meet(X: IntervalUnion, Y: IntervalUnion) -> bool:
+    """Some closed piece of X shares a point with some closed piece of Y: the Fell predicate's oracle."""
+    return any(max(a, c) <= min(b, d) for a, b in X.pieces for c, d in Y.pieces)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_fell_and_vietoris_predicates_equal_the_pairwise_oracles(data):
@@ -814,15 +841,24 @@ def test_fell_and_vietoris_predicates_equal_the_pairwise_oracles(data):
     points = st.one_of(unit_rationals, near(landmarks(A, B)))
     U = data.draw(st.lists(st.tuples(points, points), max_size=4))  # (c, d) with c >= d is empty
 
-    def meets(X, Y):
-        return any(max(a, c) <= min(b, d) for a, b in X.pieces for c, d in Y.pieces)
-
     def midpoint_in_open(a, b, c, d):
         lo, hi = max(a, c), min(b, d)
         return lo <= hi and c < (lo + hi) / 2 < d
 
-    assert disjoint_from_compact(A, B) == disjoint_from_compact(B, A) == (not meets(A, B))
+    assert disjoint_from_compact(A, B) == disjoint_from_compact(B, A) == (not pieces_meet(A, B))
     assert intersects_open(A, U) == any(midpoint_in_open(a, b, c, d) for a, b in A.pieces for c, d in U)
+    assert intersects_open(A, iter(U)) == intersects_open(A, U)  # U read once, so a generator serves
+
+
+@settings(max_examples=100, deadline=None)
+@given(related_unions(2), st.sampled_from([F(1), F(2), F(1, 2), F(-1)]), st.sampled_from([F(0), F(1, 2), F(1), F(2)]))
+@example([IntervalUnion([(0, F(1, 4))]), IntervalUnion([(F(3, 4), 1)])], F(2), F(0))  # B in [0, 2], a piece in [3/2, 2]
+@example([IntervalUnion([(0, F(1, 4))]), IntervalUnion([(0, 0)])], F(1), F(1, 4))  # an atom on a piece's end
+def test_fell_merge_across_spaces_equals_the_pairwise_oracle(pair, a, t):
+    """The Fell predicate merges the two views over the hull of both spaces: B moved by x -> a*x + t
+    lives in another space than A, and pieces clamped to either space alone would merge or vanish."""
+    A, B = pair[0], pair[1].affine(a, t)
+    assert disjoint_from_compact(A, B) == disjoint_from_compact(B, A) == (not pieces_meet(A, B))
 
 
 @st.composite
