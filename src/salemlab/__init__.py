@@ -6,6 +6,8 @@ only for the layers it uses: ``import salemlab.cli`` loads geometry alone.
 
 __version__ = "0.1.0"
 
+SAMPLES_BOUND = 2**12  # the largest --samples of `report` and `sweep` (exit 2 above) and samples_per_band of a fit
+
 _EXPORTS = {
     "bitseq": "BitMatrix BitSequence p3_member phi_transform q2_member",
     "constructions": "CantorScheme ConstructionError FpScheme GeneralizedCantorScheme IntervalScheme JarnikScheme"

@@ -22,7 +22,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn
 
-from .geometry import GeometryError, IntervalUnion, check_printable, format_fraction, hausdorff_metric
+from . import SAMPLES_BOUND
+from .geometry import GeometryError, IntervalUnion, format_fraction, hausdorff_metric
 
 if TYPE_CHECKING:
     from .bitseq import BitMatrix, BitSequence
@@ -48,13 +49,15 @@ def _positive_float(text: str) -> float:
     return x
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _int_in(low: int, high: float = math.inf):
+    """argparse type: an integer from `low` up to `high`."""
 
     def integer(text: str) -> int:
         n = int(text)  # argparse reports a ValueError as an invalid integer value
         if n < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if n > high:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {high}, got {text!r}")
         return n
 
     return integer
@@ -132,8 +135,7 @@ def config_hash(args: argparse.Namespace, keys: list[str]) -> str:
 
 
 def _stage_rows(reports, cfg: str) -> list[list]:
-    """The stage CSV's rows; every diameter is checked to be printable before any is formatted."""
-    check_printable(*(t for r in reports for x in (r.min_diam, r.max_diam) for t in (x.numerator, x.denominator)))
+    """The stage CSV's rows; a diameter too long to print raises GeometryError as it is formatted."""
     return [[r.stage, r.piece_count, format_fraction(r.min_diam), format_fraction(r.max_diam), cfg]
             for r in reports]
 
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="build a stage set and its stage report CSV")
     b.add_argument("spec")
-    b.add_argument("--stage", type=_int_at_least(0), default=4)
+    b.add_argument("--stage", type=_int_in(0), default=4)
     b.add_argument("--out", default="stage")
     b.set_defaults(fn=cmd_build)
 
@@ -271,26 +273,26 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--p", default="0.5")
     r.add_argument("--x", default="0", help="bit sequence for fp")
     r.add_argument("--rows", default="", help="semicolon-separated rows for phi/pi03")
-    r.add_argument("--stage", type=_int_at_least(0), default=4)
+    r.add_argument("--stage", type=_int_in(0), default=4)
     r.add_argument("--out", default="reduced")
     r.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("report", help="full dimension report for a scheme")
     p.add_argument("spec")
-    p.add_argument("--stage", type=_int_at_least(0), default=8)
-    p.add_argument("--fit-lo", dest="fit_lo", type=_int_at_least(0), default=1)
+    p.add_argument("--stage", type=_int_in(0), default=8)
+    p.add_argument("--fit-lo", dest="fit_lo", type=_int_in(0), default=1)
     p.add_argument("--xi-max", dest="xi_max", type=_positive_float, default=2.0**16)
-    p.add_argument("--bands", type=_int_at_least(4), default=10)
-    p.add_argument("--samples", type=_int_at_least(64), default=128)
+    p.add_argument("--bands", type=_int_in(4), default=10)
+    p.add_argument("--samples", type=_int_in(64, SAMPLES_BOUND), default=128)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="report")
     p.set_defaults(fn=cmd_report)
 
     s = sub.add_parser("sweep", help="Fourier transform sweep CSV")
     s.add_argument("spec")
-    s.add_argument("--stage", type=_int_at_least(0), default=8)
+    s.add_argument("--stage", type=_int_in(0), default=8)
     s.add_argument("--xi-max", dest="xi_max", type=_positive_float, default=2.0**16)
-    s.add_argument("--samples", type=_int_at_least(1), default=128)
+    s.add_argument("--samples", type=_int_in(1, SAMPLES_BOUND), default=128)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--out", default="sweep.csv")
     s.set_defaults(fn=cmd_sweep)

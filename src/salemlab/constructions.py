@@ -27,7 +27,7 @@ from .geometry import ONE, ZERO, BoxUnion, IntervalUnion, as_fraction
 from .primes import next_prime, primes_in_range
 
 class ConstructionError(ValueError):
-    """Raised when a staged construction cannot proceed (empty stage, bad parameter)."""
+    """Raised when a staged construction cannot proceed (a bad parameter, or a value past a size bound)."""
 
 
 class StageReport(NamedTuple):
@@ -363,7 +363,6 @@ class SAlphaScheme(Scheme):
         ratio = _dyadic_pow(float(branching), -1.0 / self.p)
         cap = Fraction(1, branching) * Fraction(63, 64)
         self._ratio = min(ratio, cap)
-        self._primes: dict[int, int] = {0: 0}  # the prime of each built stage
 
     def _refine(self, parent: IntervalUnion, ell: Fraction) -> tuple[IntervalUnion, int]:
         """Children of every parent piece, centred at i/q with i the round-half-even
@@ -399,18 +398,12 @@ class SAlphaScheme(Scheme):
 
     @_memo
     def stage(self, k: int) -> IntervalUnion:
-        """Stage k - 1 refined at the child length ratio^k."""
-        if k == 0:
-            return IntervalUnion.full()
-        union, q = self._refine(self.stage(k - 1), self._ratio**k)
-        if union.is_empty:
-            raise ConstructionError("refinement produced an empty stage")
-        self._primes[k] = q
-        return union
+        """Stage k - 1 refined at the child length ratio^k; never empty: each piece gets `branching` children."""
+        return self._refine(self.stage(k - 1), self._ratio**k)[0] if k else IntervalUnion.full()
 
     def stage_prime(self, k: int) -> int:
-        self.stage(k)
-        return self._primes[k]
+        """The centre prime of stage k (0 for stage 0), refined again from the kept stage k - 1."""
+        return self._refine(self.stage(k - 1), self._ratio**k)[1] if k else 0
 
 
 # ---------------------------------------------------------------------------

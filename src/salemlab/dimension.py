@@ -17,6 +17,7 @@ from fractions import Fraction
 from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from . import SAMPLES_BOUND
 from .constructions import Scheme, StageReport
 from .geometry import IntervalUnion, _common_numerators, as_fraction
 from .measures import Measure, PiecewiseUniformMeasure, natural_measure
@@ -225,6 +226,10 @@ def _band_edges(xi_max: float, bands: int, samples_per_band: int) -> list[tuple[
         raise FitError("need at least four bands")
     if samples_per_band < 64:
         raise FitError("need at least 64 samples per dyadic band")
+    if samples_per_band > SAMPLES_BOUND:
+        raise FitError(f"at most {SAMPLES_BOUND} samples per dyadic band")
+    if not 0 < xi_max < math.inf:  # also NaN
+        raise FitError("xi_max must be a finite positive number")
     j_hi = math.floor(math.log2(xi_max))
     if j_hi - bands < 1:
         raise FitError("xi_max too small for the requested band count")
@@ -247,10 +252,11 @@ def fourier_decay_fit(
     measure's resonant candidates.  One `fourier_screen` call brackets each
     modulus; one `fourier_modulus_many` call on the frequencies
     whose upper end reaches their band's best lower end, the arg-max among
-    them, gives each supremum as the exact kernel's float; a screen with slack
-    0 (product measures, one piece) already gave those floats, so its band
-    maxima are the suprema.  The fitted exponent is the raw decay rate
-    (-2 * slope); clamp it with `clamp_dimension`.
+    them, gives each supremum as the exact kernel's float.  Every measure
+    takes this path: where the screen is exact (slack 0: product measures,
+    one piece) it keeps only each band's arg-max, whose float the kernel
+    gives again.  The fitted exponent is the raw decay rate (-2 * slope);
+    clamp it with `clamp_dimension`.
     """
     edges = _band_edges(xi_max, bands, samples_per_band)
     import numpy as np
@@ -260,12 +266,11 @@ def fourier_decay_fit(
     xis = np.concatenate([part for (lo, _), res in zip(edges, resonant) for part in (lo * grid, res)])
     starts = np.cumsum([0] + [samples_per_band + len(res) for res in resonant[:-1]])
     approx, slack = mu.fourier_screen(xis)
-    # each band's best lower end; where the screen is exact (slack 0) these are the sups
-    sups = np.maximum.reduceat(approx - slack, starts)
-    if slack.any():  # keep a frequency where its upper end reaches its band's best lower end
-        keep = approx + slack >= np.repeat(sups, np.diff(starts, append=len(xis)))
-        kept = np.cumsum(keep)[starts] - keep[starts]  # each band's first kept frequency; every band keeps its arg-max
-        sups = np.maximum.reduceat(mu.fourier_modulus_many(xis[keep]), kept)
+    best = np.maximum.reduceat(approx - slack, starts)  # each band's best lower end
+    # keep a frequency where its upper end reaches its band's best lower end
+    keep = approx + slack >= np.repeat(best, np.diff(starts, append=len(xis)))
+    kept = np.cumsum(keep)[starts] - keep[starts]  # each band's first kept frequency; every band keeps its arg-max
+    sups = np.maximum.reduceat(mu.fourier_modulus_many(xis[keep]), kept)
     xs = [math.log(math.sqrt(lo * hi)) for lo, hi in edges]
     ys = [math.log(max(sup, 1e-300)) for sup in sups.tolist()]
     slope, intercept, r2 = _least_squares(xs, ys)

@@ -263,8 +263,6 @@ class PiecewiseUniformMeasure:
         mass, ends = (self._cumw[j] - self._cumw[i + 1], (i, j)) if j > i else (0.0, (i,))
         for k in ends:
             A, B = lefts[k] * e, rights[k] * e
-            if B < ln or A > hn:
-                continue
             w, wn, wd = self._terms[k]
             if A == B:
                 mass += w
@@ -501,8 +499,6 @@ class SelfSimilarProductMeasure:
                 xi = base * m
                 if lo <= xi < hi:
                     out.add(xi)
-            if base > hi * mmax:
-                break
             s *= self._cf[k % len(self._cf)]
             k += 1
             if k > 400:

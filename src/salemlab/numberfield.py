@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterator
 
 from .constructions import ConstructionError, StageReport, _power
@@ -79,24 +78,15 @@ def normalized_center(q: GaussianInt, r: GaussianInt) -> tuple[Fraction, Fractio
     return (Fraction(q.a * r.a + q.b * r.b, n), Fraction(-q.b * r.a + q.a * r.b, n))
 
 
-def _residue_pairs(a: int, b: int) -> Iterator[tuple[int, int]]:
+def _residue_pairs(a: int, b: int) -> list[tuple[int, int]]:
     """The (x, y) with 0 <= a*x + b*y < N and 0 <= a*y - b*x < N, N = a^2 + b^2, x then y ascending.
 
     All lie in the fundamental parallelogram of the lattice (a + bi)Z[i], so
-    |x|, |y| <= |a| + |b|.  For fixed x each condition 0 <= c*y + t < N holds
-    on one interval of y, found by a ceiling and a floor division; for c = 0
-    it holds for every y or for none.
+    |x|, |y| <= |a| + |b|: they are found by scanning that box.
     """
     n, bound = a * a + b * b, abs(a) + abs(b)
-    for x in range(-bound, bound + 1):
-        lo, hi = -bound, bound
-        for c, t in ((b, a * x), (a, -b * x)):
-            if c:
-                p, r = (-t, n - 1 - t) if c > 0 else (n - 1 - t, -t)  # y in [p/c, r/c]
-                lo, hi = max(lo, -(-p // c)), min(hi, r // c)
-            elif not 0 <= t < n:
-                hi = lo - 1
-        yield from zip(repeat(x), range(lo, hi + 1))
+    box = range(-bound, bound + 1)
+    return [(x, y) for x in box for y in box if 0 <= a * x + b * y < n and 0 <= a * y - b * x < n]
 
 
 def residue_system(q: GaussianInt) -> list[GaussianInt]:
@@ -132,10 +122,8 @@ def gaussian_primes_norm_range(lo: int, hi: int) -> Iterator[GaussianInt]:
     """
     top = math.isqrt(max(hi - 1, 0))
     for a in range(1, top + 1):
-        aa = a * a
-        if aa >= hi:
-            break
-        if lo <= aa < hi and is_prime(a) and a % 4 == 3:
+        aa = a * a  # below hi, since a <= isqrt(hi - 1)
+        if aa >= lo and is_prime(a) and a % 4 == 3:
             yield GaussianInt(a, 0)
         for b in range(1, top + 1):
             n = aa + b * b

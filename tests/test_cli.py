@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salemlab import SAMPLES_BOUND, cli, dimension
 from salemlab.cli import _SPEC_KINDS, main, parse_bits, parse_scheme
 from salemlab.bitseq import BitMatrix
 from salemlab.constructions import Pi03Scheme, SAlphaScheme, cantor_stage
@@ -301,6 +302,23 @@ class TestExitCodes:
         assert run([*argv, "--out", str(tmp_path / "x")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("samples", [SAMPLES_BOUND + 1, 10**20])
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    def test_samples_above_the_bound_are_exit_two_before_any_work(self, command, samples, tmp_path, capsys,
+                                                                  monkeypatch):
+        """The parser refuses the count: neither the fit's grid nor the sweep's list is started."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused sample count reached the work")
+
+        monkeypatch.setattr(dimension, "_band_grid", no_work)
+        monkeypatch.setattr(cli, "_write_sweep", no_work)
+        argv = [command, "cantor:3", "--stage", "3", "--seed", "1", "--samples"]
+        assert run([*argv, str(samples), "--out", str(tmp_path / "x")]) == 2
+        assert f"error: argument --samples: expected an integer <= {SAMPLES_BOUND}, got '{samples}'" \
+            in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert cli.build_parser().parse_args([*argv, str(SAMPLES_BOUND)]).samples == SAMPLES_BOUND
 
 
 # spec texts for the grammar fuzz, two lists of each, drawn equally often: numbers in range, and numbers

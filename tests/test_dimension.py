@@ -250,6 +250,7 @@ FIT_MEASURES = {
     "cantor:3 product": lambda: CantorScheme(3).decay_measure(6),
     "gcantor:0.5 product": lambda: cli.parse_scheme("gcantor:0.5").decay_measure(6),
     "single atom": lambda: measures.PiecewiseUniformMeasure([(F(1, 3), F(1, 3), 1.0)]),
+    "interval [0, 1]": lambda: natural_measure(IntervalUnion.full()),  # the one-piece measure `interval` fits
     # 400 distinct lengths k / N on [k^2, k^2 + k] / N: 400 pairs, so 400 chunks in the screen
     "natural 400 lengths": lambda: natural_measure(IntervalUnion([(F(k * k, 160801), F(k * k + k, 160801))
                                                                   for k in range(1, 401)])),

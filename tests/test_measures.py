@@ -178,6 +178,11 @@ class TestProductMeasure:
         assert any(abs(x - math.pi * 81) < 1e-9 for x in res)
         assert all(100.0 <= x < 1000.0 for x in res)
 
+    def test_resonant_walk_ends_at_its_guard_when_a_contraction_rounds_to_one(self):
+        """1 - 2^-60 is 1.0 as a float, so the scales never grow past hi: only the bound on k ends the walk."""
+        mu = SelfSimilarProductMeasure(2, [[F(0), F(1, 2)]], [1 - F(1, 2**60)])
+        assert mu.resonant_frequencies(1.0, 1000.0) == [math.pi * m for m in range(1, 25)]
+
 
 class TestAffinePushforward:
     def test_identity(self):
