@@ -9,10 +9,12 @@ row-wise matrix analogue are decidable on this representation.
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import lcm
 from typing import Iterable, Mapping
 
 from .geometry import _Record
+
+PERIOD_BOUND = 2**12  # the longest period `BitSequence.__or__` builds; rows above it in a spec or reduce: exit 2
 
 
 def _minimize_period(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -85,9 +87,11 @@ class BitSequence(_Record):
         return self.is_eventually_zero and all(b == 0 for b in self.prefix)
 
     def __or__(self, other: "BitSequence") -> "BitSequence":
-        """Pointwise max, closed on the eventually-periodic representation."""
+        """Pointwise max, closed on eventually periodic sequences; ValueError for a period above PERIOD_BOUND."""
         head = max(len(self.prefix), len(other.prefix))
-        per = len(self.period) * len(other.period) // gcd(len(self.period), len(other.period))
+        per = lcm(len(self.period), len(other.period))
+        if per > PERIOD_BOUND:
+            raise ValueError(f"the pointwise max has period {per}, above the bound of {PERIOD_BOUND}")
         pre = tuple(self.bit(i) | other.bit(i) for i in range(head))
         cyc = tuple(self.bit(head + i) | other.bit(head + i) for i in range(per))
         return BitSequence(pre, cyc)

@@ -182,7 +182,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     if args.map == "phi":
         mat = parse_rows(args.rows)
-        out = cons.phi_transform(mat)
+        try:
+            out = cons.phi_transform(mat)
+        except ValueError as e:  # a cumulative row whose period passes bitseq.PERIOD_BOUND
+            raise SpecParseError(f"bad rows {args.rows!r}: {e}") from None
         top = out.max_row
         rows = [str(out.row(m)) for m in range(top + 1)]
         print(json.dumps({"rows": rows, "tail": str(out.tail)}))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import sys
 from bisect import bisect_right
 from fractions import Fraction
@@ -24,6 +25,7 @@ from operator import itemgetter, le, lt
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)  # the exponent that `Fraction` reads
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,12 +43,16 @@ def as_fraction(x: RationalLike) -> Fraction:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(n, d) with x = n/d: a canonical "n/d" string (ASCII digits, d != 0) as two ints, any other x via Fraction."""
+    """(n, d) with x = n/d: a canonical "n/d" string (ASCII digits, d != 0) as two ints, any other x via Fraction;
+    a string ending in an exponent e past the digit limit (its default if off) is refused: Fraction builds 10**|e|."""
     if isinstance(x, str):
         n, _, d = x.partition("/")
         m = n[1:] if n[:1] == "-" else n
         if m.isascii() and m.isdigit() and d.isascii() and d.isdigit() and d.strip("0"):
             return int(n), int(d)
+        e, limit = _EXPONENT.search(x), sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if e and abs(int(e[1])) > limit:
+            raise ValueError(f"decimal exponent {e[1]} beyond the digit limit {limit}")
     f = Fraction(x)
     return f.numerator, f.denominator
 
@@ -369,7 +375,7 @@ class IntervalUnion(_Record):
             obj = json.loads(text)
             ends = [(_ratio(a), _ratio(b)) for a, b in obj["pieces"]]
             lo, hi = obj["space"]
-            space = (Fraction(lo), Fraction(hi))
+            space = (Fraction(*_ratio(lo)), Fraction(*_ratio(hi)))
         except (ValueError, TypeError, KeyError, ArithmeticError, RecursionError) as e:
             raise GeometryError(f"malformed interval-union JSON: {e!r}") from None
         D = math.lcm(*(d for piece in ends for _, d in piece))
@@ -512,42 +518,24 @@ def diameter(A: Union[IntervalUnion, BoxUnion]) -> Union[Fraction, float]:
     return _sqrt_exact(best)
 
 
-def _open_components(
-    U: Iterable[tuple[RationalLike, RationalLike]],
-) -> list[tuple[Fraction, Fraction]]:
-    """Connected components of a finite union of open intervals.
+def _open_cut(K: IntervalUnion, U: Iterable[tuple[RationalLike, RationalLike]]) -> IntervalUnion:
+    """The closed union V in K's space with K in U iff K in V, and K meeting U iff K meeting V.
 
-    Open intervals merge only on strict overlap: (0,1/2) and (1/2,1) stay
-    separate components because the shared endpoint is missing.
-    """
-    ivs = sorted(
-        (as_fraction(a), as_fraction(b))
-        for a, b in U
-        if as_fraction(a) < as_fraction(b)
-    )
-    out: list[list[Fraction]] = []
-    for a, b in ivs:
-        if out and a < out[-1][1]:
-            if b > out[-1][1]:
-                out[-1][1] = b
-        else:
-            out.append([a, b])
-    return [(a, b) for a, b in out]
+    Over E = 2 lcm(D_K, every denominator of U) each open (c, d) is cut to the closed [c + 1, d - 1]:
+    every K endpoint strictly inside (c, d) lies in the cut, two open intervals overlap exactly when
+    their cuts touch, and c >= d leaves an empty cut, which `_merged` drops with the rest."""
+    L, ends = _common_numerators(K.int_ends[0], [as_fraction(e) for c, d in U for e in (c, d)])
+    return IntervalUnion._merged([(2 * L, [2 * c + 1 for c in ends[0::2]], [2 * d - 1 for d in ends[1::2]])], K.space)
 
 
 def subset_of_open(K: IntervalUnion, U: Iterable[tuple[RationalLike, RationalLike]]) -> bool:
     """Vietoris prebase predicate: K contained in the open union U."""
-    comps = _open_components(U)
-    for a, b in K.pieces:
-        if not any(c < a and b < d for c, d in comps):
-            return False
-    return True
+    return K.subset_of(_open_cut(K, U))
 
 
 def intersects_open(K: IntervalUnion, U: Iterable[tuple[RationalLike, RationalLike]]) -> bool:
     """Vietoris prebase predicate: K meets the open union U."""
-    comps = _open_components(U)
-    return any(a < d and c < b for a, b in K.pieces for c, d in comps)
+    return not disjoint_from_compact(K, _open_cut(K, U))
 
 
 def disjoint_from_compact(F: IntervalUnion, K: IntervalUnion) -> bool:

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salemlab.bitseq import (
+    PERIOD_BOUND,
     BitMatrix,
     BitSequence,
     p3_member,
@@ -74,6 +75,15 @@ class TestBitSequence:
         c = a | b
         for n in range(24):
             assert c.bit(n) == max(a.bit(n), b.bit(n))
+
+    def test_or_refuses_a_period_above_the_bound_before_building_it(self):
+        """The period of a | b is the lcm of both periods: up to PERIOD_BOUND it is built, above it refused."""
+        def one_in(p):
+            return BitSequence((), (1,) + (0,) * (p - 1))
+
+        assert len((one_in(PERIOD_BOUND) | BitSequence.from_string("(01)")).period) == PERIOD_BOUND
+        with pytest.raises(ValueError, match=f"^the pointwise max has period 4160, above the bound of {PERIOD_BOUND}$"):
+            one_in(64) | one_in(65)
 
 
 class TestPhiTransform:

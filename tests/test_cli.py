@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from salemlab import SAMPLES_BOUND, cli, dimension
 from salemlab.cli import _SPEC_KINDS, main, parse_bits, parse_scheme
-from salemlab.bitseq import BitMatrix
+from salemlab.bitseq import PERIOD_BOUND, BitMatrix
 from salemlab.constructions import Pi03Scheme, SAlphaScheme, cantor_stage
 from salemlab.dimension import salem_report
 from salemlab.geometry import IntervalUnion
@@ -24,6 +24,9 @@ from salemlab.geometry import IntervalUnion
 
 def run(args):
     return main(args)
+
+
+COPRIME_ROWS = ";".join(f"({'0' * (p - 1)}1)" for p in (7, 11, 13, 17, 19, 23))  # one 1-bit per period p
 
 
 class TestSchemeParsing:
@@ -283,6 +286,20 @@ class TestExitCodes:
         """reduce builds through the spec its flags stand for, so it refuses what `build` refuses, as `build` does."""
         assert run([*argv, "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"error: bad scheme spec {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--map", "phi", "--rows", COPRIME_ROWS],
+        ["build", f"salemgap:0.6:rows={COPRIME_ROWS}", "--stage", "1"],
+        ["build", f"weihrauch:xs={COPRIME_ROWS}", "--stage", "1"],
+    ], ids=["reduce-phi", "salemgap", "weihrauch"])
+    def test_rows_whose_max_passes_the_period_bound_are_exit_two(self, argv, tmp_path, capsys):
+        """The cumulative max of rows with periods 7, 11, 13, ... would have period 7,436,429; it is refused at
+        its first period above the bound, 17,017, before that period is built."""
+        assert run([*argv, "--out", str(tmp_path / "x")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: bad ") and err.endswith(f"period 17017, above the bound of {PERIOD_BOUND}\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [

@@ -37,6 +37,8 @@ import json
 import math
 import pickle
 import random
+import re
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -94,6 +96,7 @@ from salemlab.geometry import (
     intersects_open,
     one_sided_distance,
     simplex_partition_1d,
+    subset_of_open,
 )
 from salemlab.measures import MeasureError, PiecewiseUniformMeasure, SelfSimilarProductMeasure, natural_measure
 from salemlab.numberfield import (
@@ -848,6 +851,74 @@ def test_fell_and_vietoris_predicates_equal_the_pairwise_oracles(data):
     assert disjoint_from_compact(A, B) == disjoint_from_compact(B, A) == (not pieces_meet(A, B))
     assert intersects_open(A, U) == any(midpoint_in_open(a, b, c, d) for a, b in A.pieces for c, d in U)
     assert intersects_open(A, iter(U)) == intersects_open(A, U)  # U read once, so a generator serves
+
+
+def open_components(U) -> list[list[F]]:
+    """U's nonempty open intervals, sorted and merged on strict overlap only: (0, 1/2) and (1/2, 1) stay
+    two components, because the shared endpoint is missing from both."""
+    out: list[list[F]] = []
+    for c, d in sorted((F(c), F(d)) for c, d in U if F(c) < F(d)):
+        if out and c < out[-1][1]:
+            out[-1][1] = max(out[-1][1], d)
+        else:
+            out.append([c, d])
+    return out
+
+
+@st.composite
+def vietoris_cases(draw):
+    """A union K in [0, 1] and up to four open intervals (c, d): on or near K's breakpoints or outside [0, 1],
+    or, half the time, K on a grid 1/n and U on K's ends or a step 1/n off them, so that two open intervals
+    often overlap by a single step across a K piece."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        K = draw(unions(st.builds(F, st.integers(0, n), st.just(n))))
+        ends = st.sampled_from([F(0), F(1), *(e for piece in K.pieces for e in piece)])
+        points = st.builds(lambda e, k: e + F(k, n), ends, st.integers(-1, 1))
+    else:
+        K = draw(unions())
+        points = st.one_of(unit_rationals, near(landmarks(K)), st.sampled_from([F(-1), F(-1, 3), F(4, 3), F(2)]))
+    return K, draw(st.lists(st.tuples(points, points), max_size=4))  # (c, d) with c >= d is empty
+
+
+QUARTER_HALF = IntervalUnion([(F(1, 4), F(1, 2))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(vietoris_cases(), st.booleans(), st.booleans())
+@example((QUARTER_HALF, [(F(-1), F(2))]), False, False)  # U reaching outside K's space
+@example((IntervalUnion([(F(1, 4), F(3, 4))]), [(0, F(1, 2)), (F(1, 2), 1)]), False, False)  # touching: no merge
+@example((QUARTER_HALF, [(0, F(1, 2)), (F(1, 4), 1)]), False, False)  # an overlap of one step 1/lcm merges
+@example((QUARTER_HALF, [(F(1, 2), F(1, 4)), (F(1, 3), F(1, 3)), (0, 1)]), False, False)  # c >= d is empty
+@example((QUARTER_HALF, []), False, False)  # an empty U
+@example((IntervalUnion([(F(1, 2), F(1, 2))]), [(0, F(1, 2))]), False, False)  # a K atom on an open end
+@example((IntervalUnion([(0, F(1, 4)), (1, 1)]), [(F(-1, 3), F(1, 2)), (F(3, 4), F(4, 3))]), True, False)  # in [-1, 1]
+@example((QUARTER_HALF, [(0, F(1, 3)), (F(1, 3), 1)]), False, True)  # U read once, as a generator
+def test_vietoris_subset_and_meet_equal_the_component_oracle(case, moved, once):
+    """`subset_of_open` against U's open components, each K piece inside one (for K and for each piece
+    alone), and `intersects_open` against each K piece overlapping one; `moved` maps K into [-1, 1] by
+    x -> 2x - 1 and U alongside, and `once` passes U as a generator."""
+    K, U = case
+    if moved:
+        K, U = K.affine(2, -1), [(2 * F(c) - 1, 2 * F(d) - 1) for c, d in U]
+    comps = open_components(U)
+    given_U = (lambda: (u for u in U)) if once else (lambda: U)
+    assert subset_of_open(K, given_U()) == all(any(c < a and b < d for c, d in comps) for a, b in K.pieces)
+    assert intersects_open(K, given_U()) == any(a < d and c < b for a, b in K.pieces for c, d in comps)
+    for a, b in K.pieces:  # each piece alone: a union that lies in U more often than K does
+        assert subset_of_open(IntervalUnion([(a, b)], K.space), U) == any(c < a and b < d for c, d in comps)
+
+
+def test_vietoris_subset_and_meet_on_a_coarse_grid_equal_the_component_oracle():
+    """Each piece of K on the grid 1/3 in [0, 1] against each pair of open intervals with ends on the grid in
+    [-1/3, 4/3]: so every pair that overlaps by one grid step, touches, is empty or reaches outside, is met."""
+    grid = [F(k, 3) for k in range(-1, 5)]
+    for a, b in itertools.combinations_with_replacement(grid[1:-1], 2):
+        K = IntervalUnion([(a, b)])
+        for U in itertools.product(itertools.product(grid, grid), repeat=2):
+            comps = open_components(U)
+            assert subset_of_open(K, U) == any(c < a and b < d for c, d in comps)
+            assert intersects_open(K, U) == any(a < d and c < b for c, d in comps)
 
 
 @settings(max_examples=100, deadline=None)
@@ -2205,13 +2276,23 @@ def test_gaussian_block_reports_equal_the_fraction_centres(alpha):
     assert gaussian_block_reports(alpha, range(1, 5)) == reference_gaussian_block_reports(alpha, range(1, 5))
 
 
+def reference_fraction(token) -> F:
+    """Fraction(token), refusing first a string that ends in a decimal exponent past the digit limit
+    (the interpreter's default while the limit is off): Fraction would build 10**|exponent|."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", token) if isinstance(token, str) else None
+    if exponent and abs(int(exponent[1])) > limit:
+        raise ValueError(f"decimal exponent {exponent[1]} beyond the digit limit {limit}")
+    return F(token)
+
+
 def reference_from_json(text: str) -> tuple:
-    """`from_json` through the Fraction string parser and the sorting constructor."""
+    """`from_json` through the Fraction string parser, with its exponent bound, and the sorting constructor."""
     try:
         obj = json.loads(text)
-        pieces = [(F(a), F(b)) for a, b in obj["pieces"]]
+        pieces = [(reference_fraction(a), reference_fraction(b)) for a, b in obj["pieces"]]
         lo, hi = obj["space"]
-        space = (F(lo), F(hi))
+        space = (reference_fraction(lo), reference_fraction(hi))
     except (ValueError, TypeError, KeyError, ArithmeticError, RecursionError) as e:
         raise GeometryError(f"malformed interval-union JSON: {e!r}") from None
     return reference_union(pieces, space)
@@ -2226,7 +2307,7 @@ def parsed_json(text: str) -> tuple:
 # endpoint tokens: canonical and other forms Fraction reads, and forms it rejects
 JSON_ENDS = ['"2/4"', '"007/9"', '"-0/3"', '"1/3"', '"-1/2"', '"3"', '"0"', '"0.5"', '"1e-3"', '" 1/4 "',
              '"+1/5"', "0", "1", "0.25", "1e-3", "true", '"1/0"', '"0/00"', '"1/ 2"', '"1//2"', '"½"',
-             '"١/2"', '"1/-2"', '"-"', '"/2"', '""', "null", "[]", "NaN", "Infinity"]
+             '"١/2"', '"1/-2"', '"-"', '"/2"', '""', "null", "[]", "NaN", "Infinity", '"1e-10000000"', '" 2E+1_0000 "']
 
 
 @st.composite
@@ -2239,7 +2320,8 @@ def json_documents(draw):
     piece = st.one_of(st.builds(lambda a, b: f"[{a}, {b}]", end, end),
                       st.sampled_from(['["1/2"]', '["0", "1/2", "1"]', '"01"', "{}", "3"]))
     pieces = "[" + ", ".join(draw(st.lists(piece, max_size=4))) + "]"
-    space = draw(st.sampled_from(['["0/1", "1/1"]', '["-1", "1"]', '["0", "1/2"]', '["1", "0"]', '["0"]', '"01"']))
+    space = draw(st.sampled_from(['["0/1", "1/1"]', '["-1", "1"]', '["0", "1/2"]', '["1", "0"]', '["0"]', '"01"',
+                                  '["1e-10000000", "1"]']))
     return draw(st.sampled_from([
         f'{{"space": {space}, "pieces": {pieces}}}', f'{{"pieces": {pieces}}}', f'{{"space": {space}}}',
         f"[{pieces}]", pieces + "x",
@@ -2253,6 +2335,8 @@ def json_documents(draw):
 @example('{"space": ["0/1", "1/1"], "pieces": [["0", "1/2"], ["1/3", "1"]]}')
 @example('{"space": ["0/1", "1/1"], "pieces": [["-1/2", "1/2"]]}')
 @example('{"space": ["0/1", "1/1"], "pieces": [["1/2", "3/2"]]}')
+@example('{"space": ["0", "1"], "pieces": [["1e-10000000", "1"]]}')  # 10**10**7 would take seconds to build
+@example('{"space": ["0", "1e-10000000"], "pieces": []}')
 def test_from_json_equals_the_fraction_parser(text):
     assert outcome(parsed_json, text) == outcome(reference_from_json, text)
 
