@@ -137,10 +137,6 @@ class BitMatrix(_Record):
         return cls()
 
     @property
-    def explicit_rows(self) -> dict[int, BitSequence]:
-        return dict(self._rows)
-
-    @property
     def max_row(self) -> int:
         return max(self._rows) if self._rows else -1
 
@@ -164,9 +160,7 @@ class BitMatrix(_Record):
 
 def p3_member(x: BitMatrix) -> bool:
     """Decide whether every row of x is eventually zero."""
-    return x.tail.is_eventually_zero and all(
-        r.is_eventually_zero for r in x.explicit_rows.values()
-    )
+    return x.tail.is_eventually_zero and all(r.is_eventually_zero for r in x._rows.values())
 
 
 def phi_transform(x: BitMatrix) -> BitMatrix:

@@ -53,6 +53,7 @@ class StageReport(NamedTuple):
 
 
 DYADIC_EXPONENT_BOUND = 1 << 16
+WEIHRAUCH_ROWS_BOUND = 6  # the most rows a `WeihrauchScheme` takes: each of its stages builds all 2^n - 1 blocks
 
 
 def _binary_exponent(base: float, exponent: float) -> float:
@@ -208,7 +209,7 @@ class GeneralizedCantorScheme(Scheme):
     def decay_measure(self, k: int, natural=None):
         from . import measures
 
-        contractions = tuple(self.length(j) / self.length(j - 1) for j in range(1, max(k, 24) + 1))
+        contractions = tuple(self.length(j) / self.length(j - 1) for j in range(1, self.decay_key(k) + 1))
         offsets = tuple((Fraction(0), 1 - c) for c in contractions)
         return measures.SelfSimilarProductMeasure(
             branching=2, offsets=offsets, contractions=contractions
@@ -634,6 +635,8 @@ class WeihrauchScheme(Scheme):
     def __init__(self, xs: Sequence[BitSequence]) -> None:
         self.xs = tuple(xs)
         n = len(self.xs)
+        if n > WEIHRAUCH_ROWS_BOUND:
+            raise ConstructionError(f"{n} rows, above the bound of {WEIHRAUCH_ROWS_BOUND}")
         self.index_sets = [frozenset(i + 1 for i in range(n) if code >> i & 1) for code in range(1, 2**n)]
         self.name = f"weihrauch:n={n}"
         self._blocks: list[FpScheme] = []

@@ -63,15 +63,11 @@ class DimensionReport(NamedTuple):
 
 
 def _least_squares(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
-    """Slope, intercept, r^2; constant data counts as a perfect flat fit."""
+    """Slope, intercept, r^2 of at least two distinct xs (each caller checks); constant ys fit flat with r^2 = 1."""
     n = len(xs)
-    if n < 2:
-        raise FitError("need at least two samples to fit")
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     sxx = math.fsum((x - mx) ** 2 for x in xs)
-    if sxx == 0.0:
-        raise FitError("degenerate abscissa: all scales equal")
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     slope = sxy / sxx
     sst = math.fsum((y - my) ** 2 for y in ys)
@@ -151,18 +147,18 @@ def _frostman_fit(mu: PiecewiseUniformMeasure, E: int, cn: list[int], rn: list[i
             continue
         xs.append(_log(r, E))
         ys.append(math.log(sup))
-    if len(xs) < 2:
-        raise FitError("ball masses vanished at every scale")
+    if len(set(xs)) < 2:  # distinct radii whose logs round to one float leave no slope either
+        raise FitError("ball masses vanished at every scale" if len(xs) < 2 else "degenerate abscissa: all scales equal")
     slope, intercept, r2 = _least_squares(xs, ys)
     return DecayFit(clamp_dimension(slope), intercept, r2, (min(xs), max(xs)), len(xs))
 
 
-def _frostman_grid(mu: PiecewiseUniformMeasure, cap: int = 128, min_scales: int = 6) -> tuple[int, list[int], list[int]]:
+def _frostman_grid(mu: PiecewiseUniformMeasure, cap: int = 128) -> tuple[int, list[int], list[int]]:
     """The default centres and radii as numerators over one denominator E = 2D 2^J.
 
     Centres: piece endpoints and midpoints, evenly thinned to the cap.  Radii:
     J of them, from diam/4 halving down to the smallest piece length, at least
-    max(min_scales, 4) and at most 40, so span 2^(J-1-i) / E for i < J (span
+    6 and at most 40, so span 2^(J-1-i) / E for i < J (span
     the support's numerator length; 1/4, 1/8, ... for a single point); the
     list is increasing.  Radii below the finest piece scale are excluded:
     there the stage set is interval-like and every mass reading saturates at
@@ -185,7 +181,7 @@ def _frostman_grid(mu: PiecewiseUniformMeasure, cap: int = 128, min_scales: int 
     floor = min((r - l for l, r in zip(lefts, rights) if r > l), default=0)
     # the radii span / (D 2^(2+i)) at or above the floor: i <= log2(span / floor) - 2
     above = min((span // floor).bit_length() - 2, 40) if floor else 9 if span else 0
-    J = max(above, min_scales, 4)
+    J = max(above, 6)
     return 2 * D << J, [p << J for p in pts], [(span or D) << i for i in range(J)]
 
 
@@ -195,9 +191,9 @@ def default_frostman_centers(mu: PiecewiseUniformMeasure, cap: int = 128) -> lis
     return [Fraction(c, E) for c in cn]
 
 
-def default_frostman_radii(mu: PiecewiseUniformMeasure, min_scales: int = 6) -> list[Fraction]:
+def default_frostman_radii(mu: PiecewiseUniformMeasure) -> list[Fraction]:
     """Geometric radii from diam/4 down to the smallest piece diameter (see `_frostman_grid`)."""
-    E, _, rn = _frostman_grid(mu, min_scales=min_scales)
+    E, _, rn = _frostman_grid(mu)
     return [Fraction(r, E) for r in reversed(rn)]
 
 
@@ -256,9 +252,11 @@ def fourier_decay_fit(
     takes this path: where the screen is exact (slack 0: product measures,
     one piece) it keeps only each band's arg-max, whose float the kernel
     gives again.  The fitted exponent is the raw decay rate (-2 * slope);
-    clamp it with `clamp_dimension`.
+    clamp it with `clamp_dimension`.  No band may end above `mu.float_ceiling`.
     """
     edges = _band_edges(xi_max, bands, samples_per_band)
+    if edges[-1][1] > mu.float_ceiling:
+        raise FitError(f"xi_max too large: top band end {edges[-1][1]:.10g} above float ceiling {mu.float_ceiling:.10g}")
     import numpy as np
 
     grid = _band_grid(samples_per_band, seed)

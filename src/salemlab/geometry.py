@@ -32,13 +32,13 @@ ONE = Fraction(1)
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
+    """Coerce ints, 'p/q' strings (read by `_ratio`, with its exponent bound) and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return Fraction(*_ratio(x))
     raise TypeError(f"not a rational: {x!r}")
 
 

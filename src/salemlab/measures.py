@@ -206,6 +206,13 @@ class PiecewiseUniformMeasure:
         return out, 2.0**-16 + 2.0**-18 + 2.0**-52 * (16 * np.abs(xis) * np.max(np.abs(centers)) + 2 * len(centers))
 
     @cached_property
+    def float_ceiling(self) -> float:
+        """The |xi| where the kernel's terms of the `fourier_screen` slack, 2^-52 (16 |xi| max|c| + 2n), reach 2^-20."""
+        D, lefts, rights = self.int_ends
+        c = max(-lefts[0] - rights[0], lefts[-1] + rights[-1]) / (2 * D)  # max|c|: the centres ascend
+        return (2.0**32 - 2 * len(lefts)) / (16 * c) if c > 0 else math.inf
+
+    @cached_property
     def _lengths(self) -> list[float]:
         """The at most eight most heavily weighted piece lengths, heaviest first."""
         by_len: dict[float, float] = {}
@@ -429,6 +436,14 @@ class SelfSimilarProductMeasure:
 
     def fourier_modulus(self, xi: float, depth: int | None = None) -> float:
         return abs(self.fourier_eval(xi, depth))
+
+    @cached_property
+    def float_ceiling(self) -> float:
+        """The |xi| where the kernel's error from forming each phase xi o s_j in float64 (j below the depth rule's
+        200), about 2^-53 |xi| (sum_j max|o_j| s_j + |shift|) against exact phases, reaches 2^-20."""
+        offs = [max(map(abs, off)) for off in self._of]
+        reach = abs(self._tf) + math.fsum(offs[j % len(offs)] * s for j, s in enumerate(self._sched[:200]))
+        return 2.0**33 / reach if reach else math.inf
 
     def fourier_eval_many(self, xis: "np.ndarray") -> "np.ndarray":
         """fourier_eval(xi) with auto_depth for each xi, bit for bit.

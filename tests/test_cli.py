@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from salemlab import SAMPLES_BOUND, cli, dimension
 from salemlab.cli import _SPEC_KINDS, main, parse_bits, parse_scheme
 from salemlab.bitseq import PERIOD_BOUND, BitMatrix
-from salemlab.constructions import Pi03Scheme, SAlphaScheme, cantor_stage
+from salemlab.constructions import WEIHRAUCH_ROWS_BOUND, FpScheme, Pi03Scheme, SAlphaScheme, cantor_stage
 from salemlab.dimension import salem_report
 from salemlab.geometry import IntervalUnion
 
@@ -301,6 +301,29 @@ class TestExitCodes:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: bad ") and err.endswith(f"period 17017, above the bound of {PERIOD_BOUND}\n")
         assert not list(tmp_path.iterdir())
+
+    def test_weihrauch_rows_past_the_bound_are_exit_two_before_any_block(self, tmp_path, capsys, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a refused spec built a block")
+
+        monkeypatch.setattr(FpScheme, "__init__", no_block)
+        n = WEIHRAUCH_ROWS_BOUND + 1
+        spec = f"weihrauch:xs={';'.join(['0'] * n)}"
+        assert run(["build", spec, "--stage", "1", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: bad scheme spec {spec!r} (at 'weihrauch'): {n} rows, above the bound of {WEIHRAUCH_ROWS_BOUND}\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_report_past_the_float_ceiling_is_exit_three(self, tmp_path, capsys):
+        """At 1e18 the middle-third product kernel has lost its phases; the report is refused instead of reading
+        the set as Salem.  Below the ceiling 2^33 it still reads no decay."""
+        argv = ["report", "cantor:3", "--stage", "8", "--seed", "0", "--out", str(tmp_path / "r")]
+        assert run([*argv, "--xi-max", "1e18"]) == 3
+        assert capsys.readouterr() == (
+            "", "numeric error: xi_max too large: top band end 5.764607523e+17 above float ceiling 8589934592\n")
+        assert not list(tmp_path.iterdir())
+        assert run([*argv, "--xi-max", "8e9"]) == 0
+        assert " fourier_dim=0 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["build", "cantor:3", "--stage", "-1"],

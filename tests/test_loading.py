@@ -241,21 +241,26 @@ def test_centre_prime_search_ends_at_its_bound(spec, stage, tmp_path):
     assert out.stderr.startswith("error: the centre prime needs ") and "above the bound of 3072" in out.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["metric", "big.json", "a.json"],  # Fraction would build 10**10**7 for an endpoint: about 9 s
-    ["metric", "a.json", "big-space.json"],  # the same exponent in the space pair
-    ["reduce", "--map", "phi", "--rows", ";".join(f"({'0' * (p - 1)}1)" for p in (7, 11, 13, 17, 19, 23))],
-], ids=["metric-piece", "metric-space", "reduce-phi"])  # the last would print a 7,436,429-bit period: about 17 s
-def test_short_runaway_input_ends_at_once(argv, tmp_path):
-    """An input of about 100 characters that ran for seconds is exit 2 in a cold child within 2 s."""
+@pytest.mark.parametrize("argv, code, start", [
+    (["metric", "big.json", "a.json"], 2, "error: bad "),  # Fraction would build 10**10**7 for an endpoint: about 9 s
+    (["metric", "a.json", "big-space.json"], 2, "error: bad "),  # the same exponent in the space pair
+    # the cumulative max would print a 7,436,429-bit period: about 17 s
+    (["reduce", "--map", "phi", "--rows", ";".join(f"({'0' * (p - 1)}1)" for p in (7, 11, 13, 17, 19, 23))], 2,
+     "error: bad "),
+    # a Fourier fit of the 52,489-piece stage 8 up to 2^511, far past its float ceiling: about 16 s
+    (["report", "pi03:1:rows=", "--seed", "1", "--xi-max", "1e154", "--out", "r"], 3,
+     "numeric error: xi_max too large: "),
+], ids=["metric-piece", "metric-space", "reduce-phi", "report-xi-max"])
+def test_short_runaway_input_ends_at_once(argv, code, start, tmp_path):
+    """An input of about 100 characters that ran for seconds is refused in a cold child within 2 s."""
     (tmp_path / "a.json").write_text(IntervalUnion([(0, 1)]).to_json())
     (tmp_path / "big.json").write_text('{"space": ["0", "1"], "pieces": [["1e-10000000", "1"]]}')
     (tmp_path / "big-space.json").write_text('{"space": ["0", "1e-10000000"], "pieces": []}')
-    start = time.perf_counter()
+    began = time.perf_counter()
     out = _child(["-m", "salemlab.cli", *argv], tmp_path, timeout=60)
-    assert time.perf_counter() - start < 2
-    assert out.returncode == 2 and out.stdout == "" and out.stderr.count("\n") == 1, out.stderr
-    assert out.stderr.startswith("error: bad ") and "Traceback" not in out.stderr
+    assert time.perf_counter() - began < 2
+    assert out.returncode == code and out.stdout == "" and out.stderr.count("\n") == 1, out.stderr
+    assert out.stderr.startswith(start) and "Traceback" not in out.stderr
     assert sorted(f.name for f in tmp_path.iterdir()) == ["a.json", "big-space.json", "big.json"]
 
 

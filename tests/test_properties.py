@@ -25,7 +25,9 @@ the P3 members), with the locality of the `salemgap` stages in the bits;
 and the value contract of the six immutable types: copied, deep-copied and
 pickled by value, with no attribute set or deleted; and the `cantor` scheme's
 inherited product measure, bit for bit, against the one-contraction limit
-measure it replaced, and its own n^k stage builder against the generic one."""
+measure it replaced, and its own n^k stage builder against the generic one; and both transform kernels
+within 2^-20 of an exact-phase oracle below their float ceilings, and `as_fraction`'s string reading against
+the Fraction parser with the set-file exponent bound."""
 
 from __future__ import annotations
 
@@ -90,6 +92,7 @@ from salemlab.geometry import (
     GeometryError,
     HausdorffDistance,
     IntervalUnion,
+    as_fraction,
     disjoint_from_compact,
     format_fraction,
     hausdorff_metric,
@@ -511,8 +514,81 @@ def test_exact_kernel_gives_a_frequency_the_same_float_alone_or_in_a_batch(mu, x
     st.sampled_from([2.0**12, 2.0**16, 2.0**28, 2.0**40]),
 )
 def test_screened_fit_equals_the_per_band_reference(mu, seed, xi_max):
+    """Up to the measure's float ceiling; above it (every drawn xi_max is a top band's end) the fit is refused."""
     mu = FIT_MEASURES[mu]() if isinstance(mu, str) else mu
-    assert fourier_decay_fit(mu, xi_max, seed=seed) == reference_band_fit(mu, seed, xi_max)
+    if xi_max <= mu.float_ceiling:
+        assert fourier_decay_fit(mu, xi_max, seed=seed) == reference_band_fit(mu, seed, xi_max)
+    else:
+        with pytest.raises(FitError, match=re.escape(f"above float ceiling {mu.float_ceiling:.10g}") + "$"):
+            fourier_decay_fit(mu, xi_max, seed=seed)
+
+
+def _arctan_inv(x: int, one: int) -> int:
+    """one * arctan(1/x) by its alternating series, each term truncated to an int."""
+    total = term = one // x
+    n, sign = 1, 1
+    while term:
+        term //= x * x
+        n, sign = n + 2, -sign
+        total += sign * (term // n)
+    return total
+
+
+# 2 pi from Machin's formula, pi/4 = 4 arctan(1/5) - arctan(1/239), within 10^-108
+EXACT_TWO_PI = F(8 * (4 * _arctan_inv(5, 10**110) - _arctan_inv(239, 10**110)), 10**110)
+
+
+def _reduced(t: F) -> float:
+    """The float of t - 2 pi k in [-pi, pi], with the exact t reduced against `EXACT_TWO_PI`."""
+    return float(t - EXACT_TWO_PI * math.floor(t / EXACT_TWO_PI + F(1, 2)))
+
+
+def _cis(t: F) -> complex:
+    """e^(-i t) for an exact phase t."""
+    r = _reduced(t)
+    return complex(math.cos(r), -math.sin(r))
+
+
+def exact_phase_transform(mu, xi: float) -> complex:
+    """The transform that each kernel computes (a product measure truncated at its `auto_depth`), with every
+    phase and sinc argument an exact Fraction of xi, reduced before its float is taken."""
+    x = F(xi)
+    if isinstance(mu, SelfSimilarProductMeasure):
+        acc, s = _cis(x * mu.shift), mu.scale
+        for j in range(mu.auto_depth(xi)):
+            acc *= sum(_cis(x * o * s) for o in mu.offsets[j % len(mu.offsets)]) / mu.branching
+            s *= mu.contractions[j % len(mu.contractions)]
+        return acc
+    D, lefts, rights = mu.int_ends
+    terms = []
+    for l, r, w in zip(lefts, rights, mu.weights):
+        h = x * (r - l) / (2 * D)
+        terms.append(w * (math.sin(_reduced(h)) / float(h) if h else 1.0) * _cis(x * (l + r) / (2 * D)))
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+def test_exact_two_pi_has_a_hundred_digits():
+    assert float(EXACT_TWO_PI) == 2 * math.pi
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(120):
+        assert abs(mpmath.mpf(EXACT_TWO_PI.numerator) / EXACT_TWO_PI.denominator - 2 * mpmath.pi) < mpmath.mpf(10)**-100
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["interval [0, 1]", "natural jarnik:1.0 stage 4", "cantor:3 product"]),
+    st.floats(0.5, 1.0),
+    st.integers(0, 2**20),
+)
+def test_kernels_are_within_2_to_the_minus_20_of_exact_phases_below_the_float_ceiling(name, u, pick):
+    """The error bound behind `float_ceiling` holds in its top octave, at a drawn frequency and at a resonant
+    candidate, for the vector transform and the modulus that the fit reads."""
+    mu = FIT_MEASURES[name]()
+    resonant = mu.resonant_frequencies(mu.float_ceiling / 2, mu.float_ceiling)
+    xis = np.array([u * mu.float_ceiling, *resonant[pick % len(resonant):][:1]])
+    exact = [exact_phase_transform(mu, xi) for xi in xis.tolist()]
+    assert all(abs(z - e) <= 2.0**-20 for z, e in zip(mu.fourier_eval_many(xis).tolist(), exact))
+    assert all(abs(m - abs(e)) <= 2.0**-20 for m, e in zip(mu.fourier_modulus_many(xis).tolist(), exact))
 
 
 def reference_resonances(mu: PiecewiseUniformMeasure, lo: float, hi: float, cap: int = 24) -> list[float] | None:
@@ -665,7 +741,8 @@ def report_sequences(draw):
     calls = []
     for _ in range(draw(st.integers(1, 6))):
         stage = draw(st.integers(1, 6))
-        xi_max = draw(st.sampled_from([2.0**11, 3000.0, 2.0**16, 2.0**20]))
+        # 2^30 and 2^40 pass the float ceilings of the natural measures, and 2^40 those of the product measures
+        xi_max = draw(st.sampled_from([2.0**11, 3000.0, 2.0**16, 2.0**20, 2.0**30, 2.0**40]))
         samples = draw(st.sampled_from([64, 65, 96]))
         calls.append((stage, xi_max, 10, samples, draw(st.integers(0, 2)), draw(st.integers(0, stage - 1))))
     return spec, calls
@@ -675,7 +752,7 @@ def report_sequences(draw):
 @given(report_sequences())
 def test_memoised_salem_reports_equal_fresh_scheme_reports(case):
     """A scheme's kept decay fits never change a report: each equals a fresh scheme's, byte for byte in
-    its repr (a refused ladder raises the same error)."""
+    its repr (a refused ladder or frequency ceiling raises the same error)."""
     spec, calls = case
     scheme = parse_scheme(spec)
     for args in calls:
@@ -2308,6 +2385,17 @@ def parsed_json(text: str) -> tuple:
 JSON_ENDS = ['"2/4"', '"007/9"', '"-0/3"', '"1/3"', '"-1/2"', '"3"', '"0"', '"0.5"', '"1e-3"', '" 1/4 "',
              '"+1/5"', "0", "1", "0.25", "1e-3", "true", '"1/0"', '"0/00"', '"1/ 2"', '"1//2"', '"½"',
              '"١/2"', '"1/-2"', '"-"', '"/2"', '""', "null", "[]", "NaN", "Infinity", '"1e-10000000"', '" 2E+1_0000 "']
+
+
+@pytest.mark.parametrize("token", [json.loads(t) for t in JSON_ENDS if t.startswith('"')])
+def test_as_fraction_reads_a_string_as_the_fraction_parser_with_its_exponent_bound(token):
+    try:
+        expected = reference_fraction(token)
+    except (ValueError, ZeroDivisionError) as e:
+        with pytest.raises(type(e)):
+            as_fraction(token)
+    else:
+        assert as_fraction(token) == expected
 
 
 @st.composite

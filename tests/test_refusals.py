@@ -5,13 +5,14 @@ The Fourier fit's refusals are checked with its frequency grid replaced by a fun
 refused count or ceiling that reached the sweep would fail the test instead of building the array.
 """
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from salemlab import SAMPLES_BOUND, dimension
 from salemlab.bitseq import BitMatrix, BitSequence
-from salemlab.constructions import ConstructionError, SAlphaScheme
+from salemlab.constructions import CantorScheme, ConstructionError, SAlphaScheme, WeihrauchScheme
 from salemlab.dimension import FitError, countable_union_sup, fourier_decay_fit, frostman_fit
 from salemlab.geometry import BoxUnion, GeometryError, IntervalUnion, as_fraction, simplex_partition_1d
 from salemlab.measures import MeasureError, SelfSimilarProductMeasure, natural_measure
@@ -20,6 +21,7 @@ from salemlab.numberfield import GaussianInt, divides, mult_matrix_inv
 UNIT = natural_measure(IntervalUnion.full())
 HALVES = [[F(0), F(1, 2)]]  # one offset stage of a two-branch product measure
 XI_MAX = "xi_max must be a finite positive number"
+DIGIT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 # name -> (the refused call, its exception type, its message)
 REFUSALS = {
@@ -36,6 +38,9 @@ REFUSALS = {
                            "radii must be positive"),
     "frostman, centres off the support": (lambda: frostman_fit(UNIT, [5], [F(1, 8), F(1, 4), F(1, 2), 1]),
                                           FitError, "ball masses vanished at every scale"),
+    "frostman, distinct radii with one float log": (
+        lambda: frostman_fit(UNIT, [F(1, 2)], [1 + F(k, 10**30) for k in range(4)]), FitError,
+        "degenerate abscissa: all scales equal"),
     "union sup, no reports": (lambda: countable_union_sup([], True), FitError, "no block reports given"),
     "fit, xi_max 2^513": (lambda: fourier_decay_fit(UNIT, xi_max=2.0**513), FitError,
                           "xi_max too large: it must stay below 2^513"),
@@ -47,7 +52,17 @@ REFUSALS = {
                                          FitError, f"at most {SAMPLES_BOUND} samples per dyadic band"),
     "fit, samples 10^20": (lambda: fourier_decay_fit(UNIT, samples_per_band=10**20), FitError,
                            f"at most {SAMPLES_BOUND} samples per dyadic band"),
+    "fit, top band end above the float ceiling": (
+        lambda: fourier_decay_fit(CantorScheme(3).decay_measure(8), xi_max=2.0**40), FitError,
+        "xi_max too large: top band end 1.099511628e+12 above float ceiling 8589934592"),
+    "fit, top band end just above the unit interval's float ceiling": (
+        lambda: fourier_decay_fit(UNIT, xi_max=2.0**29), FitError,
+        "xi_max too large: top band end 536870912 above float ceiling 536870911.8"),
     "as_fraction of a float": (lambda: as_fraction(1.5), TypeError, "not a rational: 1.5"),
+    "as_fraction, exponent past the digit limit": (lambda: as_fraction("1e-1000000"), ValueError,
+                                                   f"decimal exponent -1000000 beyond the digit limit {DIGIT_LIMIT}"),
+    "weihrauch, rows past the bound": (lambda: WeihrauchScheme([BitSequence.zero()] * 7), ConstructionError,
+                                       "7 rows, above the bound of 6"),
     "point distance to the empty union": (lambda: IntervalUnion([]).point_distance(0), GeometryError,
                                           "distance to the empty set is undefined"),
     "box union, dimension 0": (lambda: BoxUnion(0, []), GeometryError, "dimension must be positive"),
