@@ -103,7 +103,7 @@ def covering_sum(cover, s: float) -> float:
         D, lefts, rights = cover.int_ends
         diams = [(r - l) / D for l, r in zip(lefts, rights)]
     else:
-        diams = [float(Fraction(b) - Fraction(a)) for a, b in cover]
+        diams = [float(as_fraction(b) - as_fraction(a)) for a, b in cover]
     return math.fsum(d**s for d in diams)
 
 
@@ -131,7 +131,7 @@ def frostman_fit(mu: PiecewiseUniformMeasure, centers: Sequence, radii: Sequence
 
     The exponent is clamped into [0, 1].
     """
-    radii = sorted({Fraction(r) if not isinstance(r, Fraction) else r for r in radii})
+    radii = sorted(set(map(as_fraction, radii)))
     if len(radii) < 4:
         raise FitError("need at least four distinct radii")
     if radii[0] <= 0:
@@ -153,10 +153,10 @@ def _frostman_fit(mu: PiecewiseUniformMeasure, E: int, cn: list[int], rn: list[i
     return DecayFit(clamp_dimension(slope), intercept, r2, (min(xs), max(xs)), len(xs))
 
 
-def _frostman_grid(mu: PiecewiseUniformMeasure, cap: int = 128) -> tuple[int, list[int], list[int]]:
+def _frostman_grid(mu: PiecewiseUniformMeasure) -> tuple[int, list[int], list[int]]:
     """The default centres and radii as numerators over one denominator E = 2D 2^J.
 
-    Centres: piece endpoints and midpoints, evenly thinned to the cap.  Radii:
+    Centres: piece endpoints and midpoints, evenly thinned to 128.  Radii:
     J of them, from diam/4 halving down to the smallest piece length, at least
     6 and at most 40, so span 2^(J-1-i) / E for i < J (span
     the support's numerator length; 1/4, 1/8, ... for a single point); the
@@ -174,9 +174,9 @@ def _frostman_grid(mu: PiecewiseUniformMeasure, cap: int = 128) -> tuple[int, li
     # disjoint pieces already give strictly increasing points
     if any(r >= l2 for r, l2 in zip(rights, lefts[1:])):
         pts = sorted(set(pts))
-    if len(pts) > cap:
-        step = (len(pts) - 1) / (cap - 1)
-        pts = [pts[round(i * step)] for i in range(cap)]
+    if len(pts) > 128:
+        step = (len(pts) - 1) / 127
+        pts = [pts[round(i * step)] for i in range(128)]
     span = rights[-1] - lefts[0]
     floor = min((r - l for l, r in zip(lefts, rights) if r > l), default=0)
     # the radii span / (D 2^(2+i)) at or above the floor: i <= log2(span / floor) - 2
@@ -185,9 +185,9 @@ def _frostman_grid(mu: PiecewiseUniformMeasure, cap: int = 128) -> tuple[int, li
     return 2 * D << J, [p << J for p in pts], [(span or D) << i for i in range(J)]
 
 
-def default_frostman_centers(mu: PiecewiseUniformMeasure, cap: int = 128) -> list[Fraction]:
-    """Piece endpoints and midpoints, evenly thinned to the cap (see `_frostman_grid`)."""
-    E, cn, _ = _frostman_grid(mu, cap)
+def default_frostman_centers(mu: PiecewiseUniformMeasure) -> list[Fraction]:
+    """Piece endpoints and midpoints, evenly thinned to 128 (see `_frostman_grid`)."""
+    E, cn, _ = _frostman_grid(mu)
     return [Fraction(c, E) for c in cn]
 
 

@@ -3,13 +3,14 @@
 Geometry stays rational, weights are floats; a piecewise-uniform measure
 stores its endpoints only as its integer view, `int_ends` (taken from the
 union by `natural_measure`), which every mass, float view and transform
-reads; its Fraction `pieces` are derived on first read.  Piecewise-uniform
-scalar transforms are summed with math.fsum, independent of piece order;
-their vector sweeps have a fixed accumulation order.  The product measure's
-vector sweep gives the floats of its scalar product, modulus by hypot.
-Of the CLI's commands only `report` and `sweep` load this module; numpy
-loads in the vector sweeps and the Frostman sup only, so single ball masses
-and scalar transforms skip it.
+reads; its Fraction `pieces` are derived on first read.  A piecewise-uniform
+measure has one transform formula, the vector kernel with its fixed
+accumulation order: a scalar call loads numpy and gives that kernel's float
+at one frequency.  The product measure's vector sweep gives the floats of
+its scalar product, modulus by hypot.  Of the CLI's commands only `report`
+and `sweep` load this module; numpy loads in the vector sweeps, piecewise
+transforms and the Frostman sup only, so single ball masses and product
+scalar transforms skip it.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ _TWO_PI = 2.0 * math.pi
 
 class MeasureError(ValueError):
     pass
-
-
-def _sinc(t: float) -> float:
-    return 1.0 if t == 0.0 else math.sin(t) / t
 
 
 class PiecewiseUniformMeasure:
@@ -117,24 +114,11 @@ class PiecewiseUniformMeasure:
     # -- transform ----------------------------------------------------------
 
     def fourier_eval(self, xi: float) -> complex:
-        """Exact closed form: sum of w * e^(-i xi (a+b)/2) * sinc(xi (b-a)/2)."""
-        re = []
-        im = []
-        D, lefts, rights = self.int_ends
-        for l, r, w in zip(lefts, rights, self.weights):
-            c, h = (l + r) / (2 * D), (r - l) / (2 * D)  # the floats of (a + b)/2 and (b - a)/2
-            mod = w * _sinc(xi * h)
-            re.append(mod * math.cos(xi * c))
-            im.append(-mod * math.sin(xi * c))
-        return complex(math.fsum(re), math.fsum(im))
+        """`fourier_eval_many` at one frequency: w e^(-i xi c) sinc(xi h) summed over the pieces."""
+        return complex(self.fourier_eval_many([xi])[0])
 
     def fourier_modulus(self, xi: float) -> float:
-        # single piece: the phase factor is unimodular, so the modulus is
-        # exactly w * |sinc|; this keeps atoms at modulus w without rounding
-        if len(self.weights) == 1:
-            D, (l,), (r,) = self.int_ends
-            return self.weights[0] * abs(_sinc(xi * ((r - l) / (2 * D))))
-        return abs(self.fourier_eval(xi))
+        return float(self.fourier_modulus_many([xi])[0])
 
     def fourier_eval_many(self, xis: "np.ndarray") -> "np.ndarray":
         """Vectorized transform values with a fixed accumulation order.
@@ -398,7 +382,7 @@ class SelfSimilarProductMeasure:
         self._of = [[float(o) for o in off] for off in self.offsets]
         self._sf, self._tf = float(self.scale), float(self.shift)
         self._sched = [abs(self._sf)]
-        self._sched = self._stage_scales(201)  # s_0..s_200, read by every transform
+        self._sched = self._stage_scales(401)  # s_0..s_400: every transform reads s_0..s_200, the resonance walk all
         self._tail = self._sched[199:7:-1]  # s_199 .. s_8, ascending: the depth rule's table
 
     def _stage_scales(self, depth: int) -> list[float]:
@@ -495,8 +479,8 @@ class SelfSimilarProductMeasure:
         mods = self.fourier_modulus_many(xis)
         return mods, 0.0 * mods
 
-    def resonant_frequencies(self, lo: float, hi: float, mmax: int = 24) -> list[float]:
-        """Candidate extrema pi*m/s_k on the reciprocal lattice of the scales.
+    def resonant_frequencies(self, lo: float, hi: float) -> list[float]:
+        """Candidate extrema pi*m/s_k (m = 1..24) on the reciprocal lattice of the scales s_0..s_400.
 
         The decay condition is a supremum over all frequencies; for
         self-similar measures the transform is largest along the reciprocal
@@ -504,20 +488,14 @@ class SelfSimilarProductMeasure:
         these points would overstate the decay.
         """
         out: set[float] = set()
-        s = abs(self._sf)
-        k = 0
-        while True:
+        for s in self._stage_scales(401):  # s_0..s_400, which do not increase
             base = math.pi / s
-            if base >= hi and k > 0:
+            if base >= hi:
                 break
-            for m in range(1, mmax + 1):
+            for m in range(1, 25):
                 xi = base * m
                 if lo <= xi < hi:
                     out.add(xi)
-            s *= self._cf[k % len(self._cf)]
-            k += 1
-            if k > 400:
-                break
         return sorted(out)
 
     def affine_pushforward(self, a, t) -> "SelfSimilarProductMeasure":

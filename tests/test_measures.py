@@ -131,14 +131,20 @@ class TestFourierEval:
             assert abs(mu.fourier_eval(xi)) <= 1.0 + 1e-12
 
     def test_vectorized_matches_scalar(self):
+        """A scalar call is the vector kernel's float, bit for bit, whatever batch the frequency sits in."""
         import numpy as np
 
         rng = random.Random(41)
-        mu = random_measure(rng)
-        xis = np.array([0.5, 3.25, 100.0, 2.0**15])
-        many = mu.fourier_modulus_many(xis)
-        for xi, m in zip(xis, many):
-            assert m == pytest.approx(abs(mu.fourier_eval(float(xi))), abs=1e-12)
+        one_piece = PiecewiseUniformMeasure([(F(1, 3), F(4, 5), 1.0)])
+        atom = natural_measure(IntervalUnion([(F(2, 7), F(2, 7))]))
+        xis = np.array([0.0, -0.5, 0.5, 3.25, 100.0, 2.0**15])
+        for mu in (random_measure(rng), random_measure(rng), one_piece, atom):
+            many, moduli = mu.fourier_eval_many(xis), mu.fourier_modulus_many(xis)
+            for xi, v, m in zip(xis.tolist(), many.tolist(), moduli.tolist()):
+                got = mu.fourier_eval(xi)
+                assert (got.real.hex(), got.imag.hex()) == (v.real.hex(), v.imag.hex())
+                assert mu.fourier_modulus(xi).hex() == m.hex()
+        assert [atom.fourier_modulus(xi) for xi in xis.tolist()] == [1.0] * len(xis)
 
 
 class TestProductMeasure:

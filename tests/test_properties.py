@@ -244,12 +244,12 @@ def test_piecewise_uniform_transform_is_at_most_one(mu, xs):
 
 
 @st.composite
-def product_measures(draw):
+def product_measures(draw, contraction=st.builds(F, st.integers(1, 99), st.just(100))):
     """Offsets that are often 0, stages whose offsets are all 0 or all one value,
     repeated offsets within a stage, scales of both signs and shifts often 0."""
     b = draw(st.integers(2, 4))
     stages = draw(st.integers(1, 3))
-    contractions = [F(draw(st.integers(1, 99)), 100) for _ in range(stages)]
+    contractions = [draw(contraction) for _ in range(stages)]
     offset = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 1000), st.just(1000)))
     offsets = []
     for _ in range(stages):  # each stage draws its b offsets from a pool of 1 to b values
@@ -328,10 +328,11 @@ def test_product_vector_kernel_is_bit_identical_to_the_scalar_path(mu, xs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(product_measures(), st.lists(edge_xis, min_size=1, max_size=6), st.sampled_from([None, 1, 9, 200, 201, 260]))
+@given(product_measures(), st.lists(edge_xis, min_size=1, max_size=6),
+       st.sampled_from([None, 1, 9, 200, 201, 260, 401, 402, 460]))
 def test_scalar_product_reads_the_schedule_and_extends_it(mu, xs, depth):
     assert bits(mu.fourier_eval(xi, depth) for xi in xs) == bits(reference_product_eval(mu, xi, depth) for xi in xs)
-    assert len(mu._sched) == 201
+    assert len(mu._sched) == 401
 
 
 def test_product_depth_rule_bisects_the_tail_at_every_tie():
@@ -400,10 +401,25 @@ def touching_measures(draw):
 
 
 @st.composite
+def shuffled_touching_measures(draw):
+    """Pieces that touch at shared endpoints, with atoms on them, in any order."""
+    ends = sorted(draw(st.lists(rationals, min_size=2, max_size=12, unique=True)))
+    pieces, k = [], 0
+    while k + 1 < len(ends):
+        pieces.append((ends[k], ends[k + 1]))
+        if draw(st.booleans()):
+            pieces.append((ends[k + 1], ends[k + 1]))
+        k += draw(st.sampled_from([1, 2]))
+    draw(st.randoms(use_true_random=False)).shuffle(pieces)
+    raw = draw(st.lists(st.integers(1, 1000), min_size=len(pieces), max_size=len(pieces)))
+    return PiecewiseUniformMeasure([(a, b, v / sum(raw)) for (a, b), v in zip(pieces, raw)])
+
+
+@st.composite
 def screened_measures(draw):
     """Piecewise measures of every shape, some pushed by an affine map that may
     reverse them and move their centres below 0."""
-    mu = draw(st.one_of(measures(), touching_measures(), many_piece_measures()))
+    mu = draw(st.one_of(measures(), touching_measures(), shuffled_touching_measures(), many_piece_measures()))
     if draw(st.booleans()):
         scale = draw(st.sampled_from([-1, 1])) * draw(positive_rationals)
         mu = mu.affine_pushforward(scale, draw(rationals) - 3)
@@ -677,6 +693,42 @@ def test_far_band_of_a_jarnik_stage_has_no_repeated_candidate():
     got = mu.resonant_frequencies(2.0**122, 2.0**123)
     assert len(old) == 48 and len(set(old)) == 1
     assert got == old[:1]
+
+
+def reference_product_resonances(mu: SelfSimilarProductMeasure, lo: float, hi: float) -> list[float]:
+    """The stepwise walk over s_0..s_400 that `resonant_frequencies` ran before it read `_stage_scales`."""
+    out: set[float] = set()
+    s, k = abs(float(mu.scale)), 0
+    contractions = [float(c) for c in mu.contractions]
+    while True:
+        base = math.pi / s
+        if base >= hi and k > 0:
+            break
+        for m in range(1, 25):
+            xi = base * m
+            if lo <= xi < hi:
+                out.add(xi)
+        s *= contractions[k % len(contractions)]
+        k += 1
+        if k > 400:
+            break
+    return sorted(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    product_measures(st.builds(F, st.integers(9500, 9900), st.just(10000))),
+    st.floats(-3, 40),
+    st.floats(-3, 40),
+)
+@example(SelfSimilarProductMeasure(2, [[F(0), F(1, 2)]], [F(99, 100)]), -3.0, 40.0)  # pi / s_400 is about 171
+def test_product_resonances_walk_the_stage_scales(mu, log_a, log_b):
+    """Contractions of 0.95 to 0.99 keep pi / s_k below 2^40 up to k = 400, so wide bands reach the walk's cap."""
+    lo, hi = 2.0 ** min(log_a, log_b), 2.0 ** max(log_a, log_b)
+    got = mu.resonant_frequencies(lo, hi)
+    assert got == reference_product_resonances(mu, lo, hi)
+    if got:  # a band from one candidate to another holds the first, not the last
+        assert mu.resonant_frequencies(got[0], got[-1]) == reference_product_resonances(mu, got[0], got[-1])
 
 
 SPECS = {
@@ -1115,7 +1167,7 @@ def reference_report_of(scheme, k: int, U: IntervalUnion) -> StageReport:
     return reference_stage_report(k, U)
 
 
-def reference_centers(mu: PiecewiseUniformMeasure, cap: int = 128) -> list[F]:
+def reference_centers(mu: PiecewiseUniformMeasure) -> list[F]:
     pts = []
     for a, b, _ in mu.pieces:
         pts.append(a)
@@ -1124,9 +1176,9 @@ def reference_centers(mu: PiecewiseUniformMeasure, cap: int = 128) -> list[F]:
             pts.append(b)
     if any(b >= a2 for (_, b, _), (a2, _, _) in zip(mu.pieces, mu.pieces[1:])):
         pts = sorted(set(pts))
-    if len(pts) > cap:
-        step = (len(pts) - 1) / (cap - 1)
-        pts = [pts[round(i * step)] for i in range(cap)]
+    if len(pts) > 128:
+        step = (len(pts) - 1) / 127
+        pts = [pts[round(i * step)] for i in range(128)]
     return pts
 
 
@@ -1158,7 +1210,6 @@ def reference_arrays(mu: PiecewiseUniformMeasure) -> tuple:
 
 def assert_measure_readings(mu: PiecewiseUniformMeasure) -> None:
     assert default_frostman_centers(mu) == reference_centers(mu)
-    assert default_frostman_centers(mu, cap=5) == reference_centers(mu, cap=5)
     assert default_frostman_radii(mu) == reference_radii(mu)
     assert [a.tobytes() for a in mu._arrays] == [a.tobytes() for a in reference_arrays(mu)]
 
@@ -1240,24 +1291,11 @@ def test_scheme_stage_views_and_readings_equal_fraction_formulas(spec):
         assert_measure_readings(mu)
 
 
-@st.composite
-def touching_measures(draw):
-    """Pieces that touch at shared endpoints, with atoms on them, in any order."""
-    ends = sorted(draw(st.lists(rationals, min_size=2, max_size=12, unique=True)))
-    pieces, k = [], 0
-    while k + 1 < len(ends):
-        pieces.append((ends[k], ends[k + 1]))
-        if draw(st.booleans()):
-            pieces.append((ends[k + 1], ends[k + 1]))
-        k += draw(st.sampled_from([1, 2]))
-    draw(st.randoms(use_true_random=False)).shuffle(pieces)
-    raw = draw(st.lists(st.integers(1, 1000), min_size=len(pieces), max_size=len(pieces)))
-    return PiecewiseUniformMeasure([(a, b, v / sum(raw)) for (a, b), v in zip(pieces, raw)])
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(measures(), touching_measures()))
+@given(st.one_of(measures(), shuffled_touching_measures(), many_piece_measures()))
 def test_measure_readings_equal_fraction_formulas(mu):
+    """The integer view, the default Frostman centres (thinned to 128 on many pieces) and radii, and the
+    transform arrays, against their Fraction formulas."""
     assert [(F(l, mu.int_ends[0]), F(r, mu.int_ends[0])) for l, r in zip(*mu.int_ends[1:])] == [
         (a, b) for a, b, _ in mu.pieces
     ]
@@ -1544,7 +1582,7 @@ def measure_outcome(build, *args):
 def bad_measure_pieces(draw):
     """A measure's pieces, shuffled or not, with a reversed, weightless,
     overlapping or touching piece put in, or any piece."""
-    mu = draw(st.one_of(measures(), touching_measures()))
+    mu = draw(st.one_of(measures(), shuffled_touching_measures()))
     pieces = [(a, b, w) for a, b, w in mu.pieces]
     if draw(st.booleans()):
         draw(st.randoms(use_true_random=False)).shuffle(pieces)
@@ -1729,7 +1767,7 @@ ATOM = PiecewiseUniformMeasure([(F(2, 7), F(2, 7), 1.0)])
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(measures(), touching_measures(), underflow_measures(), many_piece_measures()))
+@given(st.one_of(measures(), shuffled_touching_measures(), underflow_measures(), many_piece_measures()))
 @example(ATOM)
 def test_integer_frostman_sup_path_equals_the_fraction_fit(mu):
     """The report's integer centres, radii and sup give the public Fraction fit and its reference."""
@@ -2143,7 +2181,7 @@ def test_reports_never_read_the_fraction_pieces(spec, monkeypatch):
 @st.composite
 def adjacent_balls(draw):
     """A measure, a point x carrying no atom, and the closed balls [lo, x] and [x, hi]."""
-    mu = draw(st.one_of(measures(), touching_measures()))
+    mu = draw(st.one_of(measures(), shuffled_touching_measures()))
     ends = [e for a, b, _ in mu.pieces for e in (a, b)]
     atoms = {a for a, b, _ in mu.pieces if a == b}
     x = draw(st.one_of(st.sampled_from(ends), rationals, st.builds(lambda a, b: (a + b) / 2, st.sampled_from(ends), st.sampled_from(ends))))

@@ -13,7 +13,7 @@ import pytest
 from salemlab import SAMPLES_BOUND, dimension
 from salemlab.bitseq import BitMatrix, BitSequence
 from salemlab.constructions import CantorScheme, ConstructionError, SAlphaScheme, WeihrauchScheme
-from salemlab.dimension import FitError, countable_union_sup, fourier_decay_fit, frostman_fit
+from salemlab.dimension import FitError, countable_union_sup, covering_sum, fourier_decay_fit, frostman_fit
 from salemlab.geometry import BoxUnion, GeometryError, IntervalUnion, as_fraction, simplex_partition_1d
 from salemlab.measures import MeasureError, SelfSimilarProductMeasure, natural_measure
 from salemlab.numberfield import GaussianInt, divides, mult_matrix_inv
@@ -41,6 +41,15 @@ REFUSALS = {
     "frostman, distinct radii with one float log": (
         lambda: frostman_fit(UNIT, [F(1, 2)], [1 + F(k, 10**30) for k in range(4)]), FitError,
         "degenerate abscissa: all scales equal"),
+    "frostman, float radius": (lambda: frostman_fit(UNIT, [F(1, 2)], [0.125, F(1, 4), F(1, 2), 1]), TypeError,
+                               "not a rational: 0.125"),
+    "frostman, radius exponent past the digit limit": (
+        lambda: frostman_fit(UNIT, [F(1, 2)], ["1e-1000000", F(1, 4), F(1, 2), 1]), ValueError,
+        f"decimal exponent -1000000 beyond the digit limit {DIGIT_LIMIT}"),
+    "covering sum, float pair": (lambda: covering_sum([(0, 0.5)], 1.0), TypeError, "not a rational: 0.5"),
+    "covering sum, pair exponent past the digit limit": (
+        lambda: covering_sum([("1e-1000000", 1)], 1.0), ValueError,
+        f"decimal exponent -1000000 beyond the digit limit {DIGIT_LIMIT}"),
     "union sup, no reports": (lambda: countable_union_sup([], True), FitError, "no block reports given"),
     "fit, xi_max 2^513": (lambda: fourier_decay_fit(UNIT, xi_max=2.0**513), FitError,
                           "xi_max too large: it must stay below 2^513"),
