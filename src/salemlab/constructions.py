@@ -669,14 +669,14 @@ def _radial_quadrant(A: IntervalUnion, resolution) -> tuple[Fraction, list[list[
     decides; along a row L grows, so that piece only moves forward.
     """
     res = as_fraction(resolution)
-    if res <= 0:
+    if res.numerator <= 0:
         raise ConstructionError("resolution must be positive")
     D, lefts, rights = A.int_ends
     den = (D * res.numerator) ** 2  # e²/res² = (n * den res)² / den for an endpoint e = n/D
     kept = [(max(l, 0) * res.denominator, r * res.denominator) for l, r in zip(lefts, rights) if r >= 0]
     floors = [b * b // den for _, b in kept] + [math.inf]  # past the last floor no piece is met
     ceils = [-(a * a // -den) for a, _ in kept]
-    n = math.ceil(1 / res)
+    n = -(-res.denominator // res.numerator)  # ceil(1/res)
     sq = [m * m for m in range(n + 1)]
     rows = []
     for lx, hx in zip(sq, sq[1:]):

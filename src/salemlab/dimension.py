@@ -116,7 +116,7 @@ def box_count_fit(reports: Sequence[StageReport]) -> DecayFit:
     xs, ys = [], []
     for rep in reports:
         delta = rep.max_diam
-        if delta <= 0 or rep.piece_count < 1:
+        if delta.numerator <= 0 or rep.piece_count < 1:
             continue
         xs.append(-_log(delta.numerator, delta.denominator))
         ys.append(math.log(rep.piece_count))
@@ -134,7 +134,7 @@ def frostman_fit(mu: PiecewiseUniformMeasure, centers: Sequence, radii: Sequence
     radii = sorted(set(map(as_fraction, radii)))
     if len(radii) < 4:
         raise FitError("need at least four distinct radii")
-    if radii[0] <= 0:
+    if radii[0].numerator <= 0:
         raise FitError("radii must be positive")
     return _frostman_fit(mu, *_common_numerators(mu.int_ends[0], [as_fraction(c) for c in centers], radii))
 

@@ -201,7 +201,7 @@ class IntervalUnion(_Record):
     def _set(self, space: tuple, ints: tuple[int, list[int], list[int]]) -> None:
         """Check the pieces on their numerators, sort them only if out of order, and store the view."""
         lo, hi = as_fraction(space[0]), as_fraction(space[1])
-        if lo >= hi:
+        if lo.numerator * hi.denominator >= hi.numerator * lo.denominator:  # lo >= hi, on ints
             raise GeometryError("space bound must be nondegenerate")
         D, lefts, rights = ints
         lon, hin = lo.numerator * D, hi.numerator * D  # l/D >= lo iff l * lo.denominator >= lon
@@ -555,7 +555,7 @@ def simplex_partition_1d(A: IntervalUnion, grid: RationalLike) -> list[IntervalU
     its two ends clamped, and jumps the cells meeting no piece: O(pieces + cells met).
     """
     g = as_fraction(grid)
-    if g <= 0:
+    if g.numerator <= 0:
         raise GeometryError("grid step must be positive")
     if A.is_empty:
         return []

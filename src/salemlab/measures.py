@@ -123,24 +123,27 @@ class PiecewiseUniformMeasure:
     def fourier_eval_many(self, xis: "np.ndarray") -> "np.ndarray":
         """Vectorized transform values with a fixed accumulation order.
 
-        Each row sums w * sinc(xi h) * e^(-i xi c) over 512-piece blocks as
-        (ws cos, -(ws sin)), the floats of numpy's complex exp and product
-        without their cost; 128 rows at a time bound the temporaries.
+        Each row sums w * sinc(xi h) * e^(-i xi c) over 512-piece blocks as (ws cos, -(ws sin)),
+        the floats of numpy's complex exp and product without their cost; 128 rows at a time bound
+        the buffers, one flat set per call, whose leading entries are each block's contiguous views.
         """
         import numpy as np
 
         centers, halves, weights, index = self._arrays
         xis = np.asarray(xis, dtype=float)
         out = np.zeros(len(xis), dtype=complex)
+        size = min(128, len(xis)) * min(512, len(centers))
+        bufs = [*np.empty((3, size)), np.empty(size, dtype=complex)]  # phase, gathered envelope, trig, term
         for r in range(0, len(xis), 128):
             x = xis[r:r + 128, None]
             envelope = weights * np.sinc(x * halves / np.pi)
             for start in range(0, len(centers), 512):
                 sl = slice(start, start + 512)
-                arg = x * centers[sl]
-                ws = envelope[:, index[sl]]
-                term = np.empty(arg.shape, dtype=complex)
-                term.real, term.imag = ws * np.cos(arg), -(ws * np.sin(arg))
+                arg, ws, trig, term = (b[:len(x) * len(index[sl])].reshape(len(x), -1) for b in bufs)
+                np.multiply(x, centers[sl], out=arg)
+                np.take(envelope, index[sl], axis=1, out=ws, mode="clip")  # in range; "raise" would copy out
+                np.multiply(ws, np.cos(arg, out=trig), out=term.real)
+                np.negative(np.multiply(ws, np.sin(arg, out=trig), out=term.imag), out=term.imag)
                 out[r:r + 128] += term.sum(axis=1)
         return out
 
@@ -269,7 +272,7 @@ class PiecewiseUniformMeasure:
         the float is that of the exact rational mass.
         """
         fx, fr = as_fraction(x), as_fraction(r)
-        if fr <= 0:
+        if fr.numerator <= 0:  # a Fraction's denominator is positive: the sign is the numerator's
             raise MeasureError("radius must be positive")
         D = self.int_ends[0]
         e = math.lcm(fx.denominator, fr.denominator)
@@ -278,9 +281,8 @@ class PiecewiseUniformMeasure:
 
     def max_ball_masses(self, centers: Sequence, radii: Sequence) -> list[float]:
         """max(ball_mass(c, r) for c in centers) for each r in radii, the same floats."""
-        cs = [as_fraction(c) for c in centers]
-        rs = [as_fraction(r) for r in radii]
-        if any(r <= 0 for r in rs):
+        cs, rs = [as_fraction(c) for c in centers], [as_fraction(r) for r in radii]
+        if any(r.numerator <= 0 for r in rs):
             raise MeasureError("radius must be positive")
         return self._max_ball_masses(*_common_numerators(self.int_ends[0], cs, rs))
 
@@ -345,6 +347,17 @@ class PiecewiseUniformMeasure:
         return Fraction(rights[-1] - lefts[0], D)
 
 
+def _floats(name: str, qs: Iterable[Fraction], nonzero: bool = False) -> list[float]:
+    """The floats of qs; MeasureError naming the argument if one overflows, or, where nonzero is set, is 0.0."""
+    try:
+        fs = [float(q) for q in qs]
+    except OverflowError:
+        raise MeasureError(f"{name} overflows a float") from None
+    if nonzero and not all(fs):
+        raise MeasureError(f"{name} rounds to float 0")
+    return fs
+
+
 class SelfSimilarProductMeasure:
     """Limit measure of a branching construction, via the product formula.
 
@@ -368,19 +381,16 @@ class SelfSimilarProductMeasure:
         self.branching = branching
         self.offsets = tuple(tuple(as_fraction(o) for o in off) for off in offsets)
         self.contractions = tuple(as_fraction(c) for c in contractions)
-        for off in self.offsets:
-            if len(off) != branching:
-                raise MeasureError("each offset stage must list one offset per branch")
+        if any(len(off) != branching for off in self.offsets):
+            raise MeasureError("each offset stage must list one offset per branch")
         if any(not 0 < c < 1 for c in self.contractions):
             raise MeasureError("contractions must lie in (0, 1)")
-        self.scale = as_fraction(scale)
-        self.shift = as_fraction(shift)
+        self.scale, self.shift = as_fraction(scale), as_fraction(shift)
         if self.scale == 0:
             raise MeasureError("affine scale must be nonzero")
-        # float views for the transform loops, converted once
-        self._cf = [float(c) for c in self.contractions]
-        self._of = [[float(o) for o in off] for off in self.offsets]
-        self._sf, self._tf = float(self.scale), float(self.shift)
+        # float views for the transform loops, converted once; a scale of 0.0 would leave no frequency scale
+        self._cf, self._of = _floats("contraction", self.contractions, True), [_floats("offset", o) for o in self.offsets]
+        (self._sf,), (self._tf,) = _floats("affine scale", [self.scale], True), _floats("affine shift", [self.shift])
         self._sched = [abs(self._sf)]
         self._sched = self._stage_scales(401)  # s_0..s_400: every transform reads s_0..s_200, the resonance walk all
         self._tail = self._sched[199:7:-1]  # s_199 .. s_8, ascending: the depth rule's table

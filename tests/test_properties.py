@@ -27,7 +27,8 @@ pickled by value, with no attribute set or deleted; and the `cantor` scheme's
 inherited product measure, bit for bit, against the one-contraction limit
 measure it replaced, and its own n^k stage builder against the generic one; and both transform kernels
 within 2^-20 of an exact-phase oracle below their float ceilings, and `as_fraction`'s string reading against
-the Fraction parser with the set-file exponent bound."""
+the Fraction parser with the set-file exponent bound; and the exact layer's sign and space-bound guards, read on
+integers, against Fraction comparisons of Fraction, int and "p/q" string inputs."""
 
 from __future__ import annotations
 
@@ -191,6 +192,35 @@ def measures_and_balls(draw):
 def test_integer_ball_mass_equals_fraction_formula(case):
     mu, x, r = case
     assert mu.ball_mass(x, r) == reference_ball_mass(mu, x, r)
+
+
+# a rational as a Fraction, an int or a "p/q" string (unreduced or with a sign), zero and negatives included
+rational_forms = st.one_of(
+    rationals,
+    st.integers(-2, 2),
+    st.sampled_from([F(0), "0/7", "-0/3", "-1/2", "2/4"]),
+    st.builds(lambda q, k: f"{q.numerator * k}/{q.denominator * k}", rationals, st.integers(1, 6)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(measures_and_balls(), rational_forms, rational_forms, rational_forms)
+def test_integer_guards_refuse_exactly_as_the_fraction_order(case, r, lo, hi):
+    """The sign guard of `ball_mass` and `max_ball_masses` and the space-bound guard of `IntervalUnion`, read on
+    integers, refuse exactly the inputs that Fraction comparisons refuse, and otherwise give the Fraction formula."""
+    mu, x, _ = case
+    if F(r) <= 0:
+        for call in (lambda: mu.ball_mass(x, r), lambda: mu.max_ball_masses([x], [r])):
+            with pytest.raises(MeasureError, match="^radius must be positive$"):
+                call()
+    else:
+        assert mu.ball_mass(x, r) == reference_ball_mass(mu, x, F(r))
+        assert mu.max_ball_masses([x], [r]) == [reference_ball_mass(mu, x, F(r))]
+    if F(lo) >= F(hi):
+        with pytest.raises(GeometryError, match="^space bound must be nondegenerate$"):
+            IntervalUnion([], space=(lo, hi))
+    else:
+        assert IntervalUnion([(lo, hi)], space=(lo, hi)).space == (F(lo), F(hi))
 
 
 positive_rationals = st.builds(lambda n, d: F(n % (2 * d) + 1, d), st.integers(0, 2**400), denominators)

@@ -12,8 +12,22 @@ import pytest
 
 from salemlab import SAMPLES_BOUND, dimension
 from salemlab.bitseq import BitMatrix, BitSequence
-from salemlab.constructions import CantorScheme, ConstructionError, SAlphaScheme, WeihrauchScheme
-from salemlab.dimension import FitError, countable_union_sup, covering_sum, fourier_decay_fit, frostman_fit
+from salemlab.constructions import (
+    CantorScheme,
+    ConstructionError,
+    SAlphaScheme,
+    StageReport,
+    WeihrauchScheme,
+    radial_lift,
+)
+from salemlab.dimension import (
+    FitError,
+    box_count_fit,
+    countable_union_sup,
+    covering_sum,
+    fourier_decay_fit,
+    frostman_fit,
+)
 from salemlab.geometry import BoxUnion, GeometryError, IntervalUnion, as_fraction, simplex_partition_1d
 from salemlab.measures import MeasureError, SelfSimilarProductMeasure, natural_measure
 from salemlab.numberfield import GaussianInt, divides, mult_matrix_inv
@@ -36,6 +50,11 @@ REFUSALS = {
                                             "the centre prime needs 31706 bits, above the bound of 3072"),
     "frostman, radius 0": (lambda: frostman_fit(UNIT, [F(1, 2)], [0, F(1, 8), F(1, 4), F(1, 2)]), FitError,
                            "radii must be positive"),
+    "frostman, negative radius": (lambda: frostman_fit(UNIT, [F(1, 2)], [F(-1, 8), F(1, 8), F(1, 4), F(1, 2)]),
+                                  FitError, "radii must be positive"),
+    "box count, every stage of diameter 0": (
+        lambda: box_count_fit([StageReport(k, 2**k, F(0), F(0)) for k in range(1, 4)]), FitError,
+        "need at least two distinct scales"),
     "frostman, centres off the support": (lambda: frostman_fit(UNIT, [5], [F(1, 8), F(1, 4), F(1, 2), 1]),
                                           FitError, "ball masses vanished at every scale"),
     "frostman, distinct radii with one float log": (
@@ -74,11 +93,24 @@ REFUSALS = {
                                        "7 rows, above the bound of 6"),
     "point distance to the empty union": (lambda: IntervalUnion([]).point_distance(0), GeometryError,
                                           "distance to the empty set is undefined"),
+    "interval union, space bound [1, 1]": (lambda: IntervalUnion([], space=(1, 1)), GeometryError,
+                                           "space bound must be nondegenerate"),
+    "interval union, space bound [1/2, 1/3]": (lambda: IntervalUnion([], space=(F(1, 2), F(1, 3))), GeometryError,
+                                               "space bound must be nondegenerate"),
     "box union, dimension 0": (lambda: BoxUnion(0, []), GeometryError, "dimension must be positive"),
     "box union, wrong arity": (lambda: BoxUnion(2, [[(0, 1)]]), GeometryError, "box arity does not match dimension"),
     "box union, reversed side": (lambda: BoxUnion(1, [[(1, 0)]]), GeometryError, "box side reversed"),
     "partition, grid 0": (lambda: simplex_partition_1d(IntervalUnion.full(), 0), GeometryError,
                           "grid step must be positive"),
+    "partition, grid -1/3": (lambda: simplex_partition_1d(IntervalUnion.full(), F(-1, 3)), GeometryError,
+                             "grid step must be positive"),
+    "radial lift, resolution 0": (lambda: radial_lift(IntervalUnion.full(), 0), ConstructionError,
+                                  "resolution must be positive"),
+    "radial lift, resolution -1/4": (lambda: radial_lift(IntervalUnion.full(), F(-1, 4)), ConstructionError,
+                                     "resolution must be positive"),
+    "ball mass, radius 0": (lambda: UNIT.ball_mass(F(1, 2), 0), MeasureError, "radius must be positive"),
+    "ball mass, radius -1/3": (lambda: UNIT.ball_mass(F(1, 2), F(-1, 3)), MeasureError, "radius must be positive"),
+    "ball mass, radius '-1/2'": (lambda: UNIT.ball_mass(F(1, 2), "-1/2"), MeasureError, "radius must be positive"),
     "max ball masses, radius 0": (lambda: UNIT.max_ball_masses([F(1, 2)], [0]), MeasureError,
                                   "radius must be positive"),
     "product measure, branching 1": (lambda: SelfSimilarProductMeasure(1, [[F(0)]], [F(1, 3)]), MeasureError,
@@ -91,6 +123,17 @@ REFUSALS = {
                                        "contractions must lie in (0, 1)"),
     "product measure, scale 0": (lambda: SelfSimilarProductMeasure(2, HALVES, [F(1, 3)], scale=F(0)), MeasureError,
                                  "affine scale must be nonzero"),
+    "product measure, scale 2^-1100 (float 0)": (
+        lambda: SelfSimilarProductMeasure(2, HALVES, [F(1, 3)], scale=F(1, 2**1100)), MeasureError,
+        "affine scale rounds to float 0"),
+    "product measure, contraction 2^-1100 (float 0)": (
+        lambda: SelfSimilarProductMeasure(2, HALVES, [F(1, 2**1100)]), MeasureError, "contraction rounds to float 0"),
+    "product measure, scale 2^1100": (lambda: SelfSimilarProductMeasure(2, HALVES, [F(1, 3)], scale=F(2**1100)),
+                                      MeasureError, "affine scale overflows a float"),
+    "product measure, shift 2^1100": (lambda: SelfSimilarProductMeasure(2, HALVES, [F(1, 3)], shift=F(2**1100)),
+                                      MeasureError, "affine shift overflows a float"),
+    "product measure, offset 2^1100": (lambda: SelfSimilarProductMeasure(2, [[F(0), F(2**1100)]], [F(1, 3)]),
+                                       MeasureError, "offset overflows a float"),
     "product transform, depth 0": (lambda: SelfSimilarProductMeasure(2, HALVES, [F(1, 3)]).fourier_eval(1.0, depth=0),
                                    MeasureError, "depth must be >= 1"),
     "divides by zero": (lambda: divides(GaussianInt(0, 0), GaussianInt(1, 0)), ConstructionError, "division by zero"),
